@@ -81,40 +81,53 @@ def scalar_circulant_spectrum(circ: ScalarCirculant) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BlockCirculantOperator:
-    """M ordered square sparse blocks b_0 .. b_{M-1} of common dimension N."""
+    """Block circulant stored as M plus its nonzero offsets.
 
-    blocks: tuple = field(repr=False)
+    ``blocks`` maps offset k in [0, M) to the N x N block at (i, (i + k) mod M),
+    in ascending offset order; missing offsets are zero blocks.
+    """
+
+    M: int
+    blocks: dict = field(repr=False)
 
     def __post_init__(self):
-        blocks = tuple(canonical_csr(b) for b in self.blocks)
-        if not blocks:
+        if self.M < 1:
+            raise ValueError(f"sector count must be >= 1, got {self.M}")
+        if not self.blocks:
             raise ValueError("need at least one block")
-        dim = blocks[0].shape
+        blocks = {}
+        for k in sorted(self.blocks):
+            if not 0 <= k < self.M:
+                raise ValueError(f"block offset {k} out of range [0, {self.M})")
+            blocks[k] = canonical_csr(self.blocks[k])
+        dim = next(iter(blocks.values())).shape
         if dim[0] != dim[1]:
             raise ValueError(f"blocks must be square, got {dim}")
-        for b in blocks:
+        for b in blocks.values():
             if b.shape != dim:
                 raise ValueError(f"inconsistent block shapes: {b.shape} vs {dim}")
         object.__setattr__(self, "blocks", blocks)
 
     @property
-    def M(self) -> int:
-        return len(self.blocks)
-
-    @property
     def N(self) -> int:
-        return self.blocks[0].shape[0]
+        return next(iter(self.blocks.values())).shape[0]
+
+
+def cyclic_shift(M: int, k: int) -> sp.csr_matrix:
+    """M x M cyclic shift S^k: ones at (i, (i + k) mod M)."""
+    i = np.arange(M)
+    return sp.csr_matrix((np.ones(M), (i, (i + k) % M)), shape=(M, M))
 
 
 def reduced_block(op: BlockCirculantOperator, m: int) -> sp.csr_matrix:
-    """Per-harmonic N x N reduction: sum_k rho_m^k * b_k."""
+    """Per-harmonic N x N reduction: sum of rho_m^k * b_k over the nonzero offsets k."""
     check_harmonic(m, op.M)
-    coeffs = [unity_power(m, k, op.M) for k in range(op.M)]
-    return linear_combination(op.blocks, coeffs)
+    coeffs = [unity_power(m, k, op.M) for k in op.blocks]
+    return linear_combination(op.blocks.values(), coeffs)
 
 
 def lift_block_eigenvector(v, m: int, M: int) -> np.ndarray:
-    """Expand a length-N reduced eigenvector to length M*N.
+    """Expand a length-N reduced eigenvector, or (N, k) columns, to length M*N.
 
     Segment s of the output is rho_m^s * v, so a reduced eigenpair of the
     harmonic-m block becomes an eigenpair of the full operator.
@@ -125,25 +138,21 @@ def lift_block_eigenvector(v, m: int, M: int) -> np.ndarray:
 
 
 def materialize(op: BlockCirculantOperator, budget: int = DENSE_ORACLE_BUDGET) -> sp.csr_matrix:
-    """Assemble the full MN x MN operator; block (i, j) is b_{(j-i) mod M}.
+    """Assemble the full MN x MN operator by Kronecker assembly: sum_k kron(S^k, b_k).
 
-    Intended for oracle-side verification only, hence the size budget.
+    Block (i, j) is b_{(j-i) mod M}.  Intended for oracle-side
+    verification only, hence the size budget.
     """
-    M, N = op.M, op.N
-    full = M * N
+    full = op.M * op.N
     if full > budget:
         raise BudgetExceededError(
             f"materializing a {full}x{full} operator exceeds budget {budget}",
             required=full,
         )
-    grid = [[op.blocks[(j - i) % M] for j in range(M)] for i in range(M)]
-    return canonical_csr(sp.bmat(grid, format="csr"))
+    return canonical_csr(sum(sp.kron(cyclic_shift(op.M, k), b, format="csr")
+                             for k, b in op.blocks.items()))
 
 
 def block_shift_permutation(M: int, N: int) -> sp.csr_matrix:
     """Cyclic block-shift permutation: segment s of P @ x is segment (s+1) mod M of x."""
-    eye = sp.identity(N, dtype=np.complex128, format="csr")
-    grid = [[eye if (j - i) % M == 1 else None for j in range(M)] for i in range(M)]
-    if M == 1:
-        return eye
-    return canonical_csr(sp.bmat(grid, format="csr"))
+    return canonical_csr(sp.kron(cyclic_shift(M, 1), sp.identity(N), format="csr"))

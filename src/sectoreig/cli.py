@@ -181,11 +181,10 @@ def cmd_verify(args) -> int:
         w, V = dense_eigs(reduced_block(op, m).toarray())
         reduced_vals.extend(w)
         if not args.no_rotation:
-            for i in range(len(w)):
-                lifted = lift_to_annulus(V[:, i], m, J)
-                res = np.linalg.norm(spmv(A, lifted) - w[i] * lifted)
-                res /= np.linalg.norm(lifted)
-                max_lift_residual = max(max_lift_residual, float(res))
+            lifted = lift_to_annulus(V, m, J)
+            res = np.linalg.norm(spmv(A, lifted) - lifted * w, axis=0)
+            res /= np.linalg.norm(lifted, axis=0)
+            max_lift_residual = max(max_lift_residual, float(res.max()))
 
     distances = greedy_match(np.asarray(reduced_vals), dense_vals)
     max_distance = float(distances.max()) if len(distances) else 0.0

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
 from .circulant import reduced_block
-from .sector import SectorJacobian, materialize_full, nodal_diameter, to_block_circulant
+from .sector import SectorJacobian, materialize_full, to_block_circulant
 from .sparsecore import (
     BudgetExceededError,
     SingularMatrixError,
@@ -315,15 +315,6 @@ def solve_full_annulus(J: SectorJacobian, cfg: ShiftInvertConfig | None = None,
     report.pairs = deduplicate_pairs(collected, DEDUP_BASE_TOL)
     report.wall_times["full"] = time.perf_counter() - t0
     return report
-
-
-def attach_nodal_diameters(report: SpectrumReport):
-    """(harmonic, nodal diameter) for each pair; None for unlabeled pairs."""
-    out = []
-    for p in report.pairs:
-        nd = None if p.harmonic is None else nodal_diameter(p.harmonic, report.M)
-        out.append((p.harmonic, nd))
-    return out
 
 
 def greedy_match(a, b):

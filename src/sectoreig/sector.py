@@ -20,7 +20,6 @@ import scipy.sparse as sp
 from .circulant import (
     DENSE_ORACLE_BUDGET,
     BlockCirculantOperator,
-    BudgetExceededError,
     check_harmonic,
     lift_block_eigenvector,
     materialize,
@@ -30,7 +29,6 @@ from .sparsecore import (
     read_matrix_market,
     unity_power,
     write_matrix_market,
-    zeros_csr,
 )
 
 BLOCK_FILES = ("d_self.mtx", "d_next.mtx", "d_prev.mtx")
@@ -157,14 +155,14 @@ class SectorJacobian:
 
 
 def to_block_circulant(J: SectorJacobian) -> BlockCirculantOperator:
-    """Blocks of the similar block circulant: [d_self, d_next, 0, ..., 0, d_prev]."""
-    M, N = J.M, J.N
-    blocks = [zeros_csr(N) for _ in range(M)]
-    blocks[0] = J.d_self
-    if M >= 3:
-        blocks[1] = J.d_next
-        blocks[M - 1] = J.d_prev
-    return BlockCirculantOperator(tuple(blocks))
+    """The similar block circulant as M plus its nonzero offsets.
+
+    Offsets are {0: d_self, 1: d_next, M-1: d_prev}; below three sectors the
+    neighbor blocks are zero and only offset 0 remains.
+    """
+    if J.M < 3:
+        return BlockCirculantOperator(J.M, {0: J.d_self})
+    return BlockCirculantOperator(J.M, {0: J.d_self, 1: J.d_next, J.M - 1: J.d_prev})
 
 
 def annulus_rotation_stack(J: SectorJacobian, inverse: bool = False) -> sp.csr_matrix:
@@ -178,15 +176,9 @@ def materialize_full(J: SectorJacobian, budget: int = DENSE_ORACLE_BUDGET) -> sp
     """Full MN x MN operator in original (unrotated) variables.
 
     Block (m1, m2) equals T^{m1} b_{(m2-m1) mod M} T^{-m2}; assembled as
-    the similarity product of the rotation stack with the materialized
-    block circulant.  Refuses instances above the size budget.
+    the similarity product of the rotation stack with the block circulant's
+    Kronecker assembly.  Refuses instances above the size budget.
     """
-    full = J.M * J.N
-    if full > budget:
-        raise BudgetExceededError(
-            f"materializing a {full}x{full} operator exceeds budget {budget}",
-            required=full,
-        )
     B = materialize(to_block_circulant(J), budget=budget)
     if not J.rotation.layout.rotating_pairs:
         return B
@@ -196,7 +188,7 @@ def materialize_full(J: SectorJacobian, budget: int = DENSE_ORACLE_BUDGET) -> sp
 
 
 def lift_to_annulus(v, m: int, J: SectorJacobian) -> np.ndarray:
-    """Lift a reduced eigenvector to the annulus: segment s is rho_m^s T^s v."""
+    """Lift a reduced eigenvector, or (N, k) columns, to the annulus: segment s is rho_m^s T^s v."""
     check_harmonic(m, J.M)
     v = np.asarray(v, dtype=np.complex128)
     if v.shape[0] != J.N:

@@ -78,7 +78,7 @@ def block_circulant_instances():
             if not real:
                 b = b + 1j * rng.uniform(-1, 1, (N, N))
             blocks.append(canonical_csr(b))
-        out.append((BlockCirculantOperator(tuple(blocks)), real))
+        out.append((BlockCirculantOperator(M, dict(enumerate(blocks))), real))
     return out
 
 

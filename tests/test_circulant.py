@@ -30,6 +30,11 @@ def random_blocks(rng, M, N, real=False):
     return tuple(out)
 
 
+def block_circulant(blocks):
+    """Operator whose offset k holds blocks[k]."""
+    return BlockCirculantOperator(len(blocks), dict(enumerate(blocks)))
+
+
 class TestScalarCirculant:
     def test_known_spectrum(self):
         circ = ScalarCirculant((2, 1, 0, 1))
@@ -85,20 +90,20 @@ class TestReducedBlock:
     def test_harmonic_zero_is_plain_sum(self):
         rng = np.random.default_rng(8)
         blocks = random_blocks(rng, 4, 3)
-        op = BlockCirculantOperator(blocks)
+        op = block_circulant(blocks)
         expected = sum(b.toarray() for b in blocks)
         assert np.max(np.abs(reduced_block(op, 0).toarray() - expected)) <= 1e-14
 
     def test_single_block_operator(self):
         rng = np.random.default_rng(9)
         b0 = random_blocks(rng, 1, 3)[0]
-        op = BlockCirculantOperator((b0,) + tuple(zeros_csr(3) for _ in range(4)))
+        op = block_circulant((b0,) + tuple(zeros_csr(3) for _ in range(4)))
         for m in range(5):
             assert np.array_equal(reduced_block(op, m).toarray(), b0.toarray())
 
     def test_spectrum_completeness_vs_dense(self):
         rng = np.random.default_rng(10)
-        op = BlockCirculantOperator(random_blocks(rng, 4, 3))
+        op = block_circulant(random_blocks(rng, 4, 3))
         union = np.concatenate(
             [np.linalg.eigvals(reduced_block(op, m).toarray()) for m in range(4)]
         )
@@ -108,7 +113,7 @@ class TestReducedBlock:
 
     def test_conjugate_harmonic_symmetry_exact(self):
         rng = np.random.default_rng(12)
-        op = BlockCirculantOperator(random_blocks(rng, 6, 4, real=True))
+        op = block_circulant(random_blocks(rng, 6, 4, real=True))
         for m in range(1, 6):
             a = reduced_block(op, m)
             b = reduced_block(op, 6 - m)
@@ -126,7 +131,7 @@ class TestLift:
 
     def test_lift_is_eigenvector_of_full_operator(self):
         rng = np.random.default_rng(14)
-        op = BlockCirculantOperator(random_blocks(rng, 4, 2))
+        op = block_circulant(random_blocks(rng, 4, 2))
         B = materialize(op)
         for m in range(4):
             w, V = np.linalg.eig(reduced_block(op, m).toarray())
@@ -140,18 +145,18 @@ class TestMaterialize:
     def test_degenerate_single_sector(self):
         rng = np.random.default_rng(15)
         b0 = random_blocks(rng, 1, 4)[0]
-        op = BlockCirculantOperator((b0,))
+        op = block_circulant((b0,))
         assert np.array_equal(materialize(op).toarray(), b0.toarray())
 
     def test_identity_blocks(self):
         eye = canonical_csr(np.eye(2))
-        op = BlockCirculantOperator((eye, zeros_csr(2), zeros_csr(2)))
+        op = block_circulant((eye, zeros_csr(2), zeros_csr(2)))
         assert np.array_equal(materialize(op).toarray(), np.eye(6))
 
     def test_block_placement(self):
         rng = np.random.default_rng(16)
         blocks = random_blocks(rng, 3, 2)
-        full = materialize(BlockCirculantOperator(blocks)).toarray()
+        full = materialize(block_circulant(blocks)).toarray()
         for i in range(3):
             for j in range(3):
                 seg = full[2 * i:2 * i + 2, 2 * j:2 * j + 2]
@@ -159,7 +164,7 @@ class TestMaterialize:
 
     def test_commutes_with_block_shift(self):
         rng = np.random.default_rng(18)
-        op = BlockCirculantOperator(random_blocks(rng, 5, 3))
+        op = block_circulant(random_blocks(rng, 5, 3))
         B = materialize(op)
         P = block_shift_permutation(5, 3)
         diff = (P @ B - B @ P).toarray()
@@ -167,7 +172,7 @@ class TestMaterialize:
 
     def test_budget_refusal_reports_requirement(self):
         eye = canonical_csr(np.eye(10))
-        op = BlockCirculantOperator(tuple([eye] * 4))
+        op = block_circulant(tuple([eye] * 4))
         with pytest.raises(BudgetExceededError) as err:
             materialize(op, budget=30)
         assert err.value.required == 40
@@ -175,8 +180,12 @@ class TestMaterialize:
 
 def test_block_shape_validation():
     with pytest.raises(ValueError):
-        BlockCirculantOperator((canonical_csr(np.eye(2)), canonical_csr(np.eye(3))))
+        block_circulant((canonical_csr(np.eye(2)), canonical_csr(np.eye(3))))
     with pytest.raises(ValueError):
-        BlockCirculantOperator((zeros_csr(2, 3),))
+        block_circulant((zeros_csr(2, 3),))
     with pytest.raises(ValueError):
-        BlockCirculantOperator(())
+        block_circulant(())
+    with pytest.raises(ValueError):
+        BlockCirculantOperator(3, {3: canonical_csr(np.eye(2))})
+    with pytest.raises(ValueError):
+        BlockCirculantOperator(0, {0: canonical_csr(np.eye(2))})

@@ -52,6 +52,18 @@ class TestRingModel:
         radius = np.max(np.abs(ana))
         assert greedy_match(reduced_union(J), ana).max() <= 1e-10 * radius
 
+    def test_every_harmonic_matches_fft_oracle_at_large_M(self):
+        # Ring wavenumber j belongs to harmonic j mod M; the exact ring
+        # spectrum is K * ifft of the circulant first row.
+        M, n = 1024, 2
+        J = make_ring_advection_diffusion(M, n, 1.0)
+        exact = M * n * np.fft.ifft(np.asarray(ring_first_row(M, n, 1.0).first_row))
+        tol = 1e-9 * np.max(np.abs(exact))
+        op = to_block_circulant(J)
+        for m in range(M):
+            vals = np.linalg.eigvals(reduced_block(op, m).toarray())
+            assert greedy_match(vals, exact[m::M]).max() <= tol
+
     def test_pure_advection_central_is_skew(self):
         J = make_ring_advection_diffusion(6, 2, peclet=2.0, diffusion=0.0,
                                           scheme="central")
