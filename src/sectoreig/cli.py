@@ -149,6 +149,7 @@ def cmd_eig(args) -> int:
         f"eigenvalues_after_dedup = {len(report.pairs)}",
         f"dedup_removed = {report.dedup_removed}",
         f"peak_factor_nnz = {report.peak_factor_nnz}",
+        f"dense_blocks = {','.join(map(str, report.dense_blocks)) or 'none'}",
         f"total_wall_time_s = {elapsed:.3f}",
     ]
     for key in sorted(report.wall_times, key=str):
@@ -190,7 +191,8 @@ def cmd_verify(args) -> int:
     max_distance = float(distances.max()) if len(distances) else 0.0
     ok = max_distance <= args.tol
     print(f"max matched distance: {max_distance:.3e}")
-    print(f"max lift residual:    {max_lift_residual:.3e}")
+    lift = "skipped" if args.no_rotation else f"{max_lift_residual:.3e}"
+    print(f"max lift residual:    {lift}")
     print(f"{'PASS' if ok else 'FAIL'} (tol {args.tol:.1e})")
     return 0 if ok else 1
 

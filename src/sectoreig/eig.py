@@ -3,12 +3,18 @@
 The workhorse is shift-invert Arnoldi: factor (A - sigma I), iterate on its
 inverse so eigenvalues near sigma become dominant, then map Ritz values
 back via lambda = sigma + 1/mu.  The inner iteration is ARPACK through
-scipy; every accepted pair is re-verified by a direct sparse residual, so
-nothing is trusted from the inner iteration alone.
+scipy.  On a block of dimension n <= DENSE_EIG_BUDGET, Arnoldi may apply
+the inverse n + 1 times, the cost of one pass over the whole space; when
+that runs out (or k > n - 2), the block is decomposed densely once and
+that decomposition answers the current shift and every later shift of the
+same block.  Pairs from both routes are re-verified by a direct sparse
+residual and accepted on their normwise backward error, so nothing is
+trusted from the inner iteration alone.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -42,6 +48,12 @@ class ShiftInvertConfig:
     ``scale`` divides the operator before solving, so reported eigenvalues
     come out in engine-order-like units when it is set to the rotor
     angular rate.  ``subspace_dim`` of None means max(20, 2k + 1).
+
+    ``tol`` bounds the normwise backward error of an accepted pair,
+    ``||Bv - lambda v|| / ((||B||_1 + |lambda|) ||v||)``, so it does not
+    depend on the scale of B.  ``max_restarts`` caps ARPACK restarts; on
+    blocks within DENSE_EIG_BUDGET the budget of n + 1 inverse applications
+    normally ends Arnoldi first and hands the block to the dense route.
     """
 
     shifts: tuple = (1j, 2j, 3j)
@@ -83,6 +95,7 @@ class SolveInfo:
     """Bookkeeping from a single shift-invert solve."""
 
     factor_nnz: int = 0
+    matvecs: int = 0
     wall_time: float = 0.0
     perturbed_shift: complex | None = None
     warning: str | None = None
@@ -102,6 +115,7 @@ class SpectrumReport:
     factor_nnz: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
     perturbed_shifts: list = field(default_factory=list)
+    dense_blocks: list = field(default_factory=list)
     raw_count: int = 0
 
     @property
@@ -122,76 +136,127 @@ def _start_vector(n: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _dense_nearest(A: sp.csr_matrix, sigma: complex, k: int, harmonic):
-    """Fallback for blocks too small for ARPACK: dense solve, pick nearest."""
-    w, V = np.linalg.eig(A.toarray())
-    order = np.argsort(np.abs(w - sigma))[:k]
-    pairs = []
-    for idx in order:
-        v = V[:, idx] / np.linalg.norm(V[:, idx])
-        res = float(np.linalg.norm(spmv(A, v) - w[idx] * v))
-        pairs.append(EigenPair(complex(w[idx]), v, harmonic, res, sigma))
-    return pairs
+class Block:
+    """One square operator solved at several shifts.
 
-
-def shift_invert_eigs(A, sigma: complex, k: int, cfg: ShiftInvertConfig,
-                      harmonic: int | None = None):
-    """Up to k eigenpairs of A nearest sigma, ordered by |lambda - sigma|.
-
-    Returns (pairs, info).  A singular (A - sigma I) is retried once with
-    sigma perturbed by 1e-8 * (1 + |sigma|) and the perturbation flagged;
-    non-convergence returns the converged subset with a warning.  Residuals
-    are re-verified by direct sparse application and pairs that fail the
-    configured tolerance are dropped (with a warning).
+    Holds the canonical CSR matrix, its 1-norm (the scale of the acceptance
+    test) and, once computed, its dense eigendecomposition, which then
+    answers every later shift with no LU factorization and no Arnoldi.
     """
-    A = canonical_csr(A)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError(f"matrix must be square, got {A.shape}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    n = A.shape[0]
-    sigma = complex(sigma)
-    info = SolveInfo()
-    start = time.perf_counter()
 
-    if k > n - 2:
-        pairs = _dense_nearest(A, sigma, min(k, n), harmonic)
-        info.wall_time = time.perf_counter() - start
-        return pairs, info
+    def __init__(self, A):
+        self.matrix = canonical_csr(A)
+        if self.matrix.shape[0] != self.matrix.shape[1]:
+            raise ValueError(f"matrix must be square, got {self.matrix.shape}")
+        self.n = self.matrix.shape[0]
+        # ||B||_1, the largest column sum of |b_ij|
+        self.norm1 = float(np.bincount(self.matrix.indices, np.abs(self.matrix.data),
+                                       minlength=self.n).max(initial=0.0))
+        self.dense = None
 
+    def decompose(self) -> None:
+        """Store (values, vectors) of the dense eigendecomposition, once."""
+        if self.dense is None:
+            self.dense = np.linalg.eig(self.matrix.toarray())
+
+
+class _BudgetSpent(Exception):
+    """Arnoldi asked for more operator applications than its budget."""
+
+
+def _arnoldi(block: Block, sigma: complex, k: int, cfg: ShiftInvertConfig,
+             info: SolveInfo):
+    """Shift-invert Arnoldi candidates [(lambda, v)] near sigma.
+
+    On a block within DENSE_EIG_BUDGET, Arnoldi may apply the inverse at
+    most n + 1 times, the cost of one pass over the whole space.  Past that
+    the block is decomposed densely and no candidates are returned.
+    """
+    n = block.n
     eye = sp.identity(n, dtype=np.complex128, format="csr")
     sigma_used = sigma
     try:
-        lu = SparseLU(A - sigma_used * eye, shift=sigma_used)
+        lu = SparseLU(block.matrix - sigma_used * eye, shift=sigma_used)
     except SingularMatrixError:
         sigma_used = sigma + 1e-8 * (1.0 + abs(sigma))
         info.perturbed_shift = sigma_used
-        lu = SparseLU(A - sigma_used * eye, shift=sigma_used)
+        lu = SparseLU(block.matrix - sigma_used * eye, shift=sigma_used)
     info.factor_nnz = lu.factor_nnz
+    budget = n + 1 if n <= DENSE_EIG_BUDGET else math.inf
 
-    op = LinearOperator((n, n), matvec=lu.solve, dtype=np.complex128)
+    def apply_inverse(x):
+        if info.matvecs >= budget:
+            raise _BudgetSpent
+        info.matvecs += 1
+        return lu.solve(x)
+
+    op = LinearOperator((n, n), matvec=apply_inverse, dtype=np.complex128)
     try:
         mu, W = eigs(op, k=k, which="LM", ncv=cfg.ncv(k, n),
                      maxiter=cfg.max_restarts, tol=0, v0=_start_vector(n))
+    except _BudgetSpent:
+        block.decompose()
+        return []
     except ArpackNoConvergence as exc:
         mu, W = exc.eigenvalues, exc.eigenvectors
         info.warning = (
             f"shift {sigma}: only {len(mu)}/{k} eigenvalues converged "
             f"after {cfg.max_restarts} restarts"
         )
+    return [(sigma_used + 1.0 / mu[i], W[:, i]) for i in range(len(mu))]
 
-    pairs = []
-    for i in range(len(mu)):
-        lam = sigma_used + 1.0 / mu[i]
-        v = W[:, i]
-        v = v / np.linalg.norm(v)
-        res = float(np.linalg.norm(spmv(A, v) - lam * v))
-        if res > cfg.tol:
-            info.warning = (info.warning or "") + (
-                f" dropped pair near {lam:.6g}: re-verified residual {res:.3e} > {cfg.tol:.1e};"
-            )
-            continue
-        pairs.append(EigenPair(complex(lam), v, harmonic, res, sigma))
+
+def _accept(block: Block, lam: complex, v: np.ndarray, sigma: complex, harmonic,
+            cfg: ShiftInvertConfig, info: SolveInfo):
+    """The pair with v normalized if its normwise backward error
+    ||Bv - lam v|| / ((||B||_1 + |lam|) ||v||) is within cfg.tol; else None,
+    with the drop recorded in info.warning."""
+    v = v / np.linalg.norm(v)
+    res = float(np.linalg.norm(spmv(block.matrix, v) - lam * v))
+    scale = block.norm1 + abs(lam)
+    if res > cfg.tol * scale:
+        info.warning = (info.warning or "") + (
+            f" dropped pair near {lam:.6g}: re-verified residual {res:.3e}, "
+            f"backward error {res / scale:.3e} > {cfg.tol:.1e};"
+        )
+        return None
+    return EigenPair(complex(lam), v, harmonic, res, sigma)
+
+
+def shift_invert_eigs(A, sigma: complex, k: int, cfg: ShiftInvertConfig,
+                      harmonic: int | None = None):
+    """Up to k eigenpairs of A nearest sigma, ordered by |lambda - sigma|.
+
+    A is a sparse matrix or a :class:`Block`; passing the same Block for
+    every shift lets one dense decomposition answer all of them.  The dense
+    route is taken when k > n - 2 (too small for ARPACK) or when Arnoldi
+    spends its budget of n + 1 inverse applications; it needs no LU.
+
+    Returns (pairs, info).  A singular (A - sigma I) is retried once with
+    sigma perturbed by 1e-8 * (1 + |sigma|) and the perturbation flagged;
+    non-convergence returns the converged subset with a warning.  Every
+    pair, from either route, is re-verified by direct sparse application
+    and dropped (with a warning) when its backward error exceeds cfg.tol.
+    """
+    block = A if isinstance(A, Block) else Block(A)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    n = block.n
+    sigma = complex(sigma)
+    info = SolveInfo()
+    start = time.perf_counter()
+
+    if block.dense is None and k > n - 2:
+        block.decompose()
+    if block.dense is None:
+        candidates = _arnoldi(block, sigma, k, cfg, info)
+    if block.dense is not None:
+        w, V = block.dense
+        order = np.argsort(np.abs(w - sigma), kind="stable")[:k]
+        candidates = [(w[i], V[:, i]) for i in order]
+
+    pairs = [p for lam, v in candidates
+             if (p := _accept(block, lam, v, sigma, harmonic, cfg, info)) is not None]
     pairs.sort(key=lambda p: (abs(p.value - sigma), p.value.real, p.value.imag))
     info.wall_time = time.perf_counter() - start
     return pairs, info
@@ -248,6 +313,29 @@ def deduplicate_pairs(pairs, base_tol: float = 1e-6):
 DEDUP_BASE_TOL = 1e-6
 
 
+def _solve_block(A, cfg: ShiftInvertConfig, report: SpectrumReport,
+                 harmonic: int | None) -> list:
+    """Solve one block at every configured shift, fold the bookkeeping into
+    report (keyed by harmonic, or "full"), and return its deduplicated pairs."""
+    key = "full" if harmonic is None else harmonic
+    prefix = "" if harmonic is None else f"harmonic {harmonic}: "
+    block = Block(A)
+    collected = []
+    for sigma in cfg.shifts:
+        pairs, info = shift_invert_eigs(block, sigma, cfg.eigs_per_shift, cfg,
+                                        harmonic=harmonic)
+        collected.extend(pairs)
+        report.factor_nnz[key] = max(report.factor_nnz.get(key, 0), info.factor_nnz)
+        if info.warning:
+            report.warnings.append(prefix + info.warning)
+        if info.perturbed_shift is not None:
+            report.perturbed_shifts.append((harmonic, sigma, info.perturbed_shift))
+    if block.dense is not None:
+        report.dense_blocks.append(key)
+    report.raw_count += len(collected)
+    return deduplicate_pairs(collected, DEDUP_BASE_TOL)
+
+
 def solve_annulus_spectrum(J: SectorJacobian, harmonics=None,
                            cfg: ShiftInvertConfig | None = None) -> SpectrumReport:
     """Per-harmonic (single-sector) spectrum of the full annulus operator.
@@ -269,18 +357,7 @@ def solve_annulus_spectrum(J: SectorJacobian, harmonics=None,
         t0 = time.perf_counter()
         try:
             Bm = reduced_block(op, m) * (1.0 / cfg.scale)
-            collected = []
-            for sigma in cfg.shifts:
-                pairs, info = shift_invert_eigs(Bm, sigma, cfg.eigs_per_shift, cfg,
-                                                harmonic=m)
-                collected.extend(pairs)
-                report.factor_nnz[m] = max(report.factor_nnz.get(m, 0), info.factor_nnz)
-                if info.warning:
-                    report.warnings.append(f"harmonic {m}: {info.warning}")
-                if info.perturbed_shift is not None:
-                    report.perturbed_shifts.append((m, sigma, info.perturbed_shift))
-            report.raw_count += len(collected)
-            report.pairs.extend(deduplicate_pairs(collected, DEDUP_BASE_TOL))
+            report.pairs.extend(_solve_block(Bm, cfg, report, m))
         except (SingularMatrixError, ValueError) as exc:
             report.warnings.append(f"harmonic {m} failed: {exc}")
         report.wall_times[m] = time.perf_counter() - t0
@@ -302,17 +379,7 @@ def solve_full_annulus(J: SectorJacobian, cfg: ShiftInvertConfig | None = None,
         dedup_tolerance=DEDUP_BASE_TOL, method="full",
     )
     t0 = time.perf_counter()
-    collected = []
-    for sigma in cfg.shifts:
-        pairs, info = shift_invert_eigs(A, sigma, cfg.eigs_per_shift, cfg, harmonic=None)
-        collected.extend(pairs)
-        report.factor_nnz["full"] = max(report.factor_nnz.get("full", 0), info.factor_nnz)
-        if info.warning:
-            report.warnings.append(info.warning)
-        if info.perturbed_shift is not None:
-            report.perturbed_shifts.append((None, sigma, info.perturbed_shift))
-    report.raw_count = len(collected)
-    report.pairs = deduplicate_pairs(collected, DEDUP_BASE_TOL)
+    report.pairs = _solve_block(A, cfg, report, None)
     report.wall_times["full"] = time.perf_counter() - t0
     return report
 

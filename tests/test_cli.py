@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import pytest
 
@@ -122,6 +123,29 @@ class TestEig:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_readme_ring_spectrum_unchanged(self, tmp_path):
+        # No block of the README example spends its Arnoldi budget, so the
+        # dense route never runs and the CSV matches the recorded one exactly.
+        model = tmp_path / "ring22"
+        assert main(["gen", "ring", "--sectors", "22", "--points", "40",
+                     "--peclet", "1", "--out", str(model)]) == 0
+        out = tmp_path / "spectrum.csv"
+        assert main(["eig", str(model), "--method", "2", "--k", "2", "--shifts",
+                     "0+1i", "0+2i", "0+3i", "--out", str(out)]) == 0
+        golden = Path(__file__).parent / "data" / "readme_ring_spectrum.csv"
+        assert out.read_bytes() == golden.read_bytes()
+        summary = open(str(out) + ".summary.txt").read()
+        assert "dense_blocks = none\n" in summary
+
+    def test_summary_lists_dense_blocks(self, tmp_path):
+        model = tmp_path / "rv"
+        assert main(["gen", "rotvec", "--sectors", "8", "--points", "50",
+                     "--coupling", "0.3", "--out", str(model)]) == 0
+        out = tmp_path / "rv.csv"
+        assert main(["eig", str(model), "--out", str(out)]) == 0
+        text = open(str(out) + ".summary.txt").read()
+        assert "dense_blocks = 0,1,2,3,4,5,6,7\n" in text
+
     def test_missing_directory_fails(self, tmp_path):
         rc = main(["eig", str(tmp_path / "nope"), "--out", str(tmp_path / "x.csv")])
         assert rc != 0
@@ -150,7 +174,9 @@ class TestVerify:
                      "--coupling", "0.3", "--out", str(out)]) == 0
         rc = main(["verify", str(out), "--tol", "1e-8", "--no-rotation"])
         assert rc != 0
-        assert "FAIL" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "FAIL" in printed
+        assert "max lift residual:    skipped\n" in printed
 
 
 class TestBench:

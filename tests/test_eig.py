@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from sectoreig.circulant import ScalarCirculant, scalar_circulant_spectrum
+import sectoreig.eig as eig_module
+from sectoreig.circulant import ScalarCirculant, reduced_block, scalar_circulant_spectrum
 from sectoreig.eig import (
+    Block,
     EigenPair,
     ShiftInvertConfig,
     deduplicate_pairs,
@@ -16,10 +18,11 @@ from sectoreig.eig import (
 from sectoreig.models import (
     make_random_sector_jacobian,
     make_ring_advection_diffusion,
+    make_rotating_vector_model,
     ring_first_row,
 )
-from sectoreig.sector import SectorJacobian
-from sectoreig.sparsecore import BudgetExceededError, canonical_csr, zeros_csr
+from sectoreig.sector import SectorJacobian, materialize_full, to_block_circulant
+from sectoreig.sparsecore import BudgetExceededError, SparseLU, canonical_csr, zeros_csr
 
 
 def random_shifted_sparse(rng, n, density=0.2):
@@ -84,6 +87,86 @@ class TestShiftInvert:
         first, _ = shift_invert_eigs(A, 0.5j, 4, ShiftInvertConfig())
         second, _ = shift_invert_eigs(A, 0.5j, 4, ShiftInvertConfig())
         assert [p.value for p in first] == [p.value for p in second]
+
+
+class TestDenseRoute:
+    def test_every_shift_answered_by_dense_nearest(self):
+        J = make_rotating_vector_model(8, 50, 0.3)
+        block = Block(reduced_block(to_block_circulant(J), 1))
+        w = np.linalg.eigvals(block.matrix.toarray())
+        cfg = ShiftInvertConfig()
+        for i, sigma in enumerate(cfg.shifts):
+            pairs, info = shift_invert_eigs(block, sigma, 2, cfg, harmonic=1)
+            # the first shift spends the n + 1 budget; the rest use no LU
+            assert info.matvecs == (block.n + 1 if i == 0 else 0)
+            assert (info.factor_nnz > 0) == (i == 0)
+            want = w[np.argsort(np.abs(w - sigma), kind="stable")[:2]]
+            got = np.array([p.value for p in pairs])
+            assert greedy_match(got, want).max() <= 1e-12 * block.norm1
+
+    def test_one_decomposition_and_one_lu_per_harmonic(self, monkeypatch):
+        calls = {"eig": 0, "lu": 0}
+        real_eig = np.linalg.eig
+
+        def counting_eig(a):
+            calls["eig"] += 1
+            return real_eig(a)
+
+        class CountingLU(SparseLU):
+            def __init__(self, *args, **kwargs):
+                calls["lu"] += 1
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eig", counting_eig)
+        monkeypatch.setattr(eig_module, "SparseLU", CountingLU)
+        report = solve_annulus_spectrum(make_rotating_vector_model(8, 50, 0.3))
+        assert report.dense_blocks == list(range(8))
+        assert calls == {"eig": 8, "lu": 8}
+        assert report.warnings == []
+
+    def test_whole_annulus_block_recorded_as_full(self):
+        J = make_rotating_vector_model(4, 5, 0.3)
+        report = solve_full_annulus(J, cfg=ShiftInvertConfig(shifts=(1j,)))
+        assert report.dense_blocks == ["full"]
+        A = materialize_full(J)
+        dense_vals, _ = dense_eigs(A)
+        nearest = dense_vals[np.argsort(np.abs(dense_vals - 1j), kind="stable")[:2]]
+        assert report.pairs
+        for p in report.pairs:
+            assert np.min(np.abs(nearest - p.value)) <= 1e-10 * max(1.0, abs(p.value))
+            direct = np.linalg.norm(A @ p.vector - p.value * p.vector)
+            assert abs(direct - p.residual) <= 1e-14
+
+    def test_dense_pairs_are_checked(self):
+        A = canonical_csr(np.array([[1.0, 40.0, 0.0],
+                                    [0.3, 2.0, 50.0],
+                                    [0.0, 0.7, 3.0]]))
+        loose, _ = shift_invert_eigs(A, 0.0, 3, ShiftInvertConfig(tol=1.0))
+        assert len(loose) == 3
+        assert min(p.residual for p in loose) > 0
+        pairs, info = shift_invert_eigs(A, 0.0, 3, ShiftInvertConfig(tol=1e-300))
+        assert pairs == []
+        assert info.warning.count("dropped pair") == 3
+
+
+class TestScaleInvariantAcceptance:
+    def test_fine_ring_returns_analytic_nearest(self):
+        # ||B_m||_1 is about 1.7e7 here, so correct pairs have absolute
+        # residuals near 1e-9; their backward error is near 1e-16.
+        M, n = 64, 200
+        J = make_ring_advection_diffusion(M, n, 1.0)
+        exact = M * n * np.fft.ifft(np.asarray(ring_first_row(M, n, 1.0).first_row))
+        tol = 1e-12 * np.max(np.abs(exact))
+        cfg = ShiftInvertConfig()
+        report = solve_annulus_spectrum(J, cfg=cfg)
+        assert report.warnings == [] and report.dense_blocks == []
+        for m in range(M):
+            got = np.array([p.value for p in report.pairs if p.harmonic == m])
+            ref = exact[m::M]
+            nearest = np.concatenate(
+                [ref[np.argsort(np.abs(ref - s), kind="stable")[:2]] for s in cfg.shifts])
+            assert np.abs(got[:, None] - ref[None, :]).min(axis=1).max() <= tol
+            assert np.abs(nearest[:, None] - got[None, :]).min(axis=1).max() <= tol
 
 
 class TestDenseEigs:
