@@ -54,7 +54,6 @@ from .sparsecore import (
     DimensionMismatchError,
     SingularMatrixError,
     SparseLU,
-    linear_combination,
     read_matrix_market,
     root_of_unity,
     spmv,

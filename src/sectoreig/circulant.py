@@ -15,23 +15,13 @@ import scipy.sparse as sp
 from .sparsecore import (
     BudgetExceededError,
     canonical_csr,
-    linear_combination,
+    check_harmonic,
     unity_power,
 )
 
 # Largest full dimension M*N for which materializing the whole operator
 # (the dense-oracle side) is allowed by default.
 DENSE_ORACLE_BUDGET = 20_000
-
-
-def check_harmonic(m: int, M: int) -> int:
-    """Validate a harmonic index against the sector count."""
-    m = int(m)
-    if M < 1:
-        raise ValueError(f"sector count must be >= 1, got {M}")
-    if not 0 <= m < M:
-        raise ValueError(f"harmonic index {m} out of range [0, {M})")
-    return m
 
 
 @dataclass(frozen=True)
@@ -122,8 +112,7 @@ def cyclic_shift(M: int, k: int) -> sp.csr_matrix:
 def reduced_block(op: BlockCirculantOperator, m: int) -> sp.csr_matrix:
     """Per-harmonic N x N reduction: sum of rho_m^k * b_k over the nonzero offsets k."""
     check_harmonic(m, op.M)
-    coeffs = [unity_power(m, k, op.M) for k in op.blocks]
-    return linear_combination(op.blocks.values(), coeffs)
+    return canonical_csr(sum(unity_power(m, k, op.M) * b for k, b in op.blocks.items()))
 
 
 def lift_block_eigenvector(v, m: int, M: int) -> np.ndarray:

@@ -37,6 +37,14 @@ DENSE_EIG_BUDGET = 4_000
 # Largest full dimension M*N the sparse whole-annulus solve will assemble.
 SPARSE_SOLVE_BUDGET = 200_000
 
+# Arnoldi subspace dimension is max(MIN_SUBSPACE_DIM, 2k + 1), capped at n.
+MIN_SUBSPACE_DIM = 20
+# ARPACK restart cap; on blocks within DENSE_EIG_BUDGET the budget of n + 1
+# inverse applications normally ends Arnoldi first.
+MAX_RESTARTS = 300
+# Relative distance below which two eigenvalues of one harmonic are merged.
+DEDUP_BASE_TOL = 1e-6
+
 # Fixed seed for the Arnoldi start vector so repeated runs are bit-stable.
 _START_VECTOR_SEED = 20230817
 
@@ -47,36 +55,26 @@ class ShiftInvertConfig:
 
     ``scale`` divides the operator before solving, so reported eigenvalues
     come out in engine-order-like units when it is set to the rotor
-    angular rate.  ``subspace_dim`` of None means max(20, 2k + 1).
+    angular rate.
 
     ``tol`` bounds the normwise backward error of an accepted pair,
     ``||Bv - lambda v|| / ((||B||_1 + |lambda|) ||v||)``, so it does not
-    depend on the scale of B.  ``max_restarts`` caps ARPACK restarts; on
-    blocks within DENSE_EIG_BUDGET the budget of n + 1 inverse applications
-    normally ends Arnoldi first and hands the block to the dense route.
+    depend on the scale of B.
     """
 
     shifts: tuple = (1j, 2j, 3j)
     eigs_per_shift: int = 2
-    subspace_dim: int | None = None
     tol: float = 1e-10
-    max_restarts: int = 300
     scale: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "shifts", tuple(complex(s) for s in self.shifts))
         if self.eigs_per_shift < 1:
             raise ValueError("eigs_per_shift must be >= 1")
-        if self.subspace_dim is not None and self.subspace_dim < 2 * self.eigs_per_shift + 1:
-            raise ValueError("subspace_dim must be >= 2 * eigs_per_shift + 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         if self.scale <= 0:
             raise ValueError("scale must be positive")
-
-    def ncv(self, k: int, n: int) -> int:
-        want = self.subspace_dim if self.subspace_dim is not None else max(20, 2 * k + 1)
-        return max(k + 2, min(want, n))
 
 
 @dataclass
@@ -98,7 +96,7 @@ class SolveInfo:
     matvecs: int = 0
     wall_time: float = 0.0
     perturbed_shift: complex | None = None
-    warning: str | None = None
+    warnings: list = field(default_factory=list)
 
 
 @dataclass
@@ -109,9 +107,9 @@ class SpectrumReport:
     M: int
     N: int
     scale: float
-    dedup_tolerance: float
     method: str
     wall_times: dict = field(default_factory=dict)
+    operator_nnz: dict = field(default_factory=dict)
     factor_nnz: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
     perturbed_shifts: list = field(default_factory=list)
@@ -164,8 +162,7 @@ class _BudgetSpent(Exception):
     """Arnoldi asked for more operator applications than its budget."""
 
 
-def _arnoldi(block: Block, sigma: complex, k: int, cfg: ShiftInvertConfig,
-             info: SolveInfo):
+def _arnoldi(block: Block, sigma: complex, k: int, info: SolveInfo):
     """Shift-invert Arnoldi candidates [(lambda, v)] near sigma.
 
     On a block within DENSE_EIG_BUDGET, Arnoldi may apply the inverse at
@@ -191,17 +188,18 @@ def _arnoldi(block: Block, sigma: complex, k: int, cfg: ShiftInvertConfig,
         return lu.solve(x)
 
     op = LinearOperator((n, n), matvec=apply_inverse, dtype=np.complex128)
+    ncv = max(k + 2, min(max(MIN_SUBSPACE_DIM, 2 * k + 1), n))
     try:
-        mu, W = eigs(op, k=k, which="LM", ncv=cfg.ncv(k, n),
-                     maxiter=cfg.max_restarts, tol=0, v0=_start_vector(n))
+        mu, W = eigs(op, k=k, which="LM", ncv=ncv,
+                     maxiter=MAX_RESTARTS, tol=0, v0=_start_vector(n))
     except _BudgetSpent:
         block.decompose()
         return []
     except ArpackNoConvergence as exc:
         mu, W = exc.eigenvalues, exc.eigenvectors
-        info.warning = (
+        info.warnings.append(
             f"shift {sigma}: only {len(mu)}/{k} eigenvalues converged "
-            f"after {cfg.max_restarts} restarts"
+            f"after {MAX_RESTARTS} restarts"
         )
     return [(sigma_used + 1.0 / mu[i], W[:, i]) for i in range(len(mu))]
 
@@ -210,14 +208,14 @@ def _accept(block: Block, lam: complex, v: np.ndarray, sigma: complex, harmonic,
             cfg: ShiftInvertConfig, info: SolveInfo):
     """The pair with v normalized if its normwise backward error
     ||Bv - lam v|| / ((||B||_1 + |lam|) ||v||) is within cfg.tol; else None,
-    with the drop recorded in info.warning."""
+    with the drop recorded in info.warnings."""
     v = v / np.linalg.norm(v)
     res = float(np.linalg.norm(spmv(block.matrix, v) - lam * v))
     scale = block.norm1 + abs(lam)
     if res > cfg.tol * scale:
-        info.warning = (info.warning or "") + (
-            f" dropped pair near {lam:.6g}: re-verified residual {res:.3e}, "
-            f"backward error {res / scale:.3e} > {cfg.tol:.1e};"
+        info.warnings.append(
+            f"dropped pair near {lam:.6g}: re-verified residual {res:.3e}, "
+            f"backward error {res / scale:.3e} > {cfg.tol:.1e}"
         )
         return None
     return EigenPair(complex(lam), v, harmonic, res, sigma)
@@ -249,7 +247,7 @@ def shift_invert_eigs(A, sigma: complex, k: int, cfg: ShiftInvertConfig,
     if block.dense is None and k > n - 2:
         block.decompose()
     if block.dense is None:
-        candidates = _arnoldi(block, sigma, k, cfg, info)
+        candidates = _arnoldi(block, sigma, k, info)
     if block.dense is not None:
         w, V = block.dense
         order = np.argsort(np.abs(w - sigma), kind="stable")[:k]
@@ -266,27 +264,24 @@ def dense_eigs(A, budget: int = DENSE_EIG_BUDGET):
     """Full dense eigendecomposition oracle: returns (values, right vectors).
 
     Accepts a dense array or a sparse matrix; refuses dimensions above the
-    budget since this path is strictly for verification.
+    budget, before any densification, since this path is strictly for
+    verification.
     """
-    if sp.issparse(A):
-        n = A.shape[0]
-        if n > budget:
-            raise BudgetExceededError(
-                f"dense oracle refuses dimension {n} > budget {budget}", required=n
-            )
-        A = A.toarray()
-    A = np.asarray(A, dtype=np.complex128)
+    if not sp.issparse(A):
+        A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square, got {A.shape}")
-    if A.shape[0] > budget:
+    n = A.shape[0]
+    if n > budget:
         raise BudgetExceededError(
-            f"dense oracle refuses dimension {A.shape[0]} > budget {budget}",
-            required=A.shape[0],
+            f"dense oracle refuses dimension {n} > budget {budget}", required=n
         )
-    return np.linalg.eig(A)
+    if sp.issparse(A):
+        A = A.toarray()
+    return np.linalg.eig(np.asarray(A, dtype=np.complex128))
 
 
-def deduplicate_pairs(pairs, base_tol: float = 1e-6):
+def deduplicate_pairs(pairs):
     """Merge duplicates (same harmonic, nearby eigenvalues), keeping the
     smaller residual.  Idempotent: a second pass changes nothing."""
     kept: list = []
@@ -296,7 +291,7 @@ def deduplicate_pairs(pairs, base_tol: float = 1e-6):
         for prev in kept:
             if prev.harmonic != cand.harmonic:
                 continue
-            if abs(prev.value - cand.value) < base_tol * max(1.0, abs(prev.value)):
+            if abs(prev.value - cand.value) < DEDUP_BASE_TOL * max(1.0, abs(prev.value)):
                 dup = True
                 break
         if not dup:
@@ -310,9 +305,6 @@ def deduplicate_pairs(pairs, base_tol: float = 1e-6):
     return kept
 
 
-DEDUP_BASE_TOL = 1e-6
-
-
 def _solve_block(A, cfg: ShiftInvertConfig, report: SpectrumReport,
                  harmonic: int | None) -> list:
     """Solve one block at every configured shift, fold the bookkeeping into
@@ -320,20 +312,20 @@ def _solve_block(A, cfg: ShiftInvertConfig, report: SpectrumReport,
     key = "full" if harmonic is None else harmonic
     prefix = "" if harmonic is None else f"harmonic {harmonic}: "
     block = Block(A)
+    report.operator_nnz[key] = block.matrix.nnz
     collected = []
     for sigma in cfg.shifts:
         pairs, info = shift_invert_eigs(block, sigma, cfg.eigs_per_shift, cfg,
                                         harmonic=harmonic)
         collected.extend(pairs)
         report.factor_nnz[key] = max(report.factor_nnz.get(key, 0), info.factor_nnz)
-        if info.warning:
-            report.warnings.append(prefix + info.warning)
+        report.warnings.extend(prefix + w for w in info.warnings)
         if info.perturbed_shift is not None:
-            report.perturbed_shifts.append((harmonic, sigma, info.perturbed_shift))
+            report.perturbed_shifts.append((key, sigma, info.perturbed_shift))
     if block.dense is not None:
         report.dense_blocks.append(key)
     report.raw_count += len(collected)
-    return deduplicate_pairs(collected, DEDUP_BASE_TOL)
+    return deduplicate_pairs(collected)
 
 
 def solve_annulus_spectrum(J: SectorJacobian, harmonics=None,
@@ -349,10 +341,7 @@ def solve_annulus_spectrum(J: SectorJacobian, harmonics=None,
     op = to_block_circulant(J)
     if harmonics is None:
         harmonics = range(J.M)
-    report = SpectrumReport(
-        pairs=[], M=J.M, N=J.N, scale=cfg.scale,
-        dedup_tolerance=DEDUP_BASE_TOL, method="reduced",
-    )
+    report = SpectrumReport(pairs=[], M=J.M, N=J.N, scale=cfg.scale, method="reduced")
     for m in harmonics:
         t0 = time.perf_counter()
         try:
@@ -361,7 +350,7 @@ def solve_annulus_spectrum(J: SectorJacobian, harmonics=None,
         except (SingularMatrixError, ValueError) as exc:
             report.warnings.append(f"harmonic {m} failed: {exc}")
         report.wall_times[m] = time.perf_counter() - t0
-    report.pairs = deduplicate_pairs(report.pairs, DEDUP_BASE_TOL)
+    report.pairs = deduplicate_pairs(report.pairs)
     return report
 
 
@@ -374,10 +363,7 @@ def solve_full_annulus(J: SectorJacobian, cfg: ShiftInvertConfig | None = None,
     """
     cfg = cfg or ShiftInvertConfig()
     A = materialize_full(J, budget=budget) * (1.0 / cfg.scale)
-    report = SpectrumReport(
-        pairs=[], M=J.M, N=J.N, scale=cfg.scale,
-        dedup_tolerance=DEDUP_BASE_TOL, method="full",
-    )
+    report = SpectrumReport(pairs=[], M=J.M, N=J.N, scale=cfg.scale, method="full")
     t0 = time.perf_counter()
     report.pairs = _solve_block(A, cfg, report, None)
     report.wall_times["full"] = time.perf_counter() - t0

@@ -15,7 +15,6 @@ import scipy.sparse as sp
 
 from .circulant import ScalarCirculant
 from .sector import DofLayout, RotationSpec, SectorJacobian
-from .sparsecore import canonical_csr
 
 # Fixed stencils for the rotating-vector model.  The local dynamics are
 # stable with eigenvalues -2 +/- 1j; the neighbor couplings are deliberately
@@ -90,8 +89,7 @@ def make_ring_advection_diffusion(M: int, n: int, peclet: float,
     d_prev[0, n - 1] = c_prev
     layout = DofLayout(points_per_sector=n, vars_per_point=1)
     spec = RotationSpec(M, layout)
-    return SectorJacobian(canonical_csr(d_self), canonical_csr(d_next),
-                          canonical_csr(d_prev), spec)
+    return SectorJacobian(d_self, d_next, d_prev, spec)
 
 
 def make_rotating_vector_model(M: int, n: int, coupling: float) -> SectorJacobian:
@@ -123,9 +121,7 @@ def make_rotating_vector_model(M: int, n: int, coupling: float) -> SectorJacobia
     prev_unrot[0:2, N - 2:N] = c * _BACKWARD_COUPLING
     layout = DofLayout(points_per_sector=n, vars_per_point=2, rotating_pairs=((0, 1),))
     spec = RotationSpec(M, layout)
-    return SectorJacobian.from_unrotated(
-        canonical_csr(d_self), canonical_csr(next_unrot), canonical_csr(prev_unrot), spec
-    )
+    return SectorJacobian.from_unrotated(d_self, next_unrot, prev_unrot, spec)
 
 
 def make_random_sector_jacobian(M: int, N: int, density: float, seed: int,
@@ -166,5 +162,4 @@ def make_random_sector_jacobian(M: int, N: int, density: float, seed: int,
                        vars_per_point=vars_per_point,
                        rotating_pairs=rotating_pairs)
     spec = RotationSpec(M, layout)
-    return SectorJacobian(canonical_csr(d_self), canonical_csr(d_next),
-                          canonical_csr(d_prev), spec)
+    return SectorJacobian(d_self, d_next, d_prev, spec)

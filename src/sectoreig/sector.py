@@ -20,12 +20,12 @@ import scipy.sparse as sp
 from .circulant import (
     DENSE_ORACLE_BUDGET,
     BlockCirculantOperator,
-    check_harmonic,
     lift_block_eigenvector,
     materialize,
 )
 from .sparsecore import (
     canonical_csr,
+    check_harmonic,
     read_matrix_market,
     unity_power,
     write_matrix_market,
@@ -147,9 +147,9 @@ class SectorJacobian:
         t_fwd = rotation_matrix(rotation, 1)
         t_bwd = rotation_matrix(rotation, -1)
         return cls(
-            d_self=canonical_csr(d_self),
-            d_next=canonical_csr(canonical_csr(d_next) @ t_fwd),
-            d_prev=canonical_csr(canonical_csr(d_prev) @ t_bwd),
+            d_self=d_self,
+            d_next=canonical_csr(d_next) @ t_fwd,
+            d_prev=canonical_csr(d_prev) @ t_bwd,
             rotation=rotation,
         )
 
@@ -165,11 +165,10 @@ def to_block_circulant(J: SectorJacobian) -> BlockCirculantOperator:
     return BlockCirculantOperator(J.M, {0: J.d_self, 1: J.d_next, J.M - 1: J.d_prev})
 
 
-def annulus_rotation_stack(J: SectorJacobian, inverse: bool = False) -> sp.csr_matrix:
-    """Block-diagonal stack diag(T^0, T^1, ..., T^{M-1}) (or its inverse)."""
-    sign = -1 if inverse else 1
-    parts = [rotation_matrix(J.rotation, sign * s) for s in range(J.M)]
-    return canonical_csr(sp.block_diag(parts, format="csr"))
+def annulus_rotation_stack(J: SectorJacobian) -> sp.csr_matrix:
+    """Block-diagonal stack diag(T^0, T^1, ..., T^{M-1}); its transpose is its inverse."""
+    parts = [rotation_matrix(J.rotation, s) for s in range(J.M)]
+    return sp.block_diag(parts, format="csr")
 
 
 def materialize_full(J: SectorJacobian, budget: int = DENSE_ORACLE_BUDGET) -> sp.csr_matrix:
@@ -183,8 +182,7 @@ def materialize_full(J: SectorJacobian, budget: int = DENSE_ORACLE_BUDGET) -> sp
     if not J.rotation.layout.rotating_pairs:
         return B
     stack = annulus_rotation_stack(J)
-    stack_inv = annulus_rotation_stack(J, inverse=True)
-    return canonical_csr(stack @ B @ stack_inv)
+    return canonical_csr(stack @ B @ stack.T)
 
 
 def lift_to_annulus(v, m: int, J: SectorJacobian) -> np.ndarray:
@@ -225,8 +223,8 @@ def without_rotation(J: SectorJacobian) -> SectorJacobian:
     t_bwd = rotation_matrix(J.rotation, -1)
     return SectorJacobian(
         d_self=J.d_self,
-        d_next=canonical_csr(J.d_next @ t_bwd),
-        d_prev=canonical_csr(J.d_prev @ t_fwd),
+        d_next=J.d_next @ t_bwd,
+        d_prev=J.d_prev @ t_fwd,
         rotation=spec,
     )
 

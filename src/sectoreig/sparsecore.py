@@ -49,6 +49,16 @@ class BudgetExceededError(ValueError):
         self.required = required
 
 
+def check_harmonic(m: int, M: int) -> int:
+    """Validate a harmonic index against the sector count."""
+    m = int(m)
+    if M < 1:
+        raise ValueError(f"sector count must be >= 1, got {M}")
+    if not 0 <= m < M:
+        raise ValueError(f"harmonic index {m} out of range [0, {M})")
+    return m
+
+
 def root_of_unity(m: int, M: int) -> complex:
     """Return exp(2j*pi*m/M), the m-th of the M complex roots of 1.
 
@@ -56,10 +66,7 @@ def root_of_unity(m: int, M: int) -> complex:
     and folded so that root_of_unity(M - m, M) is the exact complex
     conjugate of root_of_unity(m, M).
     """
-    if M < 1:
-        raise ValueError(f"sector count must be >= 1, got {M}")
-    if not 0 <= m < M:
-        raise ValueError(f"harmonic index {m} out of range [0, {M})")
+    check_harmonic(m, M)
     if 2 * m > M:
         return root_of_unity(M - m, M).conjugate()
     # exact values at the axis crossings
@@ -112,30 +119,6 @@ def spmv(A: sp.csr_matrix, x) -> np.ndarray:
             f"cannot multiply {A.shape[0]}x{A.shape[1]} matrix by length-{x.shape[0]} vector"
         )
     return A @ x
-
-
-def linear_combination(blocks, coeffs) -> sp.csr_matrix:
-    """Return sum_k coeffs[k] * blocks[k] over square same-sized sparse blocks.
-
-    The result carries the merged sparsity pattern; entries that cancel to
-    below the cancellation tolerance are removed.
-    """
-    blocks = list(blocks)
-    coeffs = [complex(c) for c in coeffs]
-    if not blocks or len(blocks) != len(coeffs):
-        raise DimensionMismatchError(
-            f"need equally many blocks and coefficients (>= 1), got {len(blocks)} and {len(coeffs)}"
-        )
-    dim = blocks[0].shape
-    if dim[0] != dim[1]:
-        raise DimensionMismatchError(f"blocks must be square, got {dim}")
-    acc = None
-    for blk, c in zip(blocks, coeffs):
-        if blk.shape != dim:
-            raise DimensionMismatchError(f"block shape {blk.shape} != {dim}")
-        term = sp.csr_matrix(blk, dtype=np.complex128) * c
-        acc = term if acc is None else acc + term
-    return canonical_csr(acc)
 
 
 class SparseLU:

@@ -119,6 +119,11 @@ class TestReducedBlock:
             b = reduced_block(op, 6 - m)
             assert np.array_equal(b.toarray(), a.toarray().conjugate())
 
+    def test_cancellation_empties_pattern(self):
+        eye = canonical_csr(np.eye(3))
+        op = BlockCirculantOperator(2, {0: eye, 1: eye})
+        assert reduced_block(op, 1).nnz == 0
+
 
 class TestLift:
     def test_harmonic_zero_repeats(self):

@@ -1,9 +1,15 @@
+import functools
 import os
+import re
 from pathlib import Path
 
 import pytest
 
+import sectoreig.cli as cli
 from sectoreig.cli import main, parse_shift
+from sectoreig.eig import ShiftInvertConfig
+
+DATA = Path(__file__).parent / "data"
 
 
 def read_csv(path):
@@ -61,6 +67,16 @@ class TestGen:
                    "--out", str(out)])
         assert rc == 0
         assert "rotating_pairs = 0:1" in (out / "layout.txt").read_text()
+
+    @pytest.mark.parametrize("model, args", [
+        ("ring", ["--sectors", "5", "--points", "4", "--peclet", "1.5"]),
+        ("rotvec", ["--sectors", "4", "--points", "3", "--coupling", "0.3"]),
+        ("random", ["--sectors", "3", "--points", "6", "--density", "0.5", "--seed", "7"]),
+    ])
+    def test_output_matches_pinned_files(self, tmp_path, model, args):
+        out = tmp_path / model
+        assert main(["gen", model, *args, "--out", str(out)]) == 0
+        assert dir_fingerprint(out) == dir_fingerprint(DATA / "models" / model)
 
     def test_invalid_params_nonzero_exit(self, tmp_path):
         rc = main(["gen", "ring", "--sectors", "2", "--points", "2",
@@ -132,7 +148,7 @@ class TestEig:
         out = tmp_path / "spectrum.csv"
         assert main(["eig", str(model), "--method", "2", "--k", "2", "--shifts",
                      "0+1i", "0+2i", "0+3i", "--out", str(out)]) == 0
-        golden = Path(__file__).parent / "data" / "readme_ring_spectrum.csv"
+        golden = DATA / "readme_ring_spectrum.csv"
         assert out.read_bytes() == golden.read_bytes()
         summary = open(str(out) + ".summary.txt").read()
         assert "dense_blocks = none\n" in summary
@@ -145,6 +161,36 @@ class TestEig:
         assert main(["eig", str(model), "--out", str(out)]) == 0
         text = open(str(out) + ".summary.txt").read()
         assert "dense_blocks = 0,1,2,3,4,5,6,7\n" in text
+
+    def test_summary_reports_perturbed_shift(self, tmp_path):
+        # 0 is an exact eigenvalue of harmonic 0 of the pure-diffusion ring,
+        # so the factorization at shift 0 is singular and the shift is moved.
+        model = tmp_path / "diffusion"
+        assert main(["gen", "ring", "--sectors", "3", "--points", "10",
+                     "--peclet", "0", "--out", str(model)]) == 0
+        out = tmp_path / "h0.csv"
+        assert main(["eig", str(model), "--harmonics", "0", "--shifts", "0+0i",
+                     "--out", str(out)]) == 0
+        lines = open(str(out) + ".summary.txt").read().splitlines()
+        assert [line for line in lines if line.startswith("perturbed_shift")] == [
+            "perturbed_shift[0] = 0j -> (1e-08+0j)"]
+        _, rows = read_csv(out)
+        assert min(abs(complex(float(r["lambda_re"]), float(r["lambda_im"])))
+                   for r in rows) <= 1e-10
+
+    def test_one_summary_line_per_dropped_pair(self, ring_dir, tmp_path, monkeypatch):
+        # A tolerance no residual meets drops every pair: k = 2 at 3 shifts
+        # on 2 harmonics is 12 drops, each reported on its own line.
+        monkeypatch.setattr(cli, "ShiftInvertConfig",
+                            functools.partial(ShiftInvertConfig, tol=1e-300))
+        out = tmp_path / "dropped.csv"
+        assert main(["eig", str(ring_dir), "--harmonics", "1,2", "--out", str(out)]) == 0
+        lines = open(str(out) + ".summary.txt").read().splitlines()
+        warnings = [line for line in lines if line.startswith("warning:")]
+        one_drop = re.compile(r"warning: harmonic [12]: dropped pair near \S+: "
+                              r"re-verified residual \S+, backward error \S+ > 1\.0e-300")
+        assert len(warnings) == 12
+        assert all(one_drop.fullmatch(line) for line in warnings)
 
     def test_missing_directory_fails(self, tmp_path):
         rc = main(["eig", str(tmp_path / "nope"), "--out", str(tmp_path / "x.csv")])

@@ -146,7 +146,8 @@ class TestDenseRoute:
         assert min(p.residual for p in loose) > 0
         pairs, info = shift_invert_eigs(A, 0.0, 3, ShiftInvertConfig(tol=1e-300))
         assert pairs == []
-        assert info.warning.count("dropped pair") == 3
+        assert len(info.warnings) == 3
+        assert all(w.startswith("dropped pair near ") for w in info.warnings)
 
 
 class TestScaleInvariantAcceptance:
@@ -311,10 +312,6 @@ class TestAnnulusSolvers:
 
 
 class TestConfigValidation:
-    def test_subspace_too_small(self):
-        with pytest.raises(ValueError):
-            ShiftInvertConfig(eigs_per_shift=5, subspace_dim=10)
-
     def test_positive_tol_and_scale(self):
         with pytest.raises(ValueError):
             ShiftInvertConfig(tol=0.0)

@@ -6,7 +6,6 @@ from sectoreig.sparsecore import (
     SingularMatrixError,
     SparseLU,
     canonical_csr,
-    linear_combination,
     read_matrix_market,
     root_of_unity,
     spmv,
@@ -76,41 +75,6 @@ class TestSpmv:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             spmv(zeros_csr(2), [1.0, 2.0, 3.0])
-
-
-class TestLinearCombination:
-    def test_scaling_identity(self):
-        eye = canonical_csr(np.eye(3))
-        out = linear_combination([eye], [3 + 0j])
-        assert np.array_equal(out.toarray(), 3 * np.eye(3))
-
-    def test_cancellation_empties_pattern(self):
-        eye = canonical_csr(np.eye(3))
-        out = linear_combination([eye, eye], [1, -1])
-        assert out.nnz == 0
-
-    def test_against_dense_sum(self):
-        rng = np.random.default_rng(11)
-        blocks = [random_csr(rng, 5) for _ in range(3)]
-        coeffs = [1.0, unity_power(3, 1, 22), unity_power(3, 21, 22)]
-        dense = sum(c * b.toarray() for b, c in zip(blocks, coeffs))
-        out = linear_combination(blocks, coeffs)
-        assert np.max(np.abs(out.toarray() - dense)) <= 1e-14
-
-    def test_linearity_in_coefficients(self):
-        rng = np.random.default_rng(13)
-        blocks = [random_csr(rng, 6) for _ in range(4)]
-        coeffs = [rng.standard_normal() + 1j * rng.standard_normal() for _ in range(4)]
-        alpha = 0.7 - 0.2j
-        lhs = linear_combination(blocks, [alpha * c for c in coeffs]).toarray()
-        rhs = alpha * linear_combination(blocks, coeffs).toarray()
-        assert np.max(np.abs(lhs - rhs)) <= 1e-14 * max(1.0, np.max(np.abs(rhs)))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            linear_combination([zeros_csr(2), zeros_csr(3)], [1, 1])
-        with pytest.raises(DimensionMismatchError):
-            linear_combination([], [])
 
 
 class TestSparseLU:
