@@ -94,7 +94,6 @@ class SolveInfo:
 
     factor_nnz: int = 0
     matvecs: int = 0
-    wall_time: float = 0.0
     perturbed_shift: complex | None = None
     warnings: list = field(default_factory=list)
 
@@ -106,8 +105,6 @@ class SpectrumReport:
     pairs: list
     M: int
     N: int
-    scale: float
-    method: str
     wall_times: dict = field(default_factory=dict)
     operator_nnz: dict = field(default_factory=dict)
     factor_nnz: dict = field(default_factory=dict)
@@ -242,7 +239,6 @@ def shift_invert_eigs(A, sigma: complex, k: int, cfg: ShiftInvertConfig,
     n = block.n
     sigma = complex(sigma)
     info = SolveInfo()
-    start = time.perf_counter()
 
     if block.dense is None and k > n - 2:
         block.decompose()
@@ -256,7 +252,6 @@ def shift_invert_eigs(A, sigma: complex, k: int, cfg: ShiftInvertConfig,
     pairs = [p for lam, v in candidates
              if (p := _accept(block, lam, v, sigma, harmonic, cfg, info)) is not None]
     pairs.sort(key=lambda p: (abs(p.value - sigma), p.value.real, p.value.imag))
-    info.wall_time = time.perf_counter() - start
     return pairs, info
 
 
@@ -341,7 +336,7 @@ def solve_annulus_spectrum(J: SectorJacobian, harmonics=None,
     op = to_block_circulant(J)
     if harmonics is None:
         harmonics = range(J.M)
-    report = SpectrumReport(pairs=[], M=J.M, N=J.N, scale=cfg.scale, method="reduced")
+    report = SpectrumReport(pairs=[], M=J.M, N=J.N)
     for m in harmonics:
         t0 = time.perf_counter()
         try:
@@ -363,7 +358,7 @@ def solve_full_annulus(J: SectorJacobian, cfg: ShiftInvertConfig | None = None,
     """
     cfg = cfg or ShiftInvertConfig()
     A = materialize_full(J, budget=budget) * (1.0 / cfg.scale)
-    report = SpectrumReport(pairs=[], M=J.M, N=J.N, scale=cfg.scale, method="full")
+    report = SpectrumReport(pairs=[], M=J.M, N=J.N)
     t0 = time.perf_counter()
     report.pairs = _solve_block(A, cfg, report, None)
     report.wall_times["full"] = time.perf_counter() - t0

@@ -124,6 +124,9 @@ def spmv(A: sp.csr_matrix, x) -> np.ndarray:
 class SparseLU:
     """LU factorization handle for a square complex sparse matrix.
 
+    SuperLU orders the columns by minimum degree on A^T + A, which fills
+    less than its default COLAMD on the harmonic blocks.
+
     Read-only after construction and safe to share across threads.
     Raises :class:`SingularMatrixError` when the factorization detects a
     structural singularity or a pivot below PIVOT_TOL * max|A|.
@@ -137,7 +140,7 @@ class SparseLU:
         if max_mag == 0.0:
             raise SingularMatrixError("matrix is identically zero", shift=shift)
         try:
-            self._lu = splu(A.tocsc())
+            self._lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
             raise SingularMatrixError(f"LU factorization failed: {exc}", shift=shift) from exc
         pivots = np.abs(self._lu.U.diagonal())

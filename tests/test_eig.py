@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 import sectoreig.eig as eig_module
+import sectoreig.sparsecore as sparsecore
 from sectoreig.circulant import ScalarCirculant, reduced_block, scalar_circulant_spectrum
 from sectoreig.eig import (
     Block,
@@ -21,7 +23,12 @@ from sectoreig.models import (
     make_rotating_vector_model,
     ring_first_row,
 )
-from sectoreig.sector import SectorJacobian, materialize_full, to_block_circulant
+from sectoreig.sector import (
+    SectorJacobian,
+    lift_to_annulus,
+    materialize_full,
+    to_block_circulant,
+)
 from sectoreig.sparsecore import BudgetExceededError, SparseLU, canonical_csr, zeros_csr
 
 
@@ -148,6 +155,62 @@ class TestDenseRoute:
         assert pairs == []
         assert len(info.warnings) == 3
         assert all(w.startswith("dropped pair near ") for w in info.warnings)
+
+
+@pytest.fixture
+def splu_specs(monkeypatch):
+    """The permc_spec of every splu call made through sectoreig.sparsecore."""
+    specs = []
+    real_splu = sparsecore.splu
+
+    def recording_splu(A, permc_spec=None, **kwargs):
+        specs.append(permc_spec)
+        return real_splu(A, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(sparsecore, "splu", recording_splu)
+    return specs
+
+
+class TestMinimumDegreeOrder:
+    """Every LU factorization orders by minimum degree on A^T + A, which
+    fills less than SuperLU's default COLAMD on the harmonic blocks."""
+
+    def test_every_factorization_uses_minimum_degree(self, splu_specs):
+        report = solve_annulus_spectrum(make_random_sector_jacobian(4, 60, 0.08, 3))
+        assert report.pairs and report.warnings == []
+        assert len(splu_specs) > 1 and set(splu_specs) == {"MMD_AT_PLUS_A"}
+        splu_specs.clear()
+        solve_full_annulus(make_ring_advection_diffusion(4, 6, 1.0),
+                           cfg=ShiftInvertConfig(shifts=(1j,)))
+        assert splu_specs == ["MMD_AT_PLUS_A"]
+
+    def test_pairs_are_eigenpairs_of_the_block_and_lift(self):
+        J = make_random_sector_jacobian(4, 60, 0.08, 3)
+        report = solve_annulus_spectrum(J)
+        op = to_block_circulant(J)
+        A = materialize_full(J)
+        norm_a = abs(A).sum(axis=0).max()
+        assert report.pairs
+        for p in report.pairs:
+            B = reduced_block(op, p.harmonic)
+            residual = np.linalg.norm(B @ p.vector - p.value * p.vector)
+            assert abs(residual - p.residual) <= 1e-12 * abs(B).sum(axis=0).max()
+            x = lift_to_annulus(p.vector, p.harmonic, J)
+            lifted = np.linalg.norm(A @ x - p.value * x) / np.linalg.norm(x)
+            assert lifted < 1e-10 * norm_a
+
+    def test_fill_below_colamd(self):
+        J = make_random_sector_jacobian(4, 200, 0.02, 0)
+        cfg = ShiftInvertConfig()
+        report = solve_annulus_spectrum(J, cfg=cfg)
+        op = to_block_circulant(J)
+        eye = sp.identity(J.N, dtype=np.complex128, format="csc")
+        assert report.peak_factor_nnz > 0
+        for m, nnz in report.factor_nnz.items():
+            B = reduced_block(op, m)
+            for sigma in cfg.shifts:
+                lu = splu((B - sigma * eye).tocsc(), permc_spec="COLAMD")
+                assert nnz < lu.L.nnz + lu.U.nnz
 
 
 class TestScaleInvariantAcceptance:
