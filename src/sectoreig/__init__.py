@@ -12,12 +12,10 @@ __version__ = "0.1.0"
 
 from .circulant import (
     BlockCirculantOperator,
-    ScalarCirculant,
+    circulant_eigenvalues,
     lift_block_eigenvector,
     materialize,
     reduced_block,
-    scalar_circulant_eigenpair,
-    scalar_circulant_spectrum,
 )
 from .eig import (
     EigenPair,

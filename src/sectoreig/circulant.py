@@ -16,6 +16,7 @@ from .sparsecore import (
     BudgetExceededError,
     canonical_csr,
     check_harmonic,
+    root_of_unity,
     unity_power,
 )
 
@@ -24,49 +25,20 @@ from .sparsecore import (
 DENSE_ORACLE_BUDGET = 20_000
 
 
-@dataclass(frozen=True)
-class ScalarCirculant:
-    """Circulant matrix given by its first row (entries b_0 .. b_{M-1})."""
+def circulant_eigenvalues(first_row) -> np.ndarray:
+    """All K eigenvalues of the K x K circulant with this first row, ordered by harmonic.
 
-    first_row: tuple
-
-    def __post_init__(self):
-        row = tuple(complex(v) for v in self.first_row)
-        if not row:
-            raise ValueError("first_row must have at least one entry")
-        object.__setattr__(self, "first_row", row)
-
-    @property
-    def M(self) -> int:
-        return len(self.first_row)
-
-    def dense(self) -> np.ndarray:
-        """Materialized matrix: row i is the i-fold cyclic right-shift of row 0."""
-        M = self.M
-        out = np.empty((M, M), dtype=np.complex128)
-        for i in range(M):
-            for j in range(M):
-                out[i, j] = self.first_row[(j - i) % M]
-        return out
-
-
-def scalar_circulant_eigenpair(circ: ScalarCirculant, m: int):
-    """Analytic eigenpair of a scalar circulant for harmonic m.
-
-    Returns (sum_k b_k rho_m^k, [1, rho_m, ..., rho_m^{M-1}]).
+    Harmonic m sees sum_k b_k rho_m^k over the nonzero entries b_k only, the
+    rule of :func:`reduced_block` with 1 x 1 blocks; its eigenvector is
+    [1, rho_m, ..., rho_m^{K-1}], ``lift_block_eigenvector([1.0], m, K)``.
     """
-    M = circ.M
-    check_harmonic(m, M)
-    powers = np.array([unity_power(m, k, M) for k in range(M)])
-    value = complex(np.dot(np.asarray(circ.first_row), powers))
-    return value, powers
-
-
-def scalar_circulant_spectrum(circ: ScalarCirculant) -> np.ndarray:
-    """All M analytic eigenvalues, ordered by harmonic index."""
-    return np.array(
-        [scalar_circulant_eigenpair(circ, m)[0] for m in range(circ.M)]
-    )
+    row = np.asarray(first_row, dtype=np.complex128)
+    if row.ndim != 1 or row.size == 0:
+        raise ValueError(f"first_row must be a non-empty 1-D array, got shape {row.shape}")
+    K = row.size
+    roots = np.array([root_of_unity(j, K) for j in range(K)])
+    k = np.flatnonzero(row)
+    return roots[np.outer(np.arange(K), k) % K] @ row[k]
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
-"""Command-line front end: gen, eig, verify, bench.
+"""Command-line front end: gen, eig, verify.
 
 ``gen`` writes a SectorJacobian directory for one of the surrogate models,
 ``eig`` runs the reduced (method 2) or whole-annulus (method 1) spectral
-analysis and writes a plot-ready CSV, ``verify`` checks the reduction
-against the dense oracle, and ``bench`` reports per-method cost figures.
-Output files are written atomically (temp + rename).
+analysis and writes a plot-ready CSV, and ``verify`` checks the reduction
+against the dense oracle.  Output files are written atomically (temp +
+rename).
 """
 
 from __future__ import annotations
@@ -199,29 +199,6 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_bench(args) -> int:
-    J = load_sector_jacobian(args.in_dir)
-    cfg = ShiftInvertConfig(shifts=tuple(args.shifts), eigs_per_shift=args.k)
-
-    t0 = time.perf_counter()
-    full_report = solve_full_annulus(J, cfg=cfg, budget=args.budget)
-    full_time = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    red_report = solve_annulus_spectrum(J, cfg=cfg)
-    red_time = time.perf_counter() - t0
-
-    lines = [
-        "method,dimension,operator_nnz,peak_factor_nnz,wall_time_s",
-        f"1,{J.M * J.N},{full_report.operator_nnz['full']},"
-        f"{full_report.peak_factor_nnz},{full_time:.4f}",
-        f"2,{J.N},{max(red_report.operator_nnz.values())},"
-        f"{red_report.peak_factor_nnz},{red_time:.4f}",
-    ]
-    _atomic_write(args.out, "\n".join(lines) + "\n")
-    print(f"wrote benchmark to {args.out}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sectoreig",
@@ -265,14 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="test-only: skip the frame rotation on the reduced side")
     verify.set_defaults(func=cmd_verify)
 
-    bench = sub.add_parser("bench", help="compare cost of full vs reduced solves")
-    bench.add_argument("in_dir")
-    bench.add_argument("--shifts", type=parse_shift, nargs="+",
-                       default=[1j, 2j, 3j], metavar="A+Bi")
-    bench.add_argument("--k", type=int, default=2)
-    bench.add_argument("--budget", type=int, default=200_000)
-    bench.add_argument("--out", required=True)
-    bench.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -106,7 +106,6 @@ class SpectrumReport:
     M: int
     N: int
     wall_times: dict = field(default_factory=dict)
-    operator_nnz: dict = field(default_factory=dict)
     factor_nnz: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
     perturbed_shifts: list = field(default_factory=list)
@@ -170,11 +169,11 @@ def _arnoldi(block: Block, sigma: complex, k: int, info: SolveInfo):
     eye = sp.identity(n, dtype=np.complex128, format="csr")
     sigma_used = sigma
     try:
-        lu = SparseLU(block.matrix - sigma_used * eye, shift=sigma_used)
+        lu = SparseLU(block.matrix - sigma_used * eye)
     except SingularMatrixError:
         sigma_used = sigma + 1e-8 * (1.0 + abs(sigma))
         info.perturbed_shift = sigma_used
-        lu = SparseLU(block.matrix - sigma_used * eye, shift=sigma_used)
+        lu = SparseLU(block.matrix - sigma_used * eye)
     info.factor_nnz = lu.factor_nnz
     budget = n + 1 if n <= DENSE_EIG_BUDGET else math.inf
 
@@ -307,7 +306,6 @@ def _solve_block(A, cfg: ShiftInvertConfig, report: SpectrumReport,
     key = "full" if harmonic is None else harmonic
     prefix = "" if harmonic is None else f"harmonic {harmonic}: "
     block = Block(A)
-    report.operator_nnz[key] = block.matrix.nnz
     collected = []
     for sigma in cfg.shifts:
         pairs, info = shift_invert_eigs(block, sigma, cfg.eigs_per_shift, cfg,
@@ -327,37 +325,35 @@ def solve_annulus_spectrum(J: SectorJacobian, harmonics=None,
                            cfg: ShiftInvertConfig | None = None) -> SpectrumReport:
     """Per-harmonic (single-sector) spectrum of the full annulus operator.
 
-    For each harmonic m the reduced block is assembled, divided by
-    cfg.scale, and solved near every configured shift; duplicates across
-    shifts are merged per harmonic.  Failures in one harmonic are recorded
-    as warnings without aborting the others.
+    For each distinct harmonic m, in ascending order, the reduced block is
+    assembled, divided by cfg.scale, and solved near every configured
+    shift; duplicates across shifts are merged per harmonic.  Failures in
+    one harmonic are recorded as warnings without aborting the others.
     """
     cfg = cfg or ShiftInvertConfig()
     op = to_block_circulant(J)
     if harmonics is None:
         harmonics = range(J.M)
     report = SpectrumReport(pairs=[], M=J.M, N=J.N)
-    for m in harmonics:
+    for m in sorted(set(harmonics)):
         t0 = time.perf_counter()
         try:
             Bm = reduced_block(op, m) * (1.0 / cfg.scale)
             report.pairs.extend(_solve_block(Bm, cfg, report, m))
-        except (SingularMatrixError, ValueError) as exc:
+        except ValueError as exc:
             report.warnings.append(f"harmonic {m} failed: {exc}")
         report.wall_times[m] = time.perf_counter() - t0
-    report.pairs = deduplicate_pairs(report.pairs)
     return report
 
 
-def solve_full_annulus(J: SectorJacobian, cfg: ShiftInvertConfig | None = None,
-                       budget: int = SPARSE_SOLVE_BUDGET) -> SpectrumReport:
+def solve_full_annulus(J: SectorJacobian, cfg: ShiftInvertConfig | None = None) -> SpectrumReport:
     """Whole-annulus spectrum: assemble A sparsely, shift-invert per shift.
 
     No harmonic labels are available on this route; pairs carry
     harmonic = None.
     """
     cfg = cfg or ShiftInvertConfig()
-    A = materialize_full(J, budget=budget) * (1.0 / cfg.scale)
+    A = materialize_full(J, budget=SPARSE_SOLVE_BUDGET) * (1.0 / cfg.scale)
     report = SpectrumReport(pairs=[], M=J.M, N=J.N)
     t0 = time.perf_counter()
     report.pairs = _solve_block(A, cfg, report, None)

@@ -13,7 +13,6 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from .circulant import ScalarCirculant
 from .sector import DofLayout, RotationSpec, SectorJacobian
 
 # Fixed stencils for the rotating-vector model.  The local dynamics are
@@ -53,15 +52,18 @@ def _ring_coefficients(M: int, n: int, peclet: float, rotation_rate: float,
 
 
 def ring_first_row(M: int, n: int, peclet: float, rotation_rate: float = 0.0,
-                   diffusion: float = 1.0, scheme: str = "upwind") -> ScalarCirculant:
-    """The full ring operator as a scalar circulant (the analytic oracle)."""
+                   diffusion: float = 1.0, scheme: str = "upwind") -> np.ndarray:
+    """First row of the full ring operator, a K x K scalar circulant with K = M*n.
+
+    Its exact spectrum, the analytic oracle, is ``circulant_eigenvalues`` of this row.
+    """
     c_prev, c_self, c_next = _ring_coefficients(M, n, peclet, rotation_rate, diffusion, scheme)
     K = M * n
     row = np.zeros(K, dtype=np.complex128)
     row[0] = c_self
     row[1 % K] += c_next
     row[(K - 1) % K] += c_prev
-    return ScalarCirculant(tuple(row))
+    return row
 
 
 def make_ring_advection_diffusion(M: int, n: int, peclet: float,

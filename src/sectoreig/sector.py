@@ -27,7 +27,6 @@ from .sparsecore import (
     canonical_csr,
     check_harmonic,
     read_matrix_market,
-    unity_power,
     write_matrix_market,
 )
 
@@ -187,17 +186,13 @@ def materialize_full(J: SectorJacobian, budget: int = DENSE_ORACLE_BUDGET) -> sp
 
 def lift_to_annulus(v, m: int, J: SectorJacobian) -> np.ndarray:
     """Lift a reduced eigenvector, or (N, k) columns, to the annulus: segment s is rho_m^s T^s v."""
-    check_harmonic(m, J.M)
-    v = np.asarray(v, dtype=np.complex128)
+    v = np.asarray(v)
     if v.shape[0] != J.N:
         raise ValueError(f"vector length {v.shape[0]} != block dimension {J.N}")
+    lifted = lift_block_eigenvector(v, m, J.M)
     if not J.rotation.layout.rotating_pairs:
-        return lift_block_eigenvector(v, m, J.M)
-    segments = [
-        unity_power(m, s, J.M) * (rotation_matrix(J.rotation, s) @ v)
-        for s in range(J.M)
-    ]
-    return np.concatenate(segments)
+        return lifted
+    return annulus_rotation_stack(J) @ lifted
 
 
 def nodal_diameter(m: int, M: int) -> int:

@@ -33,12 +33,8 @@ class SingularMatrixError(ValueError):
     """Factorization hit a structural or numerical singularity.
 
     When raised during a shift-invert solve, the shift is an exact
-    eigenvalue candidate; it is carried in ``shift`` when known.
+    eigenvalue candidate.
     """
-
-    def __init__(self, message: str, shift: complex | None = None):
-        super().__init__(message)
-        self.shift = shift
 
 
 class BudgetExceededError(ValueError):
@@ -132,23 +128,22 @@ class SparseLU:
     structural singularity or a pivot below PIVOT_TOL * max|A|.
     """
 
-    def __init__(self, A, shift: complex | None = None):
+    def __init__(self, A):
         A = canonical_csr(A)
         if A.shape[0] != A.shape[1]:
             raise DimensionMismatchError(f"matrix must be square, got {A.shape}")
         max_mag = float(np.abs(A.data).max()) if A.nnz else 0.0
         if max_mag == 0.0:
-            raise SingularMatrixError("matrix is identically zero", shift=shift)
+            raise SingularMatrixError("matrix is identically zero")
         try:
             self._lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
-            raise SingularMatrixError(f"LU factorization failed: {exc}", shift=shift) from exc
+            raise SingularMatrixError(f"LU factorization failed: {exc}") from exc
         pivots = np.abs(self._lu.U.diagonal())
         if pivots.size and float(pivots.min()) < PIVOT_TOL * max_mag:
             raise SingularMatrixError(
                 f"numerically singular: pivot {pivots.min():.3e} below "
-                f"{PIVOT_TOL:.0e} * max|A| = {PIVOT_TOL * max_mag:.3e}",
-                shift=shift,
+                f"{PIVOT_TOL:.0e} * max|A| = {PIVOT_TOL * max_mag:.3e}"
             )
         self.shape = A.shape
 

@@ -10,13 +10,13 @@ import time
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sectoreig.circulant import (
     BlockCirculantOperator,
-    ScalarCirculant,
+    circulant_eigenvalues,
     materialize,
     reduced_block,
-    scalar_circulant_spectrum,
 )
 from sectoreig.cli import main as cli_main
 from sectoreig.eig import (
@@ -135,9 +135,8 @@ def test_criterion_1_scalar_circulant_formula():
         rng = np.random.default_rng(1000 + i)
         M = 1 + (i * 5) % 32
         row = rng.uniform(-1, 1, M) + 1j * rng.uniform(-1, 1, M)
-        circ = ScalarCirculant(tuple(complex(c) for c in row))
-        analytic = scalar_circulant_spectrum(circ)
-        oracle, _ = dense_eigs(circ.dense())
+        analytic = circulant_eigenvalues(row)
+        oracle, _ = dense_eigs(scipy.linalg.circulant(row).T)
         radius = max(np.max(np.abs(oracle)), 1e-30)
         worst = max(worst, greedy_match(analytic, oracle).max() / radius)
     elapsed = time.perf_counter() - started
@@ -231,25 +230,29 @@ def test_criterion_6_dimension_reduction(ring22, tmp_path):
     full_nnz = ring22["full"].peak_factor_nnz
     reduced_ok = all(v < full_nnz for v in ring22["reduced"].factor_nnz.values())
 
-    # The benchmark command must report the same two facts.
+    # The eig summaries of both methods on one model report the same two facts.
     model_dir = tmp_path / "ring22"
     assert cli_main(["gen", "ring", "--sectors", "22", "--points", "8",
                      "--peclet", "1", "--out", str(model_dir)]) == 0
-    bench_csv = tmp_path / "bench.csv"
-    assert cli_main(["bench", str(model_dir), "--k", "2",
-                     "--out", str(bench_csv)]) == 0
-    rows = [line.split(",") for line in
-            bench_csv.read_text().strip().splitlines()[1:]]
-    by_method = {r[0]: r for r in rows}
-    bench_ratio_ok = int(by_method["1"][1]) == 22 * int(by_method["2"][1])
-    bench_nnz_ok = int(by_method["2"][3]) < int(by_method["1"][3])
+    summaries = {}
+    for method in ("1", "2"):
+        csv = tmp_path / f"method{method}.csv"
+        assert cli_main(["eig", str(model_dir), "--method", method, "--k", "2",
+                         "--out", str(csv)]) == 0
+        lines = open(str(csv) + ".summary.txt").read().splitlines()
+        summaries[method] = dict(line.split(" = ", 1) for line in lines if " = " in line)
+    # full dimension 176 = 22 sectors x block dimension 8, on both routes
+    cli_ratio_ok = all((s["sectors"], s["block_dimension"]) == ("22", "8")
+                       for s in summaries.values())
+    cli_nnz_ok = (int(summaries["2"]["peak_factor_nnz"])
+                  < int(summaries["1"]["peak_factor_nnz"]))
 
-    ok = ratio_ok and reduced_ok and bench_ratio_ok and bench_nnz_ok
+    ok = ratio_ok and reduced_ok and cli_ratio_ok and cli_nnz_ok
     report_criterion(6, ok,
                      f"reduced dimension {J.N} = full {J.M * J.N} / 22; "
                      f"per-harmonic factor nonzeros (peak "
                      f"{ring22['reduced'].peak_factor_nnz}) all below the "
-                     f"full solve's {full_nnz}; bench CSV agrees")
+                     f"full solve's {full_nnz}; eig summaries of both methods agree")
 
 
 def test_criterion_7_conjugate_pairing(block_circulant_instances,

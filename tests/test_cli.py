@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 
 import sectoreig.cli as cli
+import sectoreig.eig as eig_module
 from sectoreig.cli import main, parse_shift
-from sectoreig.eig import ShiftInvertConfig
+from sectoreig.eig import ShiftInvertConfig, greedy_match
 
 DATA = Path(__file__).parent / "data"
 
@@ -17,6 +18,17 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
     return header, rows
+
+
+def csv_values(path):
+    _, rows = read_csv(path)
+    return [complex(float(r["lambda_re"]), float(r["lambda_im"])) for r in rows]
+
+
+def summary_without_timings(csv_path):
+    lines = open(str(csv_path) + ".summary.txt").read().splitlines()
+    return [line for line in lines
+            if not line.startswith(("total_wall_time_s", "wall_time["))]
 
 
 def dir_fingerprint(path):
@@ -195,6 +207,36 @@ class TestEig:
         assert len(warnings) == 12
         assert all(one_drop.fullmatch(line) for line in warnings)
 
+    def test_repeated_harmonic_solved_once(self, tmp_path, monkeypatch):
+        model = tmp_path / "ring6"
+        assert main(["gen", "ring", "--sectors", "6", "--points", "10",
+                     "--peclet", "1", "--out", str(model)]) == 0
+        calls = []
+        reduced_block = eig_module.reduced_block
+
+        def counting_reduced_block(op, m):
+            calls.append(m)
+            return reduced_block(op, m)
+
+        monkeypatch.setattr(eig_module, "reduced_block", counting_reduced_block)
+        once, twice = tmp_path / "once.csv", tmp_path / "twice.csv"
+        assert main(["eig", str(model), "--harmonics", "1", "--out", str(once)]) == 0
+        assert main(["eig", str(model), "--harmonics", "1,1", "--out", str(twice)]) == 0
+        assert calls == [1, 1]
+        assert summary_without_timings(twice) == summary_without_timings(once)
+        assert twice.read_bytes() == once.read_bytes()
+
+    def test_degenerate_single_sector(self, tmp_path):
+        model = tmp_path / "one"
+        assert main(["gen", "random", "--sectors", "1", "--points", "8",
+                     "--seed", "3", "--out", str(model)]) == 0
+        full, reduced = tmp_path / "full.csv", tmp_path / "reduced.csv"
+        assert main(["eig", str(model), "--method", "1", "--out", str(full)]) == 0
+        assert main(["eig", str(model), "--method", "2", "--out", str(reduced)]) == 0
+        a, b = csv_values(full), csv_values(reduced)
+        assert a
+        assert greedy_match(a, b).max() <= 1e-12 * max(1.0, max(map(abs, a)))
+
     def test_missing_directory_fails(self, tmp_path):
         rc = main(["eig", str(tmp_path / "nope"), "--out", str(tmp_path / "x.csv")])
         assert rc != 0
@@ -226,28 +268,3 @@ class TestVerify:
         printed = capsys.readouterr().out
         assert "FAIL" in printed
         assert "max lift residual:    skipped\n" in printed
-
-
-class TestBench:
-    def test_dimension_ratio_and_factor_nnz(self, tmp_path):
-        out = tmp_path / "ring"
-        assert main(["gen", "ring", "--sectors", "22", "--points", "8",
-                     "--peclet", "1", "--out", str(out)]) == 0
-        csv = tmp_path / "bench.csv"
-        rc = main(["bench", str(out), "--k", "2", "--out", str(csv)])
-        assert rc == 0
-        _, rows = read_csv(csv)
-        by_method = {r["method"]: r for r in rows}
-        assert int(by_method["1"]["dimension"]) == 22 * int(by_method["2"]["dimension"])
-        assert int(by_method["2"]["peak_factor_nnz"]) < int(by_method["1"]["peak_factor_nnz"])
-
-    def test_degenerate_single_sector(self, tmp_path):
-        out = tmp_path / "one"
-        assert main(["gen", "random", "--sectors", "1", "--points", "8",
-                     "--seed", "3", "--out", str(out)]) == 0
-        csv = tmp_path / "bench.csv"
-        rc = main(["bench", str(out), "--k", "2", "--out", str(csv)])
-        assert rc == 0
-        _, rows = read_csv(csv)
-        by_method = {r["method"]: r for r in rows}
-        assert by_method["1"]["dimension"] == by_method["2"]["dimension"]

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 import sectoreig.eig as eig_module
 import sectoreig.sparsecore as sparsecore
-from sectoreig.circulant import ScalarCirculant, reduced_block, scalar_circulant_spectrum
+from sectoreig.circulant import circulant_eigenvalues, reduced_block
 from sectoreig.eig import (
     Block,
     EigenPair,
@@ -47,8 +48,7 @@ class TestShiftInvert:
         assert abs(pairs[0].value - 2.0) <= 1e-12
 
     def test_cyclic_shift_matrix(self):
-        circ = ScalarCirculant(tuple(1.0 if k == 1 else 0.0 for k in range(8)))
-        A = canonical_csr(circ.dense())
+        A = canonical_csr(scipy.linalg.circulant([1.0 if k == 1 else 0.0 for k in range(8)]).T)
         pairs, _ = shift_invert_eigs(A, 1.1, 1, ShiftInvertConfig())
         assert abs(pairs[0].value - 1.0) <= 1e-12
 
@@ -219,7 +219,7 @@ class TestScaleInvariantAcceptance:
         # residuals near 1e-9; their backward error is near 1e-16.
         M, n = 64, 200
         J = make_ring_advection_diffusion(M, n, 1.0)
-        exact = M * n * np.fft.ifft(np.asarray(ring_first_row(M, n, 1.0).first_row))
+        exact = circulant_eigenvalues(ring_first_row(M, n, 1.0))
         tol = 1e-12 * np.max(np.abs(exact))
         cfg = ShiftInvertConfig()
         report = solve_annulus_spectrum(J, cfg=cfg)
@@ -306,7 +306,7 @@ class TestAnnulusSolvers:
     def test_ring_union_matches_analytic(self):
         M, n = 22, 6
         J = make_ring_advection_diffusion(M, n, peclet=1.0)
-        ana = scalar_circulant_spectrum(ring_first_row(M, n, 1.0))
+        ana = circulant_eigenvalues(ring_first_row(M, n, 1.0))
         cfg = ShiftInvertConfig(eigs_per_shift=2, tol=1e-8)
         report = solve_annulus_spectrum(J, cfg=cfg)
         assert report.pairs
