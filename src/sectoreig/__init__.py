@@ -10,13 +10,7 @@ verify the whole chain.
 
 __version__ = "0.1.0"
 
-from .circulant import (
-    BlockCirculantOperator,
-    circulant_eigenvalues,
-    lift_block_eigenvector,
-    materialize,
-    reduced_block,
-)
+from .circulant import circulant_eigenvalues, lift_block_eigenvector
 from .eig import (
     EigenPair,
     ShiftInvertConfig,
@@ -40,11 +34,12 @@ from .sector import (
     SectorJacobian,
     lift_to_annulus,
     load_sector_jacobian,
+    materialize,
     materialize_full,
     nodal_diameter,
+    reduced_block,
     rotation_matrix,
     save_sector_jacobian,
-    to_block_circulant,
     without_rotation,
 )
 from .sparsecore import (

@@ -22,8 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
-from .circulant import reduced_block
-from .sector import SectorJacobian, materialize_full, to_block_circulant
+from .sector import SectorJacobian, materialize_full, reduced_block
 from .sparsecore import (
     BudgetExceededError,
     SingularMatrixError,
@@ -331,14 +330,13 @@ def solve_annulus_spectrum(J: SectorJacobian, harmonics=None,
     one harmonic are recorded as warnings without aborting the others.
     """
     cfg = cfg or ShiftInvertConfig()
-    op = to_block_circulant(J)
     if harmonics is None:
         harmonics = range(J.M)
     report = SpectrumReport(pairs=[], M=J.M, N=J.N)
     for m in sorted(set(harmonics)):
         t0 = time.perf_counter()
         try:
-            Bm = reduced_block(op, m) * (1.0 / cfg.scale)
+            Bm = reduced_block(J, m) * (1.0 / cfg.scale)
             report.pairs.extend(_solve_block(Bm, cfg, report, m))
         except ValueError as exc:
             report.warnings.append(f"harmonic {m} failed: {exc}")

@@ -4,8 +4,10 @@ A rotationally periodic operator is fully described by the three nonzero
 sector blocks (self, next-neighbor, previous-neighbor coupling, all in
 rotated per-sector variables) and the per-sector frame rotation.  The full
 operator A is similar to a block circulant B via the block-diagonal
-rotation stack, so its spectrum splits into M per-harmonic problems and
-eigenvectors lift back to the full annulus segment by segment.
+rotation stack.  B has three nonzero block offsets, so harmonic m sees the
+N x N block d_self + rho_m d_next + conj(rho_m) d_prev (:func:`reduced_block`),
+the spectrum splits into M per-harmonic problems, and eigenvectors lift
+back to the full annulus segment by segment.
 """
 
 from __future__ import annotations
@@ -13,25 +15,28 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from .circulant import (
-    DENSE_ORACLE_BUDGET,
-    BlockCirculantOperator,
-    lift_block_eigenvector,
-    materialize,
-)
+from .circulant import lift_block_eigenvector
 from .sparsecore import (
+    BudgetExceededError,
     canonical_csr,
     check_harmonic,
     read_matrix_market,
+    unity_power,
     write_matrix_market,
 )
 
 BLOCK_FILES = ("d_self.mtx", "d_next.mtx", "d_prev.mtx")
 LAYOUT_FILE = "layout.txt"
+LAYOUT_KEYS = ("M", "points_per_sector", "vars_per_point")
+
+# Largest full dimension M*N for which materializing the whole operator
+# (the dense-oracle side) is allowed by default.
+DENSE_ORACLE_BUDGET = 20_000
 
 
 @dataclass(frozen=True)
@@ -136,6 +141,12 @@ class SectorJacobian:
     def N(self) -> int:
         return self.rotation.layout.N
 
+    @cached_property
+    def rotation_stack(self) -> sp.csr_matrix:
+        """Block-diagonal stack diag(T^0, T^1, ..., T^{M-1}); its transpose is its inverse."""
+        parts = [rotation_matrix(self.rotation, s) for s in range(self.M)]
+        return sp.block_diag(parts, format="csr")
+
     @classmethod
     def from_unrotated(cls, d_self, d_next, d_prev, rotation: RotationSpec) -> "SectorJacobian":
         """Build from neighbor blocks taken with respect to unrotated variables.
@@ -153,21 +164,37 @@ class SectorJacobian:
         )
 
 
-def to_block_circulant(J: SectorJacobian) -> BlockCirculantOperator:
-    """The similar block circulant as M plus its nonzero offsets.
+def cyclic_shift(M: int, k: int) -> sp.csr_matrix:
+    """M x M cyclic shift S^k: ones at (i, (i + k) mod M)."""
+    i = np.arange(M)
+    return sp.csr_matrix((np.ones(M), (i, (i + k) % M)), shape=(M, M))
 
-    Offsets are {0: d_self, 1: d_next, M-1: d_prev}; below three sectors the
-    neighbor blocks are zero and only offset 0 remains.
+
+def reduced_block(J: SectorJacobian, m: int) -> sp.csr_matrix:
+    """Per-harmonic N x N reduction: d_self + rho_m d_next + conj(rho_m) d_prev.
+
+    The offsets are 0, 1 and M-1; below three sectors they collide, but the
+    neighbor blocks are then empty (enforced by SectorJacobian) and add nothing.
     """
-    if J.M < 3:
-        return BlockCirculantOperator(J.M, {0: J.d_self})
-    return BlockCirculantOperator(J.M, {0: J.d_self, 1: J.d_next, J.M - 1: J.d_prev})
+    check_harmonic(m, J.M)
+    terms = ((0, J.d_self), (1, J.d_next), (J.M - 1, J.d_prev))
+    return canonical_csr(sum(unity_power(m, k, J.M) * b for k, b in terms))
 
 
-def annulus_rotation_stack(J: SectorJacobian) -> sp.csr_matrix:
-    """Block-diagonal stack diag(T^0, T^1, ..., T^{M-1}); its transpose is its inverse."""
-    parts = [rotation_matrix(J.rotation, s) for s in range(J.M)]
-    return sp.block_diag(parts, format="csr")
+def materialize(J: SectorJacobian, budget: int = DENSE_ORACLE_BUDGET) -> sp.csr_matrix:
+    """Assemble the MN x MN block circulant in rotated variables: sum_k kron(S^k, b_k).
+
+    Block (i, j) is b_{(j-i) mod M}.  Intended for oracle-side
+    verification only, hence the size budget.
+    """
+    full = J.M * J.N
+    if full > budget:
+        raise BudgetExceededError(
+            f"materializing a {full}x{full} operator exceeds budget {budget}",
+            required=full,
+        )
+    terms = ((0, J.d_self), (1, J.d_next), (J.M - 1, J.d_prev))
+    return canonical_csr(sum(sp.kron(cyclic_shift(J.M, k), b, format="csr") for k, b in terms))
 
 
 def materialize_full(J: SectorJacobian, budget: int = DENSE_ORACLE_BUDGET) -> sp.csr_matrix:
@@ -177,10 +204,10 @@ def materialize_full(J: SectorJacobian, budget: int = DENSE_ORACLE_BUDGET) -> sp
     the similarity product of the rotation stack with the block circulant's
     Kronecker assembly.  Refuses instances above the size budget.
     """
-    B = materialize(to_block_circulant(J), budget=budget)
+    B = materialize(J, budget=budget)
     if not J.rotation.layout.rotating_pairs:
         return B
-    stack = annulus_rotation_stack(J)
+    stack = J.rotation_stack
     return canonical_csr(stack @ B @ stack.T)
 
 
@@ -192,7 +219,7 @@ def lift_to_annulus(v, m: int, J: SectorJacobian) -> np.ndarray:
     lifted = lift_block_eigenvector(v, m, J.M)
     if not J.rotation.layout.rotating_pairs:
         return lifted
-    return annulus_rotation_stack(J) @ lifted
+    return J.rotation_stack @ lifted
 
 
 def nodal_diameter(m: int, M: int) -> int:
@@ -263,6 +290,9 @@ def load_sector_jacobian(in_dir) -> SectorJacobian:
                 continue
             key, _, value = line.partition("=")
             entries[key.strip()] = value.strip()
+    missing = [key for key in LAYOUT_KEYS if key not in entries]
+    if missing:
+        raise ValueError(f"{layout_path}: missing key {', '.join(missing)}")
     layout = DofLayout(
         points_per_sector=int(entries["points_per_sector"]),
         vars_per_point=int(entries["vars_per_point"]),

@@ -12,12 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sectoreig.circulant import (
-    BlockCirculantOperator,
-    circulant_eigenvalues,
-    materialize,
-    reduced_block,
-)
+from sectoreig.circulant import circulant_eigenvalues
 from sectoreig.cli import main as cli_main
 from sectoreig.eig import (
     ShiftInvertConfig,
@@ -32,9 +27,13 @@ from sectoreig.models import (
     make_rotating_vector_model,
 )
 from sectoreig.sector import (
+    DofLayout,
+    RotationSpec,
+    SectorJacobian,
     lift_to_annulus,
+    materialize,
     materialize_full,
-    to_block_circulant,
+    reduced_block,
     without_rotation,
 )
 from sectoreig.sparsecore import canonical_csr, spmv
@@ -45,9 +44,9 @@ def report_criterion(number: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {number}: {detail}"
 
 
-def union_of_reduced(op: BlockCirculantOperator) -> np.ndarray:
+def union_of_reduced(J: SectorJacobian) -> np.ndarray:
     return np.concatenate(
-        [np.linalg.eigvals(reduced_block(op, m).toarray()) for m in range(op.M)]
+        [np.linalg.eigvals(reduced_block(J, m).toarray()) for m in range(J.M)]
     )
 
 
@@ -60,25 +59,27 @@ def nearest_distance(values, reference) -> float:
 # ---------------------------------------------------------------- fixtures
 
 @pytest.fixture(scope="module")
-def block_circulant_instances():
-    """100 seeded random block-circulant operators (M <= 6, N <= 8).
+def random_sector_instances():
+    """100 seeded random sector Jacobians with dense blocks (3 <= M <= 6, N <= 8).
 
-    Even seeds get real blocks (reused by the conjugate-pairing criterion),
-    odd seeds complex ones.
+    At M = 3 every block offset is present, so these include arbitrary
+    block circulants.  Even seeds get real blocks (reused by the
+    conjugate-pairing criterion), odd seeds complex ones.
     """
     out = []
     for i in range(100):
         rng = np.random.default_rng(2000 + i)
-        M = 2 + i % 5
+        M = 3 + i % 4
         N = 1 + (i * 3) % 8
         real = i % 2 == 0
         blocks = []
-        for _ in range(M):
+        for _ in range(3):
             b = rng.uniform(-1, 1, (N, N))
             if not real:
                 b = b + 1j * rng.uniform(-1, 1, (N, N))
-            blocks.append(canonical_csr(b))
-        out.append((BlockCirculantOperator(M, dict(enumerate(blocks))), real))
+            blocks.append(b)
+        spec = RotationSpec(M, DofLayout(points_per_sector=N, vars_per_point=1))
+        out.append((SectorJacobian(*blocks, spec), real))
     return out
 
 
@@ -96,8 +97,7 @@ def rotating_vector_instances():
         J = make_rotating_vector_model(M, n, coupling)
         A = materialize_full(J)
         dense_vals, _ = dense_eigs(A)
-        op = to_block_circulant(J)
-        harmonic_eigs = [np.linalg.eig(reduced_block(op, m).toarray())
+        harmonic_eigs = [np.linalg.eig(reduced_block(J, m).toarray())
                          for m in range(M)]
         out.append({"J": J, "A": A, "dense": dense_vals,
                     "harmonic_eigs": harmonic_eigs})
@@ -118,8 +118,7 @@ def ring22():
         J, cfg=ShiftInvertConfig(shifts=shifts, eigs_per_shift=30, tol=1e-9))
     reduced = solve_annulus_spectrum(
         J, cfg=ShiftInvertConfig(shifts=shifts, eigs_per_shift=2, tol=1e-9))
-    op = to_block_circulant(J)
-    harmonic_vals = [np.linalg.eigvals(reduced_block(op, m).toarray())
+    harmonic_vals = [np.linalg.eigvals(reduced_block(J, m).toarray())
                      for m in range(M)]
     return {"J": J, "dense": dense_vals, "shifts": shifts, "full": full,
             "reduced": reduced, "harmonic_vals": harmonic_vals,
@@ -146,17 +145,17 @@ def test_criterion_1_scalar_circulant_formula():
                      f"{worst:.3e} (tol 1e-10), {elapsed:.1f}s (< 10 s)")
 
 
-def test_criterion_2_block_circulant_completeness(block_circulant_instances):
+def test_criterion_2_block_circulant_completeness(random_sector_instances):
     started = time.perf_counter()
     worst = 0.0
-    for op, _ in block_circulant_instances:
-        oracle, _ = dense_eigs(materialize(op))
+    for J, _ in random_sector_instances:
+        oracle, _ = dense_eigs(materialize(J))
         radius = max(np.max(np.abs(oracle)), 1e-30)
-        worst = max(worst, greedy_match(union_of_reduced(op), oracle).max() / radius)
+        worst = max(worst, greedy_match(union_of_reduced(J), oracle).max() / radius)
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-8 and elapsed < 60.0
     report_criterion(2, ok,
-                     f"100 random block-circulant operators, max relative "
+                     f"100 random sector Jacobians, max relative "
                      f"mismatch {worst:.3e} (tol 1e-8), {elapsed:.1f}s (< 60 s)")
 
 
@@ -166,7 +165,7 @@ def test_criterion_3_similarity_theorem(rotating_vector_instances):
     for inst in rotating_vector_instances:
         union = np.concatenate([w for w, _ in inst["harmonic_eigs"]])
         worst_pos = max(worst_pos, greedy_match(union, inst["dense"]).max())
-        broken = union_of_reduced(to_block_circulant(without_rotation(inst["J"])))
+        broken = union_of_reduced(without_rotation(inst["J"]))
         if greedy_match(broken, inst["dense"]).max() > 1e-3:
             control_hits += 1
     n = len(rotating_vector_instances)
@@ -255,15 +254,15 @@ def test_criterion_6_dimension_reduction(ring22, tmp_path):
                      f"full solve's {full_nnz}; eig summaries of both methods agree")
 
 
-def test_criterion_7_conjugate_pairing(block_circulant_instances,
+def test_criterion_7_conjugate_pairing(random_sector_instances,
                                        rotating_vector_instances, ring22):
     worst = 0.0
     checked = 0
     spectra_sets = []
-    for op, real in block_circulant_instances:
+    for J, real in random_sector_instances:
         if real:
-            spectra_sets.append([np.linalg.eigvals(reduced_block(op, m).toarray())
-                                 for m in range(op.M)])
+            spectra_sets.append([np.linalg.eigvals(reduced_block(J, m).toarray())
+                                 for m in range(J.M)])
     for inst in rotating_vector_instances:
         spectra_sets.append([w for w, _ in inst["harmonic_eigs"]])
     spectra_sets.append(ring22["harmonic_vals"])

@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sectoreig.circulant import (
-    BlockCirculantOperator,
-    block_shift_permutation,
-    circulant_eigenvalues,
-    lift_block_eigenvector,
+from sectoreig.circulant import circulant_eigenvalues, lift_block_eigenvector
+from sectoreig.eig import greedy_match
+from sectoreig.sector import (
+    DofLayout,
+    RotationSpec,
+    SectorJacobian,
     materialize,
     reduced_block,
 )
-from sectoreig.eig import greedy_match
 from sectoreig.sparsecore import (
     BudgetExceededError,
     canonical_csr,
@@ -19,19 +19,21 @@ from sectoreig.sparsecore import (
 )
 
 
-def random_blocks(rng, M, N, real=False):
-    out = []
-    for _ in range(M):
+def scalar_jacobian(M, d_self, d_next, d_prev):
+    """Sector Jacobian with one non-rotating variable per point."""
+    N = d_self.shape[0]
+    return SectorJacobian(d_self, d_next, d_prev, RotationSpec(M, DofLayout(N, 1)))
+
+
+def random_jacobian(rng, M, N, real=False):
+    """Scalar-layout sector Jacobian with random dense d_self, d_next, d_prev."""
+    blocks = []
+    for _ in range(3):
         vals = rng.uniform(-1, 1, (N, N))
         if not real:
             vals = vals + 1j * rng.uniform(-1, 1, (N, N))
-        out.append(canonical_csr(vals))
-    return tuple(out)
-
-
-def block_circulant(blocks):
-    """Operator whose offset k holds blocks[k]."""
-    return BlockCirculantOperator(len(blocks), dict(enumerate(blocks)))
+        blocks.append(canonical_csr(vals))
+    return scalar_jacobian(M, *blocks)
 
 
 class TestScalarCirculant:
@@ -84,40 +86,40 @@ class TestScalarCirculant:
 class TestReducedBlock:
     def test_harmonic_zero_is_plain_sum(self):
         rng = np.random.default_rng(8)
-        blocks = random_blocks(rng, 4, 3)
-        op = block_circulant(blocks)
-        expected = sum(b.toarray() for b in blocks)
-        assert np.max(np.abs(reduced_block(op, 0).toarray() - expected)) <= 1e-14
+        J = random_jacobian(rng, 4, 3)
+        expected = (J.d_self + J.d_next + J.d_prev).toarray()
+        assert np.max(np.abs(reduced_block(J, 0).toarray() - expected)) <= 1e-14
 
     def test_single_block_operator(self):
         rng = np.random.default_rng(9)
-        b0 = random_blocks(rng, 1, 3)[0]
-        op = block_circulant((b0,) + tuple(zeros_csr(3) for _ in range(4)))
+        b0 = random_jacobian(rng, 3, 3).d_self
+        J = scalar_jacobian(5, b0, zeros_csr(3), zeros_csr(3))
         for m in range(5):
-            assert np.array_equal(reduced_block(op, m).toarray(), b0.toarray())
+            assert np.array_equal(reduced_block(J, m).toarray(), b0.toarray())
 
     def test_spectrum_completeness_vs_dense(self):
         rng = np.random.default_rng(10)
-        op = block_circulant(random_blocks(rng, 4, 3))
+        J = random_jacobian(rng, 4, 3)
         union = np.concatenate(
-            [np.linalg.eigvals(reduced_block(op, m).toarray()) for m in range(4)]
+            [np.linalg.eigvals(reduced_block(J, m).toarray()) for m in range(4)]
         )
-        dense_vals = np.linalg.eigvals(materialize(op).toarray())
+        dense_vals = np.linalg.eigvals(materialize(J).toarray())
         radius = np.max(np.abs(dense_vals))
         assert greedy_match(union, dense_vals).max() <= 1e-9 * radius
 
     def test_conjugate_harmonic_symmetry_exact(self):
         rng = np.random.default_rng(12)
-        op = block_circulant(random_blocks(rng, 6, 4, real=True))
+        J = random_jacobian(rng, 6, 4, real=True)
         for m in range(1, 6):
-            a = reduced_block(op, m)
-            b = reduced_block(op, 6 - m)
+            a = reduced_block(J, m)
+            b = reduced_block(J, 6 - m)
             assert np.array_equal(b.toarray(), a.toarray().conjugate())
 
     def test_cancellation_empties_pattern(self):
+        # rho_2 = -1 at M = 4, so 2I - I - I cancels exactly.
         eye = canonical_csr(np.eye(3))
-        op = BlockCirculantOperator(2, {0: eye, 1: eye})
-        assert reduced_block(op, 1).nnz == 0
+        J = scalar_jacobian(4, 2 * eye, eye, eye)
+        assert reduced_block(J, 2).nnz == 0
 
 
 class TestLift:
@@ -131,10 +133,10 @@ class TestLift:
 
     def test_lift_is_eigenvector_of_full_operator(self):
         rng = np.random.default_rng(14)
-        op = block_circulant(random_blocks(rng, 4, 2))
-        B = materialize(op)
+        J = random_jacobian(rng, 4, 2)
+        B = materialize(J)
         for m in range(4):
-            w, V = np.linalg.eig(reduced_block(op, m).toarray())
+            w, V = np.linalg.eig(reduced_block(J, m).toarray())
             for i in range(len(w)):
                 lifted = lift_block_eigenvector(V[:, i], m, 4)
                 res = np.linalg.norm(B @ lifted - w[i] * lifted) / np.linalg.norm(lifted)
@@ -144,48 +146,39 @@ class TestLift:
 class TestMaterialize:
     def test_degenerate_single_sector(self):
         rng = np.random.default_rng(15)
-        b0 = random_blocks(rng, 1, 4)[0]
-        op = block_circulant((b0,))
-        assert np.array_equal(materialize(op).toarray(), b0.toarray())
+        b0 = random_jacobian(rng, 3, 4).d_self
+        J = scalar_jacobian(1, b0, zeros_csr(4), zeros_csr(4))
+        assert np.array_equal(materialize(J).toarray(), b0.toarray())
 
     def test_identity_blocks(self):
         eye = canonical_csr(np.eye(2))
-        op = block_circulant((eye, zeros_csr(2), zeros_csr(2)))
-        assert np.array_equal(materialize(op).toarray(), np.eye(6))
+        J = scalar_jacobian(3, eye, zeros_csr(2), zeros_csr(2))
+        assert np.array_equal(materialize(J).toarray(), np.eye(6))
 
     def test_block_placement(self):
         rng = np.random.default_rng(16)
-        blocks = random_blocks(rng, 3, 2)
-        full = materialize(block_circulant(blocks)).toarray()
+        J = random_jacobian(rng, 3, 2)
+        blocks = (J.d_self, J.d_next, J.d_prev)
+        full = materialize(J).toarray()
         for i in range(3):
             for j in range(3):
                 seg = full[2 * i:2 * i + 2, 2 * j:2 * j + 2]
                 assert np.array_equal(seg, blocks[(j - i) % 3].toarray())
 
-    def test_commutes_with_block_shift(self):
-        rng = np.random.default_rng(18)
-        op = block_circulant(random_blocks(rng, 5, 3))
-        B = materialize(op)
-        P = block_shift_permutation(5, 3)
-        diff = (P @ B - B @ P).toarray()
-        assert np.max(np.abs(diff)) <= 1e-13
-
     def test_budget_refusal_reports_requirement(self):
         eye = canonical_csr(np.eye(10))
-        op = block_circulant(tuple([eye] * 4))
+        J = scalar_jacobian(4, eye, eye, eye)
         with pytest.raises(BudgetExceededError) as err:
-            materialize(op, budget=30)
+            materialize(J, budget=30)
         assert err.value.required == 40
 
 
 def test_block_shape_validation():
+    eye2 = canonical_csr(np.eye(2))
     with pytest.raises(ValueError):
-        block_circulant((canonical_csr(np.eye(2)), canonical_csr(np.eye(3))))
+        scalar_jacobian(3, eye2, canonical_csr(np.eye(3)), eye2)
     with pytest.raises(ValueError):
-        block_circulant((zeros_csr(2, 3),))
+        SectorJacobian(zeros_csr(2, 3), zeros_csr(2), zeros_csr(2),
+                       RotationSpec(3, DofLayout(2, 1)))
     with pytest.raises(ValueError):
-        block_circulant(())
-    with pytest.raises(ValueError):
-        BlockCirculantOperator(3, {3: canonical_csr(np.eye(2))})
-    with pytest.raises(ValueError):
-        BlockCirculantOperator(0, {0: canonical_csr(np.eye(2))})
+        scalar_jacobian(0, eye2, zeros_csr(2), zeros_csr(2))

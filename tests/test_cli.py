@@ -7,6 +7,7 @@ import pytest
 
 import sectoreig.cli as cli
 import sectoreig.eig as eig_module
+import sectoreig.sector as sector_module
 from sectoreig.cli import main, parse_shift
 from sectoreig.eig import ShiftInvertConfig, greedy_match
 
@@ -214,9 +215,9 @@ class TestEig:
         calls = []
         reduced_block = eig_module.reduced_block
 
-        def counting_reduced_block(op, m):
+        def counting_reduced_block(J, m):
             calls.append(m)
-            return reduced_block(op, m)
+            return reduced_block(J, m)
 
         monkeypatch.setattr(eig_module, "reduced_block", counting_reduced_block)
         once, twice = tmp_path / "once.csv", tmp_path / "twice.csv"
@@ -240,6 +241,26 @@ class TestEig:
     def test_missing_directory_fails(self, tmp_path):
         rc = main(["eig", str(tmp_path / "nope"), "--out", str(tmp_path / "x.csv")])
         assert rc != 0
+
+    @pytest.mark.parametrize("command", ["eig", "verify"])
+    def test_layout_missing_key_exits_2(self, tmp_path, capsys, command):
+        model = tmp_path / "ring"
+        assert main(["gen", "ring", "--sectors", "4", "--points", "3",
+                     "--out", str(model)]) == 0
+        layout = model / "layout.txt"
+        kept = [line for line in layout.read_text().splitlines()
+                if not line.startswith("points_per_sector")]
+        layout.write_text("\n".join(kept) + "\n")
+        capsys.readouterr()
+        argv = [command, str(model)]
+        if command == "eig":
+            argv += ["--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert "points_per_sector" in errors[0]
+        assert "PASS" not in captured.out
 
 
 class TestVerify:
@@ -268,3 +289,30 @@ class TestVerify:
         printed = capsys.readouterr().out
         assert "FAIL" in printed
         assert "max lift residual:    skipped\n" in printed
+
+    def test_budget_refusal_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "ring"
+        assert main(["gen", "ring", "--sectors", "4", "--points", "4",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(out), "--budget", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("FAIL: ")
+        assert captured.err.endswith("; use a smaller instance\n")
+        assert "PASS" not in captured.out
+
+    def test_rotation_stack_built_once(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "rv"
+        assert main(["gen", "rotvec", "--sectors", "8", "--points", "2",
+                     "--out", str(out)]) == 0
+        calls = []
+        rotation_matrix = sector_module.rotation_matrix
+
+        def counting_rotation_matrix(spec, power):
+            calls.append(power)
+            return rotation_matrix(spec, power)
+
+        monkeypatch.setattr(sector_module, "rotation_matrix", counting_rotation_matrix)
+        assert main(["verify", str(out)]) == 0
+        assert "PASS" in capsys.readouterr().out
+        assert sorted(calls) == list(range(8))

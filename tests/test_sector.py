@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sectoreig.circulant import lift_block_eigenvector, materialize, reduced_block
+from sectoreig.circulant import lift_block_eigenvector
 from sectoreig.eig import greedy_match
 from sectoreig.models import make_rotating_vector_model
 from sectoreig.sector import (
@@ -10,11 +10,12 @@ from sectoreig.sector import (
     SectorJacobian,
     lift_to_annulus,
     load_sector_jacobian,
+    materialize,
     materialize_full,
     nodal_diameter,
+    reduced_block,
     rotation_matrix,
     save_sector_jacobian,
-    to_block_circulant,
     without_rotation,
 )
 from sectoreig.sparsecore import canonical_csr, zeros_csr
@@ -82,12 +83,15 @@ class TestRotationSpec:
 class TestSectorJacobian:
     def test_block_layout_of_circulant(self):
         J = make_rotating_vector_model(5, 2, 0.4)
-        op = to_block_circulant(J)
-        assert op.M == 5
-        assert np.array_equal(op.blocks[0].toarray(), J.d_self.toarray())
-        assert np.array_equal(op.blocks[1].toarray(), J.d_next.toarray())
-        assert np.array_equal(op.blocks[4].toarray(), J.d_prev.toarray())
-        assert set(op.blocks) == {0, 1, 4}
+        B = materialize(J).toarray()
+        N = J.N
+        offsets = {0: J.d_self, 1: J.d_next, 4: J.d_prev}
+        for i in range(5):
+            for j in range(5):
+                seg = B[N * i:N * (i + 1), N * j:N * (j + 1)]
+                blk = offsets.get((j - i) % 5)
+                expected = np.zeros((N, N)) if blk is None else blk.toarray()
+                assert np.array_equal(seg, expected)
 
     def test_neighbor_coupling_needs_three_sectors(self):
         spec = scalar_spec(2, points=1)
@@ -136,13 +140,12 @@ class TestMaterializeFull:
     def test_block_formula(self):
         J = make_rotating_vector_model(3, 1, 0.5)
         A = materialize_full(J).toarray()
-        op = to_block_circulant(J)
         N = J.N
         for m1 in range(3):
             t1 = rotation_matrix(J.rotation, m1).toarray()
             for m2 in range(3):
                 t2inv = rotation_matrix(J.rotation, -m2).toarray()
-                blk = op.blocks[(m2 - m1) % 3].toarray()
+                blk = (J.d_self, J.d_next, J.d_prev)[(m2 - m1) % 3].toarray()
                 expected = t1 @ blk @ t2inv
                 seg = A[N * m1:N * (m1 + 1), N * m2:N * (m2 + 1)]
                 assert np.max(np.abs(seg - expected)) <= 1e-12
@@ -150,7 +153,7 @@ class TestMaterializeFull:
     def test_similarity_preserves_spectrum(self):
         J = make_rotating_vector_model(3, 1, 0.7)
         a_vals = np.linalg.eigvals(materialize_full(J).toarray())
-        b_vals = np.linalg.eigvals(materialize(to_block_circulant(J)).toarray())
+        b_vals = np.linalg.eigvals(materialize(J).toarray())
         radius = np.max(np.abs(a_vals))
         assert greedy_match(a_vals, b_vals).max() <= 1e-9 * radius
 
@@ -197,9 +200,8 @@ class TestLiftToAnnulus:
     def test_lifted_vectors_are_full_eigenvectors(self):
         J = make_rotating_vector_model(6, 2, 0.3)
         A = materialize_full(J)
-        op = to_block_circulant(J)
         for m in range(6):
-            w, V = np.linalg.eig(reduced_block(op, m).toarray())
+            w, V = np.linalg.eig(reduced_block(J, m).toarray())
             for i in range(len(w)):
                 lifted = lift_to_annulus(V[:, i], m, J)
                 res = np.linalg.norm(A @ lifted - w[i] * lifted)
@@ -207,10 +209,9 @@ class TestLiftToAnnulus:
 
     def test_conjugate_nodal_diameter_pairing(self):
         J = make_rotating_vector_model(7, 2, 0.4)
-        op = to_block_circulant(J)
         for m in range(1, 7):
-            vals_m = np.linalg.eigvals(reduced_block(op, m).toarray())
-            vals_conj = np.linalg.eigvals(reduced_block(op, 7 - m).toarray())
+            vals_m = np.linalg.eigvals(reduced_block(J, m).toarray())
+            vals_conj = np.linalg.eigvals(reduced_block(J, 7 - m).toarray())
             assert greedy_match(vals_m.conjugate(), vals_conj).max() <= 1e-9
 
 
