@@ -147,14 +147,15 @@ def cmd_eig(args) -> int:
         f"eigenvalues_before_dedup = {report.raw_count}",
         f"eigenvalues_after_dedup = {len(report.pairs)}",
         f"dedup_removed = {report.dedup_removed}",
-        f"peak_factor_nnz = {report.peak_factor_nnz}",
-        f"dense_blocks = {','.join(map(str, report.dense_blocks)) or 'none'}",
+        f"peak_storage = {report.peak_storage}",
         f"total_wall_time_s = {elapsed:.3f}",
     ]
     for key in sorted(report.wall_times, key=str):
         summary.append(f"wall_time[{key}] = {report.wall_times[key]:.4f}")
-    for key in sorted(report.factor_nnz, key=str):
-        summary.append(f"factor_nnz[{key}] = {report.factor_nnz[key]}")
+    for key in sorted(report.storage, key=str):
+        summary.append(f"storage[{key}] = {report.storage[key]}")
+    for key in sorted(report.routes, key=str):
+        summary.append(f"route[{key}] = {report.routes[key]}")
     for key, sigma, used in report.perturbed_shifts:
         summary.append(f"perturbed_shift[{key}] = {sigma} -> {used}")
     for warning in report.warnings:

@@ -3,13 +3,23 @@
 The workhorse is shift-invert Arnoldi: factor (A - sigma I), iterate on its
 inverse so eigenvalues near sigma become dominant, then map Ritz values
 back via lambda = sigma + 1/mu.  The inner iteration is ARPACK through
-scipy.  On a block of dimension n <= DENSE_EIG_BUDGET, Arnoldi may apply
-the inverse n + 1 times, the cost of one pass over the whole space; when
-that runs out (or k > n - 2), the block is decomposed densely once and
-that decomposition answers the current shift and every later shift of the
-same block.  Pairs from both routes are re-verified by a direct sparse
-residual and accepted on their normwise backward error, so nothing is
-trusted from the inner iteration alone.
+scipy.
+
+Each block's route is chosen once, from its dimension n, before any LU:
+a block with MIN_SUBSPACE_DIM < n <= DENSE_ROUTE_MAX_DIM is decomposed
+densely, and that one decomposition answers every shift.  Other blocks
+go to Arnoldi; on one with n <= DENSE_EIG_BUDGET, Arnoldi may apply the
+inverse n + 1 times, the cost of one pass over the whole space, and when
+that runs out (or k > n - 2) the block is decomposed densely after all.
+
+When all three sector blocks are real, B_{M-m} = conj(B_m) bit for bit,
+so once harmonic m's block is decomposed densely, the conjugate of that
+decomposition answers harmonic M - m.  Blocks on the Arnoldi route solve
+their own matrix, since the LU of B_m - conj(sigma) I would only replace
+that of B_{M-m} - sigma I one for one.  Pairs from every route are
+re-verified by a direct sparse residual on their own block and accepted on
+their normwise backward error, so nothing is trusted from the inner
+iteration or the mirror alone.
 """
 
 from __future__ import annotations
@@ -33,6 +43,18 @@ from .sparsecore import (
 
 # Largest dimension accepted by the dense eigendecomposition oracle.
 DENSE_EIG_BUDGET = 4_000
+# Largest block sent straight to the dense route: the largest block of a
+# perfbench workload that gains from it (rotvec-clustered, n = 100, whose
+# clustered spectrum spends the Arnoldi budget and ends dense anyway).
+# Measured on 2 cores, BLAS at 1 thread, 3 shifts and k = 2 (medians of 5),
+# one dense decomposition with its three answers against three Arnoldi
+# solves: random blocks 19 against 30 ms at n = 100, 56 against 40 ms at
+# n = 200; ring blocks 3.6 against 7.7 ms at n = 50, but 24 against 6 ms at
+# n = 100.  No workload has a block between 100 and 800, so the crossover
+# in that range is not pinned.  Blocks with n <= MIN_SUBSPACE_DIM stay on
+# Arnoldi, whose subspace is then the whole block: perfbench's tracer test
+# counts one LU factorization per (harmonic, shift) on such a block.
+DENSE_ROUTE_MAX_DIM = 100
 # Largest full dimension M*N the sparse whole-annulus solve will assemble.
 SPARSE_SOLVE_BUDGET = 200_000
 
@@ -105,15 +127,17 @@ class SpectrumReport:
     M: int
     N: int
     wall_times: dict = field(default_factory=dict)
-    factor_nnz: dict = field(default_factory=dict)
+    # per block: LU factor nonzeros, or n**2 once it is decomposed densely
+    storage: dict = field(default_factory=dict)
+    # per block: "arnoldi", "dense", or "conj(c)" when mirrored from harmonic c
+    routes: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
     perturbed_shifts: list = field(default_factory=list)
-    dense_blocks: list = field(default_factory=list)
     raw_count: int = 0
 
     @property
-    def peak_factor_nnz(self) -> int:
-        return max(self.factor_nnz.values(), default=0)
+    def peak_storage(self) -> int:
+        return max(self.storage.values(), default=0)
 
     @property
     def dedup_removed(self) -> int:
@@ -222,8 +246,9 @@ def shift_invert_eigs(A, sigma: complex, k: int, cfg: ShiftInvertConfig,
 
     A is a sparse matrix or a :class:`Block`; passing the same Block for
     every shift lets one dense decomposition answer all of them.  The dense
-    route is taken when k > n - 2 (too small for ARPACK) or when Arnoldi
-    spends its budget of n + 1 inverse applications; it needs no LU.
+    route is taken when the block is already decomposed, when k > n - 2
+    (too small for ARPACK) or when Arnoldi spends its budget of n + 1
+    inverse applications; it needs no LU.
 
     Returns (pairs, info).  A singular (A - sigma I) is retried once with
     sigma perturbed by 1e-8 * (1 + |sigma|) and the perturbation flagged;
@@ -298,24 +323,32 @@ def deduplicate_pairs(pairs):
     return kept
 
 
-def _solve_block(A, cfg: ShiftInvertConfig, report: SpectrumReport,
-                 harmonic: int | None) -> list:
+def _solve_block(block: Block, cfg: ShiftInvertConfig, report: SpectrumReport,
+                 key) -> list:
     """Solve one block at every configured shift, fold the bookkeeping into
-    report (keyed by harmonic, or "full"), and return its deduplicated pairs."""
-    key = "full" if harmonic is None else harmonic
+    report (keyed by harmonic, or "full"), and return its deduplicated pairs.
+
+    The block is decomposed up front when its dimension puts it on the
+    dense route.
+    """
+    harmonic = None if key == "full" else key
     prefix = "" if harmonic is None else f"harmonic {harmonic}: "
-    block = Block(A)
+    if MIN_SUBSPACE_DIM < block.n <= DENSE_ROUTE_MAX_DIM:
+        block.decompose()
     collected = []
+    storage = 0
     for sigma in cfg.shifts:
         pairs, info = shift_invert_eigs(block, sigma, cfg.eigs_per_shift, cfg,
                                         harmonic=harmonic)
         collected.extend(pairs)
-        report.factor_nnz[key] = max(report.factor_nnz.get(key, 0), info.factor_nnz)
+        storage = max(storage, info.factor_nnz)
         report.warnings.extend(prefix + w for w in info.warnings)
         if info.perturbed_shift is not None:
             report.perturbed_shifts.append((key, sigma, info.perturbed_shift))
-    if block.dense is not None:
-        report.dense_blocks.append(key)
+    dense = block.dense is not None
+    report.storage[key] = max(storage, block.n ** 2 if dense else 0)
+    # a mirrored block's route, conj(c), is already set by its caller
+    report.routes.setdefault(key, "dense" if dense else "arnoldi")
     report.raw_count += len(collected)
     return deduplicate_pairs(collected)
 
@@ -324,23 +357,40 @@ def solve_annulus_spectrum(J: SectorJacobian, harmonics=None,
                            cfg: ShiftInvertConfig | None = None) -> SpectrumReport:
     """Per-harmonic (single-sector) spectrum of the full annulus operator.
 
-    For each distinct harmonic m, in ascending order, the reduced block is
-    assembled, divided by cfg.scale, and solved near every configured
-    shift; duplicates across shifts are merged per harmonic.  Failures in
-    one harmonic are recorded as warnings without aborting the others.
+    Each distinct harmonic m is solved on its own block, divided by
+    cfg.scale, near every configured shift; duplicates across shifts are
+    merged per harmonic.  When the sector blocks are real, harmonics c and
+    M - c are solved one after the other, and a dense decomposition of B_c,
+    conjugated, answers B_{M-c} (route "conj(c)"); at most one dense
+    decomposition is held at a time.  Failures in one harmonic are recorded
+    as warnings without aborting the others.  Pairs come out in ascending
+    harmonic order.
     """
     cfg = cfg or ShiftInvertConfig()
     if harmonics is None:
         harmonics = range(J.M)
     report = SpectrumReport(pairs=[], M=J.M, N=J.N)
+    mirror = J.is_real
+    by_source: dict = {}
     for m in sorted(set(harmonics)):
-        t0 = time.perf_counter()
-        try:
-            Bm = reduced_block(J, m) * (1.0 / cfg.scale)
-            report.pairs.extend(_solve_block(Bm, cfg, report, m))
-        except ValueError as exc:
-            report.warnings.append(f"harmonic {m} failed: {exc}")
-        report.wall_times[m] = time.perf_counter() - t0
+        by_source.setdefault(min(m, J.M - m) if mirror else m, []).append(m)
+    for c, members in by_source.items():
+        source = None
+        for m in members:
+            t0 = time.perf_counter()
+            try:
+                block = Block(reduced_block(J, m) * (1.0 / cfg.scale))
+                if source is not None and source.dense is not None:
+                    # B_m = conj(B_c): conjugate c's decomposition, then drop it
+                    block.dense = tuple(x.conj() for x in source.dense)
+                    report.routes[m] = f"conj({c})"
+                    source = None
+                report.pairs.extend(_solve_block(block, cfg, report, m))
+                source = block
+            except ValueError as exc:
+                report.warnings.append(f"harmonic {m} failed: {exc}")
+            report.wall_times[m] = time.perf_counter() - t0
+    report.pairs.sort(key=lambda p: p.harmonic)
     return report
 
 
@@ -354,7 +404,7 @@ def solve_full_annulus(J: SectorJacobian, cfg: ShiftInvertConfig | None = None) 
     A = materialize_full(J, budget=SPARSE_SOLVE_BUDGET) * (1.0 / cfg.scale)
     report = SpectrumReport(pairs=[], M=J.M, N=J.N)
     t0 = time.perf_counter()
-    report.pairs = _solve_block(A, cfg, report, None)
+    report.pairs = _solve_block(Block(A), cfg, report, "full")
     report.wall_times["full"] = time.perf_counter() - t0
     return report
 

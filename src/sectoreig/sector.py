@@ -141,6 +141,12 @@ class SectorJacobian:
     def N(self) -> int:
         return self.rotation.layout.N
 
+    @property
+    def is_real(self) -> bool:
+        """Whether all three blocks are real, so that reduced_block(J, M - m)
+        is conj(reduced_block(J, m)) bit for bit.  O(nnz)."""
+        return not any(np.any(b.data.imag) for b in (self.d_self, self.d_next, self.d_prev))
+
     @cached_property
     def rotation_stack(self) -> sp.csr_matrix:
         """Block-diagonal stack diag(T^0, T^1, ..., T^{M-1}); its transpose is its inverse."""

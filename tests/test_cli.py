@@ -3,13 +3,16 @@ import os
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sectoreig.cli as cli
 import sectoreig.eig as eig_module
 import sectoreig.sector as sector_module
 from sectoreig.cli import main, parse_shift
+from sectoreig.circulant import circulant_eigenvalues
 from sectoreig.eig import ShiftInvertConfig, greedy_match
+from sectoreig.models import ring_first_row
 
 DATA = Path(__file__).parent / "data"
 
@@ -153,11 +156,12 @@ class TestEig:
         assert a.read_bytes() == b.read_bytes()
 
     def test_readme_ring_spectrum_unchanged(self, tmp_path):
-        # No block of the README example spends its Arnoldi budget, so the
-        # dense route never runs and the CSV matches the recorded one exactly.
-        # The recording is made with SuperLU's minimum-degree ordering; a
-        # different ordering moves the last digits of lambda and the residual,
-        # and with them which shift's duplicate survives deduplication.
+        # The README example's blocks (n = 40) take the dense route, and
+        # harmonics 12..21 are mirrored from 10..1, so the CSV matches the
+        # recording exactly.  Another route or mirror moves the last digits
+        # of lambda and the residual, and with them which shift's duplicate
+        # survives deduplication.  Every row is also checked against the
+        # analytic circulant spectrum.
         model = tmp_path / "ring22"
         assert main(["gen", "ring", "--sectors", "22", "--points", "40",
                      "--peclet", "1", "--out", str(model)]) == 0
@@ -166,8 +170,19 @@ class TestEig:
                      "0+1i", "0+2i", "0+3i", "--out", str(out)]) == 0
         golden = DATA / "readme_ring_spectrum.csv"
         assert out.read_bytes() == golden.read_bytes()
-        summary = open(str(out) + ".summary.txt").read()
-        assert "dense_blocks = none\n" in summary
+        J = sector_module.load_sector_jacobian(model)
+        exact = circulant_eigenvalues(ring_first_row(22, 40, 1.0))
+        _, rows = read_csv(golden)
+        assert len(rows) == 44
+        for r in rows:
+            m = int(r["harmonic"])
+            lam = complex(float(r["lambda_re"]), float(r["lambda_im"]))
+            norm1 = abs(sector_module.reduced_block(J, m)).sum(axis=0).max()
+            assert np.abs(exact[m::22] - lam).min() <= 1e-14 * norm1
+        lines = open(str(out) + ".summary.txt").read().splitlines()
+        routes = {m: "dense" if m <= 11 else f"conj({22 - m})" for m in range(22)}
+        assert [line for line in lines if line.startswith("route[")] == [
+            f"route[{m}] = {routes[m]}" for m in sorted(routes, key=str)]
 
     def test_summary_lists_dense_blocks(self, tmp_path):
         model = tmp_path / "rv"
@@ -175,8 +190,50 @@ class TestEig:
                      "--coupling", "0.3", "--out", str(model)]) == 0
         out = tmp_path / "rv.csv"
         assert main(["eig", str(model), "--out", str(out)]) == 0
-        text = open(str(out) + ".summary.txt").read()
-        assert "dense_blocks = 0,1,2,3,4,5,6,7\n" in text
+        lines = open(str(out) + ".summary.txt").read().splitlines()
+        assert [line for line in lines if line.startswith("route[")] == [
+            "route[0] = dense", "route[1] = dense", "route[2] = dense",
+            "route[3] = dense", "route[4] = dense", "route[5] = conj(3)",
+            "route[6] = conj(2)", "route[7] = conj(1)"]
+        assert "peak_storage = 10000" in lines
+
+    def test_block_that_spent_its_budget_reads_dense(self, tmp_path):
+        # above DENSE_ROUTE_MAX_DIM, the clustered rotating-vector blocks
+        # start on Arnoldi and spend its n + 1 budget
+        model = tmp_path / "rv"
+        assert main(["gen", "rotvec", "--sectors", "4", "--points", "80",
+                     "--coupling", "0.3", "--out", str(model)]) == 0
+        out = tmp_path / "rv.csv"
+        assert main(["eig", str(model), "--harmonics", "1", "--out", str(out)]) == 0
+        lines = open(str(out) + ".summary.txt").read().splitlines()
+        assert "route[1] = dense" in lines
+        assert "storage[1] = 25600" in lines
+
+    def test_mirrored_harmonic_alone_matches_its_pair(self, tmp_path):
+        model = tmp_path / "rv"
+        assert main(["gen", "rotvec", "--sectors", "8", "--points", "30",
+                     "--coupling", "0.3", "--out", str(model)]) == 0
+        alone, paired = tmp_path / "alone.csv", tmp_path / "paired.csv"
+        assert main(["eig", str(model), "--harmonics", "5", "--out", str(alone)]) == 0
+        assert main(["eig", str(model), "--harmonics", "3,5", "--out", str(paired)]) == 0
+        _, rows_alone = read_csv(alone)
+        _, rows_paired = read_csv(paired)
+        assert rows_alone and {r["harmonic"] for r in rows_paired} == {"3", "5"}
+        assert rows_alone == [r for r in rows_paired if r["harmonic"] == "5"]
+        # alone, harmonic 5 is decomposed itself; paired, it is mirrored from 3
+        assert "route[5] = dense" in summary_without_timings(alone)
+        assert "route[5] = conj(3)" in summary_without_timings(paired)
+
+    def test_dense_and_mirrored_output_is_byte_identical(self, tmp_path):
+        model = tmp_path / "rv"
+        assert main(["gen", "rotvec", "--sectors", "7", "--points", "30",
+                     "--coupling", "0.3", "--out", str(model)]) == 0
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["eig", str(model), "--out", str(a)]) == 0
+        assert main(["eig", str(model), "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert summary_without_timings(a) == summary_without_timings(b)
+        assert "route[4] = conj(3)" in summary_without_timings(a)
 
     def test_summary_reports_perturbed_shift(self, tmp_path):
         # 0 is an exact eigenvalue of harmonic 0 of the pure-diffusion ring,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import ArpackNoConvergence, splu
 
 import sectoreig.eig as eig_module
 import sectoreig.sparsecore as sparsecore
@@ -27,8 +27,10 @@ from sectoreig.models import (
 from sectoreig.sector import (
     SectorJacobian,
     lift_to_annulus,
+    load_sector_jacobian,
     materialize_full,
     reduced_block,
+    save_sector_jacobian,
 )
 from sectoreig.sparsecore import BudgetExceededError, SparseLU, canonical_csr, zeros_csr
 
@@ -127,14 +129,29 @@ class TestDenseRoute:
         monkeypatch.setattr(np.linalg, "eig", counting_eig)
         monkeypatch.setattr(eig_module, "SparseLU", CountingLU)
         report = solve_annulus_spectrum(make_rotating_vector_model(8, 50, 0.3))
-        assert report.dense_blocks == list(range(8))
-        assert calls == {"eig": 8, "lu": 8}
+        # n = 100 takes the dense route before any LU, and harmonics 5, 6
+        # and 7 are mirrored from 3, 2 and 1: one decomposition per pair
+        assert report.routes == {0: "dense", 1: "dense", 2: "dense", 3: "dense",
+                                 4: "dense", 5: "conj(3)", 6: "conj(2)", 7: "conj(1)"}
+        assert calls == {"eig": 5, "lu": 0}
+        assert report.storage == {m: 100 ** 2 for m in range(8)}
         assert report.warnings == []
+
+    def test_converging_block_above_dense_route_never_decomposes(self, monkeypatch):
+        calls = []
+        real_eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or real_eig(a))
+        J = make_ring_advection_diffusion(4, eig_module.DENSE_ROUTE_MAX_DIM + 1, 1.0)
+        report = solve_annulus_spectrum(J)
+        assert calls == []
+        assert report.routes == {m: "arnoldi" for m in range(4)}
+        assert report.pairs and report.warnings == []
 
     def test_whole_annulus_block_recorded_as_full(self):
         J = make_rotating_vector_model(4, 5, 0.3)
         report = solve_full_annulus(J, cfg=ShiftInvertConfig(shifts=(1j,)))
-        assert report.dense_blocks == ["full"]
+        assert report.routes == {"full": "dense"}
+        assert report.storage == {"full": 40 ** 2}
         A = materialize_full(J)
         dense_vals, _ = dense_eigs(A)
         nearest = dense_vals[np.argsort(np.abs(dense_vals - 1j), kind="stable")[:2]]
@@ -157,6 +174,115 @@ class TestDenseRoute:
         assert all(w.startswith("dropped pair near ") for w in info.warnings)
 
 
+class TestConjugateMirror:
+    """On real sector blocks harmonic M - m is answered from the conjugate of
+    harmonic m's dense decomposition, and every pair is re-verified on
+    B_{M-m}."""
+
+    @pytest.mark.parametrize("J", [
+        make_rotating_vector_model(7, 30, 0.3),  # n = 60
+        make_ring_advection_diffusion(8, 40, 1.0),  # n = 40
+        make_random_sector_jacobian(6, 90, 0.05, 1),  # n = 90
+    ], ids=["rotvec-odd-M", "ring-even-M", "random-even-M"])
+    def test_mirrored_pairs_match_direct_dense_solve(self, J):
+        cfg = ShiftInvertConfig()
+        report = solve_annulus_spectrum(J, cfg=cfg)
+        mirrored = [m for m in range(J.M) if 2 * m > J.M]
+        assert mirrored and report.warnings == []
+        for m in mirrored:
+            assert report.routes[m] == f"conj({J.M - m})"
+            B = reduced_block(J, m)
+            norm1 = abs(B).sum(axis=0).max()
+            w = np.linalg.eigvals(B.toarray())
+            pairs = [p for p in report.pairs if p.harmonic == m]
+            want = np.unique(np.concatenate(
+                [w[np.argsort(np.abs(w - s), kind="stable")[:2]] for s in cfg.shifts]))
+            got = np.array([p.value for p in pairs])
+            assert len(got) == len(want)
+            assert greedy_match(got, want).max() <= 1e-12 * norm1
+            for p in pairs:
+                direct = np.linalg.norm(B @ p.vector - p.value * p.vector)
+                assert abs(direct - p.residual) <= 1e-14 * norm1
+
+    def test_arnoldi_blocks_solve_their_own_matrix(self, monkeypatch):
+        # n = 160: each harmonic, mirrored or not, factors its own B_m - sigma I
+        J = make_random_sector_jacobian(4, 160, 0.03, 1)
+        built = []
+        monkeypatch.setattr(eig_module, "reduced_block",
+                            lambda J, m: built.append(m) or reduced_block(J, m))
+        cfg = ShiftInvertConfig()
+        report = solve_annulus_spectrum(J, harmonics=[1, 3], cfg=cfg)
+        assert built == [1, 3]
+        assert report.routes == {1: "arnoldi", 3: "arnoldi"}
+        direct = []
+        for sigma in cfg.shifts:
+            direct.extend(shift_invert_eigs(reduced_block(J, 3), sigma, 2, cfg, harmonic=3)[0])
+        direct = deduplicate_pairs(direct)
+        got = [p for p in report.pairs if p.harmonic == 3]
+        assert [(p.value, p.residual, p.shift) for p in got] == [
+            (p.value, p.residual, p.shift) for p in direct]
+
+    def test_lone_mirror_harmonic_builds_only_its_own_block(self, monkeypatch):
+        J = make_rotating_vector_model(8, 30, 0.3)
+        built = []
+        monkeypatch.setattr(eig_module, "reduced_block",
+                            lambda J, m: built.append(m) or reduced_block(J, m))
+        report = solve_annulus_spectrum(J, harmonics=[5])
+        assert built == [5]
+        assert report.routes == {5: "dense"} and report.pairs
+
+    def test_non_convergence_names_the_requested_shift(self, monkeypatch):
+        real_eigs = eig_module.eigs
+
+        def partial_eigs(*args, **kwargs):
+            mu, W = real_eigs(*args, **kwargs)
+            raise ArpackNoConvergence("forced", mu[:1], W[:, :1])
+
+        monkeypatch.setattr(eig_module, "eigs", partial_eigs)
+        J = make_random_sector_jacobian(4, 160, 0.03, 1)
+        report = solve_annulus_spectrum(J, harmonics=[1, 3],
+                                        cfg=ShiftInvertConfig(shifts=(1j,)))
+        assert report.warnings == [
+            f"harmonic {m}: shift 1j: only 1/2 eigenvalues converged after "
+            f"{eig_module.MAX_RESTARTS} restarts" for m in (1, 3)]
+        assert {p.shift for p in report.pairs} == {1j}
+
+    def test_mirrored_pairs_verified_on_their_own_block(self, monkeypatch):
+        J = make_rotating_vector_model(7, 30, 0.3)
+        applied = []
+        real_spmv = eig_module.spmv
+        monkeypatch.setattr(eig_module, "spmv",
+                            lambda A, x: applied.append(A.toarray()) or real_spmv(A, x))
+        report = solve_annulus_spectrum(J, harmonics=[2, 5])
+        assert report.routes == {2: "dense", 5: "conj(2)"}
+        # 3 shifts, k = 2: every candidate of B_2, then of B_5, is applied
+        # to its own block once
+        assert len(applied) == report.raw_count == 12
+        for m, group in ((2, applied[:6]), (5, applied[6:])):
+            B = reduced_block(J, m).toarray()
+            assert all(np.array_equal(A, B) for A in group)
+
+    def test_complex_blocks_take_no_mirror(self, tmp_path):
+        J = make_rotating_vector_model(6, 30, 0.3)
+        d_next = J.d_next.copy()
+        d_next.data[:3] += 0.05j
+        save_sector_jacobian(SectorJacobian(J.d_self, d_next, J.d_prev, J.rotation),
+                             tmp_path / "complex")
+        J = load_sector_jacobian(tmp_path / "complex")
+        assert not J.is_real
+        cfg = ShiftInvertConfig()
+        report = solve_annulus_spectrum(J, cfg=cfg)
+        assert report.routes == {m: "dense" for m in range(6)}
+        assert report.warnings == []
+        for m in range(6):
+            B = reduced_block(J, m)
+            w = np.linalg.eigvals(B.toarray())
+            want = np.unique(np.concatenate(
+                [w[np.argsort(np.abs(w - s), kind="stable")[:2]] for s in cfg.shifts]))
+            got = np.array([p.value for p in report.pairs if p.harmonic == m])
+            assert greedy_match(got, want).max() <= 1e-12 * abs(B).sum(axis=0).max()
+
+
 @pytest.fixture
 def splu_specs(monkeypatch):
     """The permc_spec of every splu call made through sectoreig.sparsecore."""
@@ -176,11 +302,12 @@ class TestMinimumDegreeOrder:
     fills less than SuperLU's default COLAMD on the harmonic blocks."""
 
     def test_every_factorization_uses_minimum_degree(self, splu_specs):
-        report = solve_annulus_spectrum(make_random_sector_jacobian(4, 60, 0.08, 3))
+        # n = 200 is above DENSE_ROUTE_MAX_DIM, so every block is factored
+        report = solve_annulus_spectrum(make_random_sector_jacobian(4, 200, 0.02, 0))
         assert report.pairs and report.warnings == []
         assert len(splu_specs) > 1 and set(splu_specs) == {"MMD_AT_PLUS_A"}
         splu_specs.clear()
-        solve_full_annulus(make_ring_advection_diffusion(4, 6, 1.0),
+        solve_full_annulus(make_ring_advection_diffusion(4, 40, 1.0),
                            cfg=ShiftInvertConfig(shifts=(1j,)))
         assert splu_specs == ["MMD_AT_PLUS_A"]
 
@@ -203,8 +330,9 @@ class TestMinimumDegreeOrder:
         cfg = ShiftInvertConfig()
         report = solve_annulus_spectrum(J, cfg=cfg)
         eye = sp.identity(J.N, dtype=np.complex128, format="csc")
-        assert report.peak_factor_nnz > 0
-        for m, nnz in report.factor_nnz.items():
+        assert set(report.routes.values()) == {"arnoldi"}
+        assert report.peak_storage > 0
+        for m, nnz in report.storage.items():
             B = reduced_block(J, m)
             for sigma in cfg.shifts:
                 lu = splu((B - sigma * eye).tocsc(), permc_spec="COLAMD")
@@ -221,7 +349,8 @@ class TestScaleInvariantAcceptance:
         tol = 1e-12 * np.max(np.abs(exact))
         cfg = ShiftInvertConfig()
         report = solve_annulus_spectrum(J, cfg=cfg)
-        assert report.warnings == [] and report.dense_blocks == []
+        assert report.warnings == []
+        assert report.routes == {m: "arnoldi" for m in range(M)}
         for m in range(M):
             got = np.array([p.value for p in report.pairs if p.harmonic == m])
             ref = exact[m::M]
@@ -369,7 +498,7 @@ class TestAnnulusSolvers:
         assert report.M == 4 and report.N == 4
         assert report.raw_count >= len(report.pairs)
         assert set(report.wall_times) == {0, 1, 2, 3}
-        assert report.peak_factor_nnz > 0
+        assert report.peak_storage > 0
 
 
 class TestConfigValidation:

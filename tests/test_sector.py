@@ -3,7 +3,11 @@ import pytest
 
 from sectoreig.circulant import lift_block_eigenvector
 from sectoreig.eig import greedy_match
-from sectoreig.models import make_rotating_vector_model
+from sectoreig.models import (
+    make_random_sector_jacobian,
+    make_ring_advection_diffusion,
+    make_rotating_vector_model,
+)
 from sectoreig.sector import (
     DofLayout,
     RotationSpec,
@@ -213,6 +217,30 @@ class TestLiftToAnnulus:
             vals_m = np.linalg.eigvals(reduced_block(J, m).toarray())
             vals_conj = np.linalg.eigvals(reduced_block(J, 7 - m).toarray())
             assert greedy_match(vals_m.conjugate(), vals_conj).max() <= 1e-9
+
+
+class TestConjugateHarmonic:
+    """Real sector blocks give B_{M-m} = conj(B_m) bit for bit, which lets
+    the solver answer harmonic M - m from harmonic m's block."""
+
+    @pytest.mark.parametrize("M", [7, 8])
+    @pytest.mark.parametrize("model", ["ring", "rotvec", "random"])
+    def test_mirror_block_is_bitwise_conjugate(self, model, M):
+        J = {"ring": lambda: make_ring_advection_diffusion(M, 5, 0.7),
+             "rotvec": lambda: make_rotating_vector_model(M, 4, 0.35),
+             "random": lambda: make_random_sector_jacobian(M, 9, 0.4, seed=M)}[model]()
+        assert J.is_real
+        for m in range(1, M):
+            a, b = reduced_block(J, m), reduced_block(J, M - m)
+            assert np.array_equal(a.indptr, b.indptr)
+            assert np.array_equal(a.indices, b.indices)
+            assert np.array_equal(b.data, a.data.conj())
+
+    def test_one_complex_block_is_not_real(self):
+        J = make_rotating_vector_model(5, 3, 0.3)
+        d_next = J.d_next.copy()
+        d_next.data[0] += 1e-3j
+        assert not SectorJacobian(J.d_self, d_next, J.d_prev, J.rotation).is_real
 
 
 class TestNodalDiameter:
