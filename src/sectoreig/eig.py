@@ -6,24 +6,29 @@ back via lambda = sigma + 1/mu.  The inner iteration is ARPACK through
 scipy.
 
 Each block's route is chosen once, from its dimension n, before any LU:
-a block with MIN_SUBSPACE_DIM < n <= DENSE_ROUTE_MAX_DIM is decomposed
-densely, and that one decomposition answers every shift.  Other blocks
-go to Arnoldi; on one with n <= DENSE_EIG_BUDGET, Arnoldi may apply the
-inverse n + 1 times, the cost of one pass over the whole space, and when
-that runs out (or k > n - 2) the block is decomposed densely after all.
+a block with MIN_SUBSPACE_DIM < n <= DENSE_ROUTE_MAX_DIM takes the dense
+route, where all n eigenvalues are computed once and answer every shift.
+Other blocks go to Arnoldi; on one with n <= DENSE_EIG_BUDGET, Arnoldi may
+apply the inverse n + 1 times, the cost of one pass over the whole space,
+and when that runs out (or k > n - 2) the block takes the dense route
+after all.  The dense route computes eigenvalues only; each chosen
+eigenvalue gets its vector from one step of inverse iteration, a single
+dense solve, which from a backward-stable eigenvalue leaves a residual
+near eps ||B||.
 
 When all three sector blocks are real, B_{M-m} = conj(B_m) bit for bit,
-so once harmonic m's block is decomposed densely, the conjugate of that
-decomposition answers harmonic M - m.  Blocks on the Arnoldi route solve
-their own matrix, since the LU of B_m - conj(sigma) I would only replace
-that of B_{M-m} - sigma I one for one.  Pairs from every route are
-re-verified by a direct sparse residual on their own block and accepted on
-their normwise backward error, so nothing is trusted from the inner
-iteration or the mirror alone.
+so once harmonic m's eigenvalues are computed densely, their conjugates
+are harmonic M - m's; its vectors are solved on B_{M-m} itself.  Blocks
+on the Arnoldi route solve their own matrix, since the LU of
+B_m - conj(sigma) I would only replace that of B_{M-m} - sigma I one for
+one.  Pairs from every route are re-verified by a direct sparse residual
+on their own block and accepted on their normwise backward error, so
+nothing is trusted from the inner iteration or the mirror alone.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -46,14 +51,15 @@ DENSE_EIG_BUDGET = 4_000
 # Largest block sent straight to the dense route: the largest block of a
 # perfbench workload that gains from it (rotvec-clustered, n = 100, whose
 # clustered spectrum spends the Arnoldi budget and ends dense anyway).
-# Measured on 2 cores, BLAS at 1 thread, 3 shifts and k = 2 (medians of 5),
-# one dense decomposition with its three answers against three Arnoldi
-# solves: random blocks 19 against 30 ms at n = 100, 56 against 40 ms at
-# n = 200; ring blocks 3.6 against 7.7 ms at n = 50, but 24 against 6 ms at
-# n = 100.  No workload has a block between 100 and 800, so the crossover
-# in that range is not pinned.  Blocks with n <= MIN_SUBSPACE_DIM stay on
-# Arnoldi, whose subspace is then the whole block: perfbench's tracer test
-# counts one LU factorization per (harmonic, shift) on such a block.
+# Measured on 2 cores, BLAS at 1 thread, 3 shifts and k = 2 (medians of 21),
+# the dense route (all eigenvalues, then one solve per chosen vector)
+# against three Arnoldi solves: random blocks 10-12 against 20-26 ms at
+# n = 100, 49-52 against 44-46 ms at n = 200; ring blocks 2.2 against
+# 6.4-7.0 ms at n = 50, but 14 against 7 ms at n = 100.  No workload has a
+# block between 100 and 800, so the crossover in that range is not pinned.
+# Blocks with n <= MIN_SUBSPACE_DIM stay on Arnoldi, whose subspace is then
+# the whole block: perfbench's tracer test counts one LU factorization per
+# (harmonic, shift) on such a block.
 DENSE_ROUTE_MAX_DIM = 100
 # Largest full dimension M*N the sparse whole-annulus solve will assemble.
 SPARSE_SOLVE_BUDGET = 200_000
@@ -147,18 +153,25 @@ class SpectrumReport:
         return np.array([p.value for p in self.pairs])
 
 
+@functools.cache
 def _start_vector(n: int) -> np.ndarray:
+    """Unit start vector of length n, shared (read-only) by ARPACK's v0 and
+    the inverse-iteration step."""
     rng = np.random.default_rng(_START_VECTOR_SEED)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return v / np.linalg.norm(v)
+    v /= np.linalg.norm(v)
+    v.flags.writeable = False
+    return v
 
 
 class Block:
     """One square operator solved at several shifts.
 
     Holds the canonical CSR matrix, its 1-norm (the scale of the acceptance
-    test) and, once computed, its dense eigendecomposition, which then
-    answers every later shift with no LU factorization and no Arnoldi.
+    test) and, on the dense route, all its eigenvalues, which then answer
+    every later shift with no LU factorization and no Arnoldi.  The vector
+    of a chosen eigenvalue is solved on demand and kept until
+    :meth:`release`, so a pair chosen by several shifts is solved once.
     """
 
     def __init__(self, A):
@@ -169,12 +182,38 @@ class Block:
         # ||B||_1, the largest column sum of |b_ij|
         self.norm1 = float(np.bincount(self.matrix.indices, np.abs(self.matrix.data),
                                        minlength=self.n).max(initial=0.0))
-        self.dense = None
+        self.values = None
+        self._vectors = {}
 
     def decompose(self) -> None:
-        """Store (values, vectors) of the dense eigendecomposition, once."""
-        if self.dense is None:
-            self.dense = np.linalg.eig(self.matrix.toarray())
+        """Store every eigenvalue of the dense block, once."""
+        if self.values is None:
+            self.values = np.linalg.eigvals(self.matrix.toarray())
+
+    def vector(self, i: int) -> np.ndarray:
+        """Eigenvector of values[i] by one step of inverse iteration: the
+        solution of (B - values[i] I) x = v0.  An exactly singular
+        B - values[i] I is retried once with the eigenvalue moved by
+        eps * (1 + ||B||_1)."""
+        if i not in self._vectors:
+            shifted = self.matrix.toarray()
+            diagonal = np.diag_indices(self.n)
+            shifted[diagonal] -= self.values[i]
+            # v0 times a power of two within a factor 2 of ||B||_1, an exact
+            # scaling: ||x|| is then near 1/eps whatever the scale of B, so
+            # on a tiny block x neither overflows nor overflows its norm
+            rhs = _start_vector(self.n) * math.ldexp(1.0, math.frexp(self.norm1)[1])
+            try:
+                x = np.linalg.solve(shifted, rhs)
+            except np.linalg.LinAlgError:
+                shifted[diagonal] -= np.finfo(float).eps * (1.0 + self.norm1)
+                x = np.linalg.solve(shifted, rhs)
+            self._vectors[i] = x
+        return self._vectors[i]
+
+    def release(self) -> None:
+        """Drop the solved vectors; keep the values."""
+        self._vectors = {}
 
 
 class _BudgetSpent(Exception):
@@ -186,7 +225,8 @@ def _arnoldi(block: Block, sigma: complex, k: int, info: SolveInfo):
 
     On a block within DENSE_EIG_BUDGET, Arnoldi may apply the inverse at
     most n + 1 times, the cost of one pass over the whole space.  Past that
-    the block is decomposed densely and no candidates are returned.
+    the block's eigenvalues are computed densely and no candidates are
+    returned.
     """
     n = block.n
     eye = sp.identity(n, dtype=np.complex128, format="csr")
@@ -231,7 +271,7 @@ def _accept(block: Block, lam: complex, v: np.ndarray, sigma: complex, harmonic,
     v = v / np.linalg.norm(v)
     res = float(np.linalg.norm(spmv(block.matrix, v) - lam * v))
     scale = block.norm1 + abs(lam)
-    if res > cfg.tol * scale:
+    if not res <= cfg.tol * scale:  # a NaN residual is dropped too
         info.warnings.append(
             f"dropped pair near {lam:.6g}: re-verified residual {res:.3e}, "
             f"backward error {res / scale:.3e} > {cfg.tol:.1e}"
@@ -245,10 +285,11 @@ def shift_invert_eigs(A, sigma: complex, k: int, cfg: ShiftInvertConfig,
     """Up to k eigenpairs of A nearest sigma, ordered by |lambda - sigma|.
 
     A is a sparse matrix or a :class:`Block`; passing the same Block for
-    every shift lets one dense decomposition answer all of them.  The dense
-    route is taken when the block is already decomposed, when k > n - 2
-    (too small for ARPACK) or when Arnoldi spends its budget of n + 1
-    inverse applications; it needs no LU.
+    every shift lets one dense eigenvalue computation answer all of them.
+    The dense route is taken when the block's eigenvalues are already
+    known, when k > n - 2 (too small for ARPACK) or when Arnoldi spends its
+    budget of n + 1 inverse applications; it needs no sparse LU, and each
+    chosen eigenvalue's vector costs one dense solve.
 
     Returns (pairs, info).  A singular (A - sigma I) is retried once with
     sigma perturbed by 1e-8 * (1 + |sigma|) and the perturbation flagged;
@@ -263,14 +304,14 @@ def shift_invert_eigs(A, sigma: complex, k: int, cfg: ShiftInvertConfig,
     sigma = complex(sigma)
     info = SolveInfo()
 
-    if block.dense is None and k > n - 2:
+    if block.values is None and k > n - 2:
         block.decompose()
-    if block.dense is None:
+    if block.values is None:
         candidates = _arnoldi(block, sigma, k, info)
-    if block.dense is not None:
-        w, V = block.dense
+    if block.values is not None:
+        w = block.values
         order = np.argsort(np.abs(w - sigma), kind="stable")[:k]
-        candidates = [(w[i], V[:, i]) for i in order]
+        candidates = [(w[i], block.vector(i)) for i in order]
 
     pairs = [p for lam, v in candidates
              if (p := _accept(block, lam, v, sigma, harmonic, cfg, info)) is not None]
@@ -328,8 +369,9 @@ def _solve_block(block: Block, cfg: ShiftInvertConfig, report: SpectrumReport,
     """Solve one block at every configured shift, fold the bookkeeping into
     report (keyed by harmonic, or "full"), and return its deduplicated pairs.
 
-    The block is decomposed up front when its dimension puts it on the
-    dense route.
+    The block's eigenvalues are computed up front when its dimension puts
+    it on the dense route.  Its solved vectors are released on return; its
+    eigenvalues stay for a mirrored harmonic.
     """
     harmonic = None if key == "full" else key
     prefix = "" if harmonic is None else f"harmonic {harmonic}: "
@@ -345,7 +387,8 @@ def _solve_block(block: Block, cfg: ShiftInvertConfig, report: SpectrumReport,
         report.warnings.extend(prefix + w for w in info.warnings)
         if info.perturbed_shift is not None:
             report.perturbed_shifts.append((key, sigma, info.perturbed_shift))
-    dense = block.dense is not None
+    block.release()
+    dense = block.values is not None
     report.storage[key] = max(storage, block.n ** 2 if dense else 0)
     # a mirrored block's route, conj(c), is already set by its caller
     report.routes.setdefault(key, "dense" if dense else "arnoldi")
@@ -360,11 +403,11 @@ def solve_annulus_spectrum(J: SectorJacobian, harmonics=None,
     Each distinct harmonic m is solved on its own block, divided by
     cfg.scale, near every configured shift; duplicates across shifts are
     merged per harmonic.  When the sector blocks are real, harmonics c and
-    M - c are solved one after the other, and a dense decomposition of B_c,
-    conjugated, answers B_{M-c} (route "conj(c)"); at most one dense
-    decomposition is held at a time.  Failures in one harmonic are recorded
-    as warnings without aborting the others.  Pairs come out in ascending
-    harmonic order.
+    M - c are solved one after the other, and the dense eigenvalues of B_c,
+    conjugated, are those of B_{M-c} (route "conj(c)"), whose vectors are
+    solved on B_{M-c}; at most one block's eigenvalues are held at a time.
+    Failures in one harmonic are recorded as warnings without aborting the
+    others.  Pairs come out in ascending harmonic order.
     """
     cfg = cfg or ShiftInvertConfig()
     if harmonics is None:
@@ -380,9 +423,9 @@ def solve_annulus_spectrum(J: SectorJacobian, harmonics=None,
             t0 = time.perf_counter()
             try:
                 block = Block(reduced_block(J, m) * (1.0 / cfg.scale))
-                if source is not None and source.dense is not None:
-                    # B_m = conj(B_c): conjugate c's decomposition, then drop it
-                    block.dense = tuple(x.conj() for x in source.dense)
+                if source is not None and source.values is not None:
+                    # B_m = conj(B_c): conjugate c's eigenvalues, then drop them
+                    block.values = source.values.conj()
                     report.routes[m] = f"conj({c})"
                     source = None
                 report.pairs.extend(_solve_block(block, cfg, report, m))

@@ -11,7 +11,7 @@ import sectoreig.eig as eig_module
 import sectoreig.sector as sector_module
 from sectoreig.cli import main, parse_shift
 from sectoreig.circulant import circulant_eigenvalues
-from sectoreig.eig import ShiftInvertConfig, greedy_match
+from sectoreig.eig import ShiftInvertConfig, dense_eigs, greedy_match
 from sectoreig.models import ring_first_row
 
 DATA = Path(__file__).parent / "data"
@@ -160,8 +160,10 @@ class TestEig:
         # harmonics 12..21 are mirrored from 10..1, so the CSV matches the
         # recording exactly.  Another route or mirror moves the last digits
         # of lambda and the residual, and with them which shift's duplicate
-        # survives deduplication.  Every row is also checked against the
-        # analytic circulant spectrum.
+        # survives deduplication.  Every lambda is bitwise one that the full
+        # dense eigendecomposition of its source block gives (conjugated on
+        # a mirrored harmonic), as when the dense route also computed every
+        # vector, and is checked against the analytic circulant spectrum.
         model = tmp_path / "ring22"
         assert main(["gen", "ring", "--sectors", "22", "--points", "40",
                      "--peclet", "1", "--out", str(model)]) == 0
@@ -174,9 +176,11 @@ class TestEig:
         exact = circulant_eigenvalues(ring_first_row(22, 40, 1.0))
         _, rows = read_csv(golden)
         assert len(rows) == 44
+        full = {c: dense_eigs(sector_module.reduced_block(J, c))[0] for c in range(12)}
         for r in rows:
             m = int(r["harmonic"])
             lam = complex(float(r["lambda_re"]), float(r["lambda_im"]))
+            assert lam in set(full[m] if m <= 11 else full[22 - m].conj())
             norm1 = abs(sector_module.reduced_block(J, m)).sum(axis=0).max()
             assert np.abs(exact[m::22] - lam).min() <= 1e-14 * norm1
         lines = open(str(out) + ".summary.txt").read().splitlines()
@@ -220,7 +224,8 @@ class TestEig:
         _, rows_paired = read_csv(paired)
         assert rows_alone and {r["harmonic"] for r in rows_paired} == {"3", "5"}
         assert rows_alone == [r for r in rows_paired if r["harmonic"] == "5"]
-        # alone, harmonic 5 is decomposed itself; paired, it is mirrored from 3
+        # alone, harmonic 5 computes its own eigenvalues; paired, they are
+        # mirrored from 3
         assert "route[5] = dense" in summary_without_timings(alone)
         assert "route[5] = conj(3)" in summary_without_timings(paired)
 

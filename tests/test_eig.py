@@ -114,38 +114,72 @@ class TestDenseRoute:
             assert greedy_match(got, want).max() <= 1e-12 * block.norm1
 
     def test_one_decomposition_and_one_lu_per_harmonic(self, monkeypatch):
-        calls = {"eig": 0, "lu": 0}
-        real_eig = np.linalg.eig
+        J = make_rotating_vector_model(8, 50, 0.3)
+        cfg = ShiftInvertConfig()
+        chosen = 0
+        for m in range(8):
+            w = np.linalg.eigvals(reduced_block(J, m).toarray())
+            chosen += len({i for s in cfg.shifts
+                           for i in np.argsort(np.abs(w - s), kind="stable")[:2]})
+        calls = {"eigvals": 0, "solve": 0, "lu": 0}
+        real_eigvals, real_solve = np.linalg.eigvals, np.linalg.solve
 
-        def counting_eig(a):
-            calls["eig"] += 1
-            return real_eig(a)
+        def counting_eigvals(a):
+            calls["eigvals"] += 1
+            return real_eigvals(a)
+
+        def counting_solve(a, b):
+            calls["solve"] += 1
+            return real_solve(a, b)
 
         class CountingLU(SparseLU):
             def __init__(self, *args, **kwargs):
                 calls["lu"] += 1
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eig", counting_eig)
+        monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
         monkeypatch.setattr(eig_module, "SparseLU", CountingLU)
-        report = solve_annulus_spectrum(make_rotating_vector_model(8, 50, 0.3))
+        report = solve_annulus_spectrum(J, cfg=cfg)
         # n = 100 takes the dense route before any LU, and harmonics 5, 6
-        # and 7 are mirrored from 3, 2 and 1: one decomposition per pair
+        # and 7 are mirrored from 3, 2 and 1: one eigenvalue computation per
+        # pair, and one dense solve per distinct chosen eigenvalue
         assert report.routes == {0: "dense", 1: "dense", 2: "dense", 3: "dense",
                                  4: "dense", 5: "conj(3)", 6: "conj(2)", 7: "conj(1)"}
-        assert calls == {"eig": 5, "lu": 0}
+        assert calls["eigvals"] == 5 and calls["lu"] == 0
+        assert 0 < calls["solve"] <= chosen
         assert report.storage == {m: 100 ** 2 for m in range(8)}
         assert report.warnings == []
 
     def test_converging_block_above_dense_route_never_decomposes(self, monkeypatch):
         calls = []
-        real_eig = np.linalg.eig
-        monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or real_eig(a))
+        real_eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda a: calls.append(a.shape) or real_eigvals(a))
         J = make_ring_advection_diffusion(4, eig_module.DENSE_ROUTE_MAX_DIM + 1, 1.0)
         report = solve_annulus_spectrum(J)
         assert calls == []
         assert report.routes == {m: "arnoldi" for m in range(4)}
         assert report.pairs and report.warnings == []
+
+    def test_solve_path_never_computes_every_vector(self, monkeypatch):
+        def refuse(a):
+            raise AssertionError("np.linalg.eig called on the solve path")
+
+        monkeypatch.setattr(np.linalg, "eig", refuse)
+        # dense route with mirrors, the Arnoldi budget fallback, k > n - 2,
+        # and the whole annulus falling back to dense
+        report = solve_annulus_spectrum(make_rotating_vector_model(8, 30, 0.3))
+        assert "conj(3)" in report.routes.values() and report.pairs
+        report = solve_annulus_spectrum(make_rotating_vector_model(4, 80, 0.3),
+                                        harmonics=[1])
+        assert report.routes == {1: "dense"} and report.pairs
+        pairs, _ = shift_invert_eigs(canonical_csr(np.diag([1.0, 5.0])), 0.9, 2,
+                                     ShiftInvertConfig())
+        assert len(pairs) == 2
+        report = solve_full_annulus(make_rotating_vector_model(4, 5, 0.3))
+        assert report.routes == {"full": "dense"} and report.pairs
+        assert report.warnings == []
 
     def test_whole_annulus_block_recorded_as_full(self):
         J = make_rotating_vector_model(4, 5, 0.3)
@@ -174,10 +208,93 @@ class TestDenseRoute:
         assert all(w.startswith("dropped pair near ") for w in info.warnings)
 
 
+class TestInverseIterationVectors:
+    """Each chosen eigenvalue's vector comes from one dense solve with
+    B - lambda I; it must be as good as a full decomposition's."""
+
+    def test_exactly_singular_solve_is_retried(self, monkeypatch):
+        # with empty neighbour blocks every B_m is diagonal, so
+        # B - lambda I has an exactly zero pivot for each computed lambda
+        from sectoreig.sector import DofLayout, RotationSpec
+        d = np.arange(1.0, 31.0) * -0.5
+        J = SectorJacobian(canonical_csr(np.diag(d)), zeros_csr(30), zeros_csr(30),
+                           RotationSpec(4, DofLayout(30, 1)))
+        outcomes = []
+        real_solve = np.linalg.solve
+
+        def recording_solve(a, b):
+            try:
+                x = real_solve(a, b)
+            except np.linalg.LinAlgError:
+                outcomes.append("singular")
+                raise
+            outcomes.append("solved")
+            return x
+
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        report = solve_annulus_spectrum(J)
+        # -0.5 and -1.0 are nearest every shift: one retried solve each, on
+        # harmonics 0, 1, 2 and 3 (mirrored from 1)
+        assert report.routes == {0: "dense", 1: "dense", 2: "dense", 3: "conj(1)"}
+        assert outcomes == ["singular", "solved"] * 8
+        assert report.warnings == [] and report.raw_count == 24
+        assert len(report.pairs) == 8
+        for p in report.pairs:
+            assert p.value in (-0.5, -1.0)
+            assert p.residual / (15.0 + abs(p.value)) <= 1e-12
+
+    @pytest.mark.parametrize("exponent", [0, -500])
+    def test_unit_vectors_at_any_scale(self, exponent):
+        # B = 2**exponent * A is an exact scaling.  At 2**-500 (about 3e-151),
+        # an unscaled solve would give ||x|| near 1e166, whose norm
+        # overflows: the pair would be accepted with a zero vector.
+        A = np.random.default_rng(36).standard_normal((30, 30))
+        B = canonical_csr(np.ldexp(A, exponent))
+        pairs, info = shift_invert_eigs(B, 0.0, 29, ShiftInvertConfig())
+        assert len(pairs) == 29 and info.warnings == []
+        norm1 = abs(A).sum(axis=0).max()
+        for p in pairs:
+            lam = complex(np.ldexp(p.value.real, -exponent), np.ldexp(p.value.imag, -exponent))
+            assert abs(np.linalg.norm(p.vector) - 1.0) <= 1e-14
+            residual = np.linalg.norm(A @ p.vector - lam * p.vector)
+            assert residual / (norm1 + abs(lam)) <= 1e-12
+
+    def test_no_nan_pair_accepted_near_underflow(self):
+        # at 2**-980 (about 1e-295) pivots of B - lambda I are subnormal and
+        # some solves return NaN: those pairs are dropped, not accepted
+        A = np.random.default_rng(36).standard_normal((30, 30))
+        with np.errstate(all="ignore"):
+            pairs, info = shift_invert_eigs(canonical_csr(np.ldexp(A, -980)), 0.0, 29,
+                                            ShiftInvertConfig())
+        assert len(pairs) + len(info.warnings) == 29
+        assert all(np.isfinite(p.residual) and np.isfinite(p.vector).all() for p in pairs)
+
+    @pytest.mark.parametrize("J", [
+        make_rotating_vector_model(8, 50, 0.3),
+        make_rotating_vector_model(8, 50, 1e-3),
+        make_ring_advection_diffusion(22, 40, 1.0),
+        make_random_sector_jacobian(4, 60, 0.08, 3),
+    ], ids=["rotvec-0.3", "rotvec-1e-3", "ring", "random"])
+    def test_backward_error_near_machine_precision(self, J):
+        report = solve_annulus_spectrum(J)
+        assert report.warnings == [] and report.pairs
+        assert all(r == "dense" or r.startswith("conj(") for r in report.routes.values())
+        for p in report.pairs:
+            B = reduced_block(J, p.harmonic)
+            norm1 = abs(B).sum(axis=0).max()
+            residual = np.linalg.norm(B @ p.vector - p.value * p.vector)
+            assert residual / (norm1 + abs(p.value)) <= 1e-12
+
+    def test_start_vector_built_once_per_dimension(self):
+        v = eig_module._start_vector(37)
+        assert eig_module._start_vector(37) is v
+        assert not v.flags.writeable
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-15
+
+
 class TestConjugateMirror:
-    """On real sector blocks harmonic M - m is answered from the conjugate of
-    harmonic m's dense decomposition, and every pair is re-verified on
-    B_{M-m}."""
+    """On real sector blocks harmonic M - m takes the conjugates of harmonic
+    m's dense eigenvalues, and every pair is re-verified on B_{M-m}."""
 
     @pytest.mark.parametrize("J", [
         make_rotating_vector_model(7, 30, 0.3),  # n = 60
@@ -200,9 +317,14 @@ class TestConjugateMirror:
             got = np.array([p.value for p in pairs])
             assert len(got) == len(want)
             assert greedy_match(got, want).max() <= 1e-12 * norm1
+            # the values are the source's, conjugated bit for bit; the
+            # vectors are solved on B_m itself
+            source = np.linalg.eigvals(reduced_block(J, J.M - m).toarray()).conj()
             for p in pairs:
+                assert p.value in set(source)
                 direct = np.linalg.norm(B @ p.vector - p.value * p.vector)
                 assert abs(direct - p.residual) <= 1e-14 * norm1
+                assert direct / (norm1 + abs(p.value)) <= 1e-12
 
     def test_arnoldi_blocks_solve_their_own_matrix(self, monkeypatch):
         # n = 160: each harmonic, mirrored or not, factors its own B_m - sigma I
