@@ -32,11 +32,11 @@ from .models import (
     make_rotating_vector_model,
 )
 from .sector import (
+    dense_block,
     lift_to_annulus,
     load_sector_jacobian,
     materialize_full,
     nodal_diameter,
-    reduced_block,
     save_sector_jacobian,
     without_rotation,
 )
@@ -180,7 +180,7 @@ def cmd_verify(args) -> int:
     reduced_vals = []
     max_lift_residual = 0.0
     for m in range(J.M):
-        w, V = dense_eigs(reduced_block(reduced_source, m).toarray())
+        w, V = dense_eigs(dense_block(reduced_source, m))
         reduced_vals.extend(w)
         if not args.no_rotation:
             lifted = lift_to_annulus(V, m, J)

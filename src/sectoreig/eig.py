@@ -7,27 +7,27 @@ scipy.
 
 Each block's route is chosen once, from its dimension n, before any LU:
 a block with MIN_SUBSPACE_DIM < n <= DENSE_ROUTE_MAX_DIM takes the dense
-route, where all n eigenvalues are computed once and answer every shift.
-Other blocks go to Arnoldi; on one with n <= DENSE_EIG_BUDGET, Arnoldi may
-apply the inverse n + 1 times, the cost of one pass over the whole space,
-and when that runs out (or k > n - 2) the block takes the dense route
-after all.  The dense route computes eigenvalues only; each chosen
-eigenvalue gets its vector from one step of inverse iteration, a single
-dense solve, which from a backward-stable eigenvalue leaves a residual
-near eps ||B||.
+route, assembled as an array (sector.dense_block).  Other blocks go to
+Arnoldi; on one with n <= DENSE_EIG_BUDGET, Arnoldi may apply the inverse
+n + 1 times, one pass over the whole space, and when that runs out (or
+k > n - 2) the block takes the dense route after all.  The dense route
+computes all eigenvalues once and answers the remaining shifts in one
+pass: each distinct eigenvalue chosen by any of them gets its vector from
+one step of inverse iteration, a single dense solve, which from a
+backward-stable eigenvalue leaves a residual near eps ||B||.
 
-When all three sector blocks are real, B_{M-m} = conj(B_m) bit for bit,
-so once harmonic m's eigenvalues are computed densely, their conjugates
-are harmonic M - m's; its vectors are solved on B_{M-m} itself.  Blocks
-on the Arnoldi route solve their own matrix, since the LU of
-B_m - conj(sigma) I would only replace that of B_{M-m} - sigma I one for
-one.  Pairs from every route are re-verified by a direct sparse residual
-on their own block and accepted on their normwise backward error, so
-nothing is trusted from the inner iteration or the mirror alone.
+On real sector blocks, harmonic M - m takes conj(B_m) and the conjugates
+of harmonic m's dense eigenvalues.  Blocks on the Arnoldi route solve
+their own matrix, since the LU of B_m - conj(sigma) I would only replace
+that of B_{M-m} - sigma I one for one.  Pairs from every route are
+re-verified by a direct sparse residual on their own block and accepted
+on their normwise backward error, so nothing is trusted from the inner
+iteration or the mirror alone.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import time
@@ -37,7 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
-from .sector import SectorJacobian, materialize_full, reduced_block
+from .sector import SectorJacobian, dense_block, materialize_full, reduced_block
 from .sparsecore import (
     BudgetExceededError,
     SingularMatrixError,
@@ -167,15 +167,24 @@ def _start_vector(n: int) -> np.ndarray:
 class Block:
     """One square operator solved at several shifts.
 
-    Holds the canonical CSR matrix, its 1-norm (the scale of the acceptance
-    test) and, on the dense route, all its eigenvalues, which then answer
-    every later shift with no LU factorization and no Arnoldi.  The vector
-    of a chosen eigenvalue is solved on demand and kept until
-    :meth:`release`, so a pair chosen by several shifts is solved once.
+    Holds the CSR matrix (canonicalized, unless A is an array the dense
+    route assembled), its 1-norm (the scale of the acceptance test) and,
+    on the dense route, the dense matrix and all its eigenvalues, which
+    answer every remaining shift with no LU factorization and no Arnoldi.
     """
 
     def __init__(self, A):
-        self.matrix = canonical_csr(A)
+        if isinstance(A, np.ndarray):
+            self.dense = np.asarray(A, dtype=np.complex128)
+            # the CSR sp.csr_matrix would build, read off without its COO pass
+            rows, cols = self.dense.shape
+            at = np.flatnonzero(self.dense)
+            indptr = np.concatenate(([0], np.cumsum(np.bincount(at // cols, minlength=rows))))
+            self.matrix = sp.csr_matrix((self.dense.ravel()[at], at % cols, indptr),
+                                        shape=(rows, cols))
+        else:
+            self.dense = None
+            self.matrix = canonical_csr(A)
         if self.matrix.shape[0] != self.matrix.shape[1]:
             raise ValueError(f"matrix must be square, got {self.matrix.shape}")
         self.n = self.matrix.shape[0]
@@ -183,37 +192,12 @@ class Block:
         self.norm1 = float(np.bincount(self.matrix.indices, np.abs(self.matrix.data),
                                        minlength=self.n).max(initial=0.0))
         self.values = None
-        self._vectors = {}
 
     def decompose(self) -> None:
-        """Store every eigenvalue of the dense block, once."""
+        """Store the dense matrix and all its eigenvalues, once."""
         if self.values is None:
-            self.values = np.linalg.eigvals(self.matrix.toarray())
-
-    def vector(self, i: int) -> np.ndarray:
-        """Eigenvector of values[i] by one step of inverse iteration: the
-        solution of (B - values[i] I) x = v0.  An exactly singular
-        B - values[i] I is retried once with the eigenvalue moved by
-        eps * (1 + ||B||_1)."""
-        if i not in self._vectors:
-            shifted = self.matrix.toarray()
-            diagonal = np.diag_indices(self.n)
-            shifted[diagonal] -= self.values[i]
-            # v0 times a power of two within a factor 2 of ||B||_1, an exact
-            # scaling: ||x|| is then near 1/eps whatever the scale of B, so
-            # on a tiny block x neither overflows nor overflows its norm
-            rhs = _start_vector(self.n) * math.ldexp(1.0, math.frexp(self.norm1)[1])
-            try:
-                x = np.linalg.solve(shifted, rhs)
-            except np.linalg.LinAlgError:
-                shifted[diagonal] -= np.finfo(float).eps * (1.0 + self.norm1)
-                x = np.linalg.solve(shifted, rhs)
-            self._vectors[i] = x
-        return self._vectors[i]
-
-    def release(self) -> None:
-        """Drop the solved vectors; keep the values."""
-        self._vectors = {}
+            self.dense = self.matrix.toarray() if self.dense is None else self.dense
+            self.values = np.linalg.eigvals(self.dense)
 
 
 class _BudgetSpent(Exception):
@@ -263,21 +247,63 @@ def _arnoldi(block: Block, sigma: complex, k: int, info: SolveInfo):
     return [(sigma_used + 1.0 / mu[i], W[:, i]) for i in range(len(mu))]
 
 
-def _accept(block: Block, lam: complex, v: np.ndarray, sigma: complex, harmonic,
-            cfg: ShiftInvertConfig, info: SolveInfo):
-    """The pair with v normalized if its normwise backward error
-    ||Bv - lam v|| / ((||B||_1 + |lam|) ||v||) is within cfg.tol; else None,
-    with the drop recorded in info.warnings."""
-    v = v / np.linalg.norm(v)
-    res = float(np.linalg.norm(spmv(block.matrix, v) - lam * v))
-    scale = block.norm1 + abs(lam)
-    if not res <= cfg.tol * scale:  # a NaN residual is dropped too
-        info.warnings.append(
-            f"dropped pair near {lam:.6g}: re-verified residual {res:.3e}, "
-            f"backward error {res / scale:.3e} > {cfg.tol:.1e}"
-        )
-        return None
-    return EigenPair(complex(lam), v, harmonic, res, sigma)
+def _inverse_iteration(block: Block, lam: complex) -> np.ndarray:
+    """Eigenvector of the eigenvalue lam of the dense block by one step of
+    inverse iteration: the solution of (B - lam I) x = v0.  An exactly
+    singular B - lam I is retried once with lam moved by eps (1 + ||B||_1)."""
+    shifted = block.dense.copy()
+    diagonal = shifted.reshape(-1)[::block.n + 1]
+    diagonal -= lam
+    # v0 times a power of two within a factor 2 of ||B||_1, an exact
+    # scaling: ||x|| is then near 1/eps whatever the scale of B, so on a
+    # tiny block neither x nor its norm overflows
+    rhs = _start_vector(block.n) * math.ldexp(1.0, math.frexp(block.norm1)[1])
+    try:
+        return np.linalg.solve(shifted, rhs)
+    except np.linalg.LinAlgError:
+        diagonal -= np.finfo(float).eps * (1.0 + block.norm1)
+        return np.linalg.solve(shifted, rhs)
+
+
+def _verify(block: Block, lam: complex, x: np.ndarray):
+    """(lam, v, ||Bv - lam v||) for v = x / ||x||, by sparse application.  The
+    norm is taken of the difference times 2**-e, with 2**e near
+    ||B||_1 + |lam|, and scaled back: exact, and safe at any scale of B."""
+    v = x / np.linalg.norm(x)
+    e = math.frexp(block.norm1 + abs(lam))[1]
+    r = (spmv(block.matrix, v) - lam * v) * math.ldexp(1.0, -e)
+    return lam, v, float(np.ldexp(np.linalg.norm(r), e))
+
+
+def _accepted(block: Block, checked, sigma: complex, harmonic, cfg: ShiftInvertConfig,
+              info: SolveInfo) -> list:
+    """EigenPairs of the verified (lam, v, residual) candidates whose normwise
+    backward error ||Bv - lam v|| / ((||B||_1 + |lam|) ||v||) is within
+    cfg.tol, nearest sigma first; each drop is recorded in info.warnings."""
+    pairs = []
+    for lam, v, res in checked:
+        scale = block.norm1 + abs(lam)
+        if res <= cfg.tol * scale:
+            pairs.append(EigenPair(complex(lam), v, harmonic, res, sigma))
+        else:  # a NaN residual is dropped too
+            info.warnings.append(f"dropped pair near {lam:.6g}: re-verified residual "
+                                 f"{res:.3e}, backward error {res / scale:.3e} > {cfg.tol:.1e}")
+    pairs.sort(key=lambda p: (abs(p.value - sigma), p.value.real, p.value.imag))
+    return pairs
+
+
+def _dense_pairs(block: Block, shifts, k: int, cfg: ShiftInvertConfig, harmonic,
+                 info: SolveInfo) -> list:
+    """Accepted pairs of a decomposed block for each shift in turn, in one
+    pass: the k eigenvalues nearest each shift are picked together (stable
+    order), and each distinct one gets one solve and one residual check."""
+    w = block.values
+    orders = np.argsort(np.abs(w - np.array(shifts)[:, None]), axis=1, kind="stable")
+    orders = orders[:, :k].tolist()
+    checked = {j: _verify(block, w[j], _inverse_iteration(block, w[j]))
+               for j in dict.fromkeys(sum(orders, []))}
+    return [p for sigma, order in zip(shifts, orders)
+            for p in _accepted(block, [checked[j] for j in order], sigma, harmonic, cfg, info)]
 
 
 def shift_invert_eigs(A, sigma: complex, k: int, cfg: ShiftInvertConfig,
@@ -300,23 +326,17 @@ def shift_invert_eigs(A, sigma: complex, k: int, cfg: ShiftInvertConfig,
     block = A if isinstance(A, Block) else Block(A)
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = block.n
     sigma = complex(sigma)
     info = SolveInfo()
 
-    if block.values is None and k > n - 2:
+    if block.values is None and k > block.n - 2:
         block.decompose()
     if block.values is None:
         candidates = _arnoldi(block, sigma, k, info)
     if block.values is not None:
-        w = block.values
-        order = np.argsort(np.abs(w - sigma), kind="stable")[:k]
-        candidates = [(w[i], block.vector(i)) for i in order]
-
-    pairs = [p for lam, v in candidates
-             if (p := _accept(block, lam, v, sigma, harmonic, cfg, info)) is not None]
-    pairs.sort(key=lambda p: (abs(p.value - sigma), p.value.real, p.value.imag))
-    return pairs, info
+        return _dense_pairs(block, [sigma], k, cfg, harmonic, info), info
+    checked = [_verify(block, lam, v) for lam, v in candidates]
+    return _accepted(block, checked, sigma, harmonic, cfg, info), info
 
 
 def dense_eigs(A, budget: int = DENSE_EIG_BUDGET):
@@ -370,24 +390,30 @@ def _solve_block(block: Block, cfg: ShiftInvertConfig, report: SpectrumReport,
     report (keyed by harmonic, or "full"), and return its deduplicated pairs.
 
     The block's eigenvalues are computed up front when its dimension puts
-    it on the dense route.  Its solved vectors are released on return; its
-    eigenvalues stay for a mirrored harmonic.
+    it on the dense route.  Shifts run shift_invert_eigs until the
+    eigenvalues are known; the remaining shifts are answered in one pass.
     """
     harmonic = None if key == "full" else key
     prefix = "" if harmonic is None else f"harmonic {harmonic}: "
+    k = cfg.eigs_per_shift
     if MIN_SUBSPACE_DIM < block.n <= DENSE_ROUTE_MAX_DIM:
         block.decompose()
     collected = []
     storage = 0
-    for sigma in cfg.shifts:
-        pairs, info = shift_invert_eigs(block, sigma, cfg.eigs_per_shift, cfg,
-                                        harmonic=harmonic)
+    for i, sigma in enumerate(cfg.shifts):
+        one_pass = block.values is not None
+        if one_pass:
+            info = SolveInfo()
+            pairs = _dense_pairs(block, cfg.shifts[i:], k, cfg, harmonic, info)
+        else:
+            pairs, info = shift_invert_eigs(block, sigma, k, cfg, harmonic=harmonic)
         collected.extend(pairs)
         storage = max(storage, info.factor_nnz)
         report.warnings.extend(prefix + w for w in info.warnings)
         if info.perturbed_shift is not None:
             report.perturbed_shifts.append((key, sigma, info.perturbed_shift))
-    block.release()
+        if one_pass:
+            break
     dense = block.values is not None
     report.storage[key] = max(storage, block.n ** 2 if dense else 0)
     # a mirrored block's route, conj(c), is already set by its caller
@@ -403,9 +429,9 @@ def solve_annulus_spectrum(J: SectorJacobian, harmonics=None,
     Each distinct harmonic m is solved on its own block, divided by
     cfg.scale, near every configured shift; duplicates across shifts are
     merged per harmonic.  When the sector blocks are real, harmonics c and
-    M - c are solved one after the other, and the dense eigenvalues of B_c,
-    conjugated, are those of B_{M-c} (route "conj(c)"), whose vectors are
-    solved on B_{M-c}; at most one block's eigenvalues are held at a time.
+    M - c are solved one after the other, and once B_c's eigenvalues are
+    computed densely, B_{M-c} is conj(B_c) and its eigenvalues are their
+    conjugates (route "conj(c)"); its vectors are solved on B_{M-c}.
     Failures in one harmonic are recorded as warnings without aborting the
     others.  Pairs come out in ascending harmonic order.
     """
@@ -413,6 +439,7 @@ def solve_annulus_spectrum(J: SectorJacobian, harmonics=None,
     if harmonics is None:
         harmonics = range(J.M)
     report = SpectrumReport(pairs=[], M=J.M, N=J.N)
+    build = dense_block if MIN_SUBSPACE_DIM < J.N <= DENSE_ROUTE_MAX_DIM else reduced_block
     mirror = J.is_real
     by_source: dict = {}
     for m in sorted(set(harmonics)):
@@ -422,12 +449,14 @@ def solve_annulus_spectrum(J: SectorJacobian, harmonics=None,
         for m in members:
             t0 = time.perf_counter()
             try:
-                block = Block(reduced_block(J, m) * (1.0 / cfg.scale))
                 if source is not None and source.values is not None:
-                    # B_m = conj(B_c): conjugate c's eigenvalues, then drop them
-                    block.values = source.values.conj()
+                    # B_m = conj(B_c) entry for entry, and so are its eigenvalues
+                    block = copy.copy(source)
+                    block.matrix, block.dense, block.values = (
+                        source.matrix.conj(), source.dense.conj(), source.values.conj())
                     report.routes[m] = f"conj({c})"
-                    source = None
+                else:
+                    block = Block(build(J, m) * (1.0 / cfg.scale))
                 report.pairs.extend(_solve_block(block, cfg, report, m))
                 source = block
             except ValueError as exc:

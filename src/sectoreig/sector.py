@@ -5,9 +5,9 @@ sector blocks (self, next-neighbor, previous-neighbor coupling, all in
 rotated per-sector variables) and the per-sector frame rotation.  The full
 operator A is similar to a block circulant B via the block-diagonal
 rotation stack.  B has three nonzero block offsets, so harmonic m sees the
-N x N block d_self + rho_m d_next + conj(rho_m) d_prev (:func:`reduced_block`),
-the spectrum splits into M per-harmonic problems, and eigenvectors lift
-back to the full annulus segment by segment.
+N x N block d_self + rho_m d_next + conj(rho_m) d_prev (:func:`reduced_block`;
+:func:`dense_block` as an array), the spectrum splits into M per-harmonic
+problems, and eigenvectors lift back to the full annulus segment by segment.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import scipy.sparse as sp
 
 from .circulant import lift_block_eigenvector
 from .sparsecore import (
+    CANCELLATION_TOL,
     BudgetExceededError,
     canonical_csr,
     check_harmonic,
@@ -185,6 +186,19 @@ def reduced_block(J: SectorJacobian, m: int) -> sp.csr_matrix:
     check_harmonic(m, J.M)
     terms = ((0, J.d_self), (1, J.d_next), (J.M - 1, J.d_prev))
     return canonical_csr(sum(unity_power(m, k, J.M) * b for k, b in terms))
+
+
+def dense_block(J: SectorJacobian, m: int) -> np.ndarray:
+    """reduced_block(J, m) as an array, bit for bit: the three terms' stored
+    entries are added into zeros in reduced_block's order, and sums below
+    the cancellation tolerance are zeroed, as canonical_csr drops them."""
+    check_harmonic(m, J.M)
+    out = np.zeros(J.N * J.N, dtype=np.complex128)
+    starts = np.arange(0, J.N * J.N, J.N)
+    for k, b in ((0, J.d_self), (1, J.d_next), (J.M - 1, J.d_prev)):
+        out[np.repeat(starts, np.diff(b.indptr)) + b.indices] += b.data * unity_power(m, k, J.M)
+    out[np.abs(out) < CANCELLATION_TOL] = 0.0
+    return out.reshape(J.N, J.N)
 
 
 def materialize(J: SectorJacobian, budget: int = DENSE_ORACLE_BUDGET) -> sp.csr_matrix:

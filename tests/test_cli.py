@@ -188,6 +188,28 @@ class TestEig:
         assert [line for line in lines if line.startswith("route[")] == [
             f"route[{m}] = {routes[m]}" for m in sorted(routes, key=str)]
 
+    def test_rotvec_spectrum_unchanged(self, tmp_path):
+        # A rotating layout: d_next and d_prev carry the frame rotation, so
+        # this recording pins the rotated neighbor terms of every harmonic
+        # block (n = 100, dense route, harmonics 5..7 mirrored from 3..1).
+        model = tmp_path / "rv8"
+        assert main(["gen", "rotvec", "--sectors", "8", "--points", "50",
+                     "--coupling", "0.3", "--out", str(model)]) == 0
+        out = tmp_path / "spectrum.csv"
+        assert main(["eig", str(model), "--method", "2", "--k", "2", "--shifts",
+                     "0+1i", "0+2i", "0+3i", "--out", str(out)]) == 0
+        golden = DATA / "rotvec_spectrum.csv"
+        assert out.read_bytes() == golden.read_bytes()
+        J = sector_module.load_sector_jacobian(model)
+        assert J.rotation.layout.rotating_pairs
+        _, rows = read_csv(golden)
+        assert {int(r["harmonic"]) for r in rows} == set(range(8))
+        full = {c: dense_eigs(sector_module.reduced_block(J, c))[0] for c in range(5)}
+        for r in rows:
+            m = int(r["harmonic"])
+            lam = complex(float(r["lambda_re"]), float(r["lambda_im"]))
+            assert lam in set(full[m] if m <= 4 else full[8 - m].conj())
+
     def test_summary_lists_dense_blocks(self, tmp_path):
         model = tmp_path / "rv"
         assert main(["gen", "rotvec", "--sectors", "8", "--points", "50",

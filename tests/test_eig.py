@@ -5,6 +5,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, splu
 
 import sectoreig.eig as eig_module
+import sectoreig.sector as sector_module
 import sectoreig.sparsecore as sparsecore
 from sectoreig.circulant import circulant_eigenvalues
 from sectoreig.eig import (
@@ -26,6 +27,7 @@ from sectoreig.models import (
 )
 from sectoreig.sector import (
     SectorJacobian,
+    dense_block,
     lift_to_annulus,
     load_sector_jacobian,
     materialize_full,
@@ -151,6 +153,47 @@ class TestDenseRoute:
         assert report.storage == {m: 100 ** 2 for m in range(8)}
         assert report.warnings == []
 
+    def test_dense_route_builds_no_sparse_block(self, monkeypatch):
+        # n = 60, M = 7: harmonics 4, 5 and 6 are mirrored from 3, 2 and 1
+        J = make_rotating_vector_model(7, 30, 0.3)
+        cfg = ShiftInvertConfig()
+        chosen = 0
+        for m in range(7):
+            w = np.linalg.eigvals(dense_block(J, min(m, 7 - m)))
+            w = w if m <= 3 else w.conj()
+            chosen += len({i for s in cfg.shifts
+                           for i in np.argsort(np.abs(w - s), kind="stable")[:2]})
+
+        def refuse(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"{name} called on the dense route")
+            return call
+
+        for module, name in ((eig_module, "reduced_block"), (eig_module, "canonical_csr"),
+                             (sector_module, "canonical_csr"), (sparsecore, "canonical_csr"),
+                             (eig_module, "SparseLU")):
+            monkeypatch.setattr(module, name, refuse(name))
+        calls = {"eigvals": 0, "solve": 0, "spmv": 0}
+
+        def counting(name, real):
+            def call(*args):
+                calls[name] += 1
+                return real(*args)
+            return call
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals))
+        monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
+        monkeypatch.setattr(eig_module, "spmv", counting("spmv", eig_module.spmv))
+        report = solve_annulus_spectrum(J, cfg=cfg)
+        assert report.routes == {0: "dense", 1: "dense", 2: "dense", 3: "dense",
+                                 4: "conj(3)", 5: "conj(2)", 6: "conj(1)"}
+        assert report.warnings == [] and report.raw_count == 7 * 3 * 2
+        # one eigenvalue computation per source harmonic; one solve and one
+        # residual check per distinct chosen eigenvalue, however many shifts
+        # choose it (no solve here is exactly singular)
+        assert calls == {"eigvals": 4, "solve": chosen, "spmv": chosen}
+        assert chosen < report.raw_count
+
     def test_converging_block_above_dense_route_never_decomposes(self, monkeypatch):
         calls = []
         real_eigvals = np.linalg.eigvals
@@ -233,8 +276,9 @@ class TestInverseIterationVectors:
 
         monkeypatch.setattr(np.linalg, "solve", recording_solve)
         report = solve_annulus_spectrum(J)
-        # -0.5 and -1.0 are nearest every shift: one retried solve each, on
-        # harmonics 0, 1, 2 and 3 (mirrored from 1)
+        # -0.5 and -1.0 are nearest every shift, so each harmonic has two
+        # distinct chosen eigenvalues: one retried solve each, on harmonics
+        # 0, 1, 2 and 3 (mirrored from 1), not one per shift
         assert report.routes == {0: "dense", 1: "dense", 2: "dense", 3: "conj(1)"}
         assert outcomes == ["singular", "solved"] * 8
         assert report.warnings == [] and report.raw_count == 24
@@ -258,6 +302,28 @@ class TestInverseIterationVectors:
             assert abs(np.linalg.norm(p.vector) - 1.0) <= 1e-14
             residual = np.linalg.norm(A @ p.vector - lam * p.vector)
             assert residual / (norm1 + abs(lam)) <= 1e-12
+
+    def test_acceptance_at_extreme_scales(self):
+        # At 2**600 (about 4e180) the squares in ||Bv - lambda v|| overflow,
+        # and at 2**-520 (about 3e-157) they underflow.  The residual is
+        # scaled by a power of two before its norm, so every pair is accepted
+        # at each scale, with a backward error near eps, neither inf nor 0.
+        # (LAPACK rescales such matrices by factors that are not powers of
+        # two, so the last bits of lambda differ between scales.)
+        A = np.random.default_rng(36).standard_normal((30, 30))
+        norm1 = abs(A).sum(axis=0).max()
+        values = {}
+        for exponent in (0, 600, -520):
+            pairs, info = shift_invert_eigs(canonical_csr(np.ldexp(A, exponent)), 0.0, 29,
+                                            ShiftInvertConfig())
+            assert len(pairs) == 29 and info.warnings == []
+            lam = np.array([p.value for p in pairs]) * 2.0 ** -exponent
+            errors = [np.ldexp(p.residual, -exponent) / (norm1 + abs(z))
+                      for p, z in zip(pairs, lam)]
+            assert 0 < min(errors) and max(errors) <= 1e-14
+            values[exponent] = lam
+        for exponent in (600, -520):
+            assert greedy_match(values[exponent], values[0]).max() <= 1e-12 * norm1
 
     def test_no_nan_pair_accepted_near_underflow(self):
         # at 2**-980 (about 1e-295) pivots of B - lambda I are subnormal and
@@ -345,10 +411,11 @@ class TestConjugateMirror:
             (p.value, p.residual, p.shift) for p in direct]
 
     def test_lone_mirror_harmonic_builds_only_its_own_block(self, monkeypatch):
+        # n = 60: dense-route blocks are assembled by dense_block
         J = make_rotating_vector_model(8, 30, 0.3)
         built = []
-        monkeypatch.setattr(eig_module, "reduced_block",
-                            lambda J, m: built.append(m) or reduced_block(J, m))
+        monkeypatch.setattr(eig_module, "dense_block",
+                            lambda J, m: built.append(m) or dense_block(J, m))
         report = solve_annulus_spectrum(J, harmonics=[5])
         assert built == [5]
         assert report.routes == {5: "dense"} and report.pairs
@@ -371,16 +438,22 @@ class TestConjugateMirror:
 
     def test_mirrored_pairs_verified_on_their_own_block(self, monkeypatch):
         J = make_rotating_vector_model(7, 30, 0.3)
+        cfg = ShiftInvertConfig()
+        w = np.linalg.eigvals(reduced_block(J, 2).toarray())
+        chosen = {m: len({i for s in cfg.shifts
+                          for i in np.argsort(np.abs(v - s), kind="stable")[:2]})
+                  for m, v in ((2, w), (5, w.conj()))}
         applied = []
         real_spmv = eig_module.spmv
         monkeypatch.setattr(eig_module, "spmv",
                             lambda A, x: applied.append(A.toarray()) or real_spmv(A, x))
-        report = solve_annulus_spectrum(J, harmonics=[2, 5])
+        report = solve_annulus_spectrum(J, harmonics=[2, 5], cfg=cfg)
         assert report.routes == {2: "dense", 5: "conj(2)"}
-        # 3 shifts, k = 2: every candidate of B_2, then of B_5, is applied
-        # to its own block once
-        assert len(applied) == report.raw_count == 12
-        for m, group in ((2, applied[:6]), (5, applied[6:])):
+        # 3 shifts, k = 2: 12 candidates; each distinct chosen eigenvalue of
+        # B_2, then of B_5, is applied to its own block once
+        assert report.raw_count == 12
+        assert len(applied) == chosen[2] + chosen[5]
+        for m, group in ((2, applied[:chosen[2]]), (5, applied[chosen[2]:])):
             B = reduced_block(J, m).toarray()
             assert all(np.array_equal(A, B) for A in group)
 

@@ -12,6 +12,7 @@ from sectoreig.sector import (
     DofLayout,
     RotationSpec,
     SectorJacobian,
+    dense_block,
     lift_to_annulus,
     load_sector_jacobian,
     materialize,
@@ -241,6 +242,61 @@ class TestConjugateHarmonic:
         d_next = J.d_next.copy()
         d_next.data[0] += 1e-3j
         assert not SectorJacobian(J.d_self, d_next, J.d_prev, J.rotation).is_real
+
+
+def model_at(model, M):
+    """A ring, rotvec (rotating layout) or random model with M sectors.
+
+    Ring and rotvec need M >= 3; below that, the M = 3 model's d_self is
+    kept, with its layout, and the neighbor blocks are empty.
+    """
+    make = {"ring": lambda M: make_ring_advection_diffusion(M, 6, 0.7),
+            "rotvec": lambda M: make_rotating_vector_model(M, 5, 0.35),
+            "random": lambda M: make_random_sector_jacobian(M, 12, 0.3, seed=M)}[model]
+    if M >= 3 or model == "random":
+        return make(M)
+    J = make(3)
+    return SectorJacobian(J.d_self, zeros_csr(J.N), zeros_csr(J.N),
+                          RotationSpec(M, J.rotation.layout))
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestDenseBlock:
+    """dense_block(J, m) is reduced_block(J, m) as an array, bit for bit."""
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 7])
+    @pytest.mark.parametrize("model", ["ring", "rotvec", "random"])
+    def test_equals_reduced_block_bitwise(self, model, M):
+        J = model_at(model, M)
+        for m in range(M):
+            a = dense_block(J, m)
+            assert a.dtype == np.complex128
+            assert same_bits(a, reduced_block(J, m).toarray())
+            if J.is_real:
+                # equal as values; the sign of a zero imaginary part may differ
+                assert np.array_equal(dense_block(J, (M - m) % M), a.conj())
+
+    def test_cancelled_sums_are_zero(self):
+        # rho_2 = -1 at M = 4: 2I - I - I cancels exactly, and 3e-300 -
+        # 2.5e-300 falls below the cancellation tolerance
+        eye = np.eye(3)
+        tiny = np.zeros((3, 3))
+        tiny[0, 1] = 1e-300
+        spec = RotationSpec(4, DofLayout(3, 1))
+        for d_self, d_next in ((2 * eye, eye), (3 * tiny + eye, 2.5 * tiny)):
+            J = SectorJacobian(canonical_csr(d_self), canonical_csr(d_next),
+                               canonical_csr(eye), spec)
+            a = dense_block(J, 2)
+            assert same_bits(a, reduced_block(J, 2).toarray())
+            assert a[0, 1] == 0
+
+    def test_harmonic_out_of_range(self):
+        J = model_at("ring", 3)
+        with pytest.raises(ValueError):
+            dense_block(J, 3)
 
 
 class TestNodalDiameter:
