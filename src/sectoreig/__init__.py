@@ -8,50 +8,35 @@ surrogate model problems with checkable spectra, and a dense oracle to
 verify the whole chain.
 """
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .circulant import circulant_eigenvalues, lift_block_eigenvector
-from .eig import (
-    EigenPair,
-    ShiftInvertConfig,
-    SpectrumReport,
-    dense_eigs,
-    deduplicate_pairs,
-    greedy_match,
-    shift_invert_eigs,
-    solve_annulus_spectrum,
-    solve_full_annulus,
-)
-from .models import (
-    make_random_sector_jacobian,
-    make_ring_advection_diffusion,
-    make_rotating_vector_model,
-    ring_first_row,
-)
-from .sector import (
-    DofLayout,
-    RotationSpec,
-    SectorJacobian,
-    lift_to_annulus,
-    load_sector_jacobian,
-    materialize,
-    materialize_full,
-    nodal_diameter,
-    reduced_block,
-    rotation_matrix,
-    save_sector_jacobian,
-    without_rotation,
-)
-from .sparsecore import (
-    BudgetExceededError,
-    DimensionMismatchError,
-    SingularMatrixError,
-    SparseLU,
-    read_matrix_market,
-    root_of_unity,
-    spmv,
-    unity_power,
-    write_matrix_market,
-)
+# The public names of each submodule.  A name imports its submodule on first
+# use (PEP 562), so loading a model needs only numpy and scipy.sparse.
+_EXPORTS = {
+    "circulant": "circulant_eigenvalues lift_block_eigenvector",
+    "eig": "EigenPair ShiftInvertConfig SpectrumReport dense_eigs deduplicate_pairs greedy_match"
+    " shift_invert_eigs solve_annulus_spectrum solve_full_annulus",
+    "models": "make_random_sector_jacobian make_ring_advection_diffusion"
+    " make_rotating_vector_model ring_first_row",
+    "sector": "DofLayout RotationSpec SectorJacobian lift_to_annulus load_sector_jacobian"
+    " materialize materialize_full nodal_diameter reduced_block rotation_matrix"
+    " save_sector_jacobian without_rotation",
+    "sparsecore": "BudgetExceededError DimensionMismatchError SingularMatrixError SparseLU"
+    " read_matrix_market root_of_unity spmv unity_power write_matrix_market",
+}
+_SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = sorted([*_EXPORTS, *_SUBMODULE])
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+
+def __getattr__(name):
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_SUBMODULE.get(name, name)}", __name__)
+    globals()[name] = value = getattr(module, name) if name in _SUBMODULE else module
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

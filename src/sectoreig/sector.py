@@ -26,7 +26,7 @@ from .sparsecore import (
     BudgetExceededError,
     canonical_csr,
     check_harmonic,
-    read_matrix_market,
+    parse_matrix_market,
     unity_power,
     write_matrix_market,
 )
@@ -319,5 +319,5 @@ def load_sector_jacobian(in_dir) -> SectorJacobian:
         rotating_pairs=_parse_pairs(entries.get("rotating_pairs", "")),
     )
     spec = RotationSpec(int(entries["M"]), layout)
-    blocks = [read_matrix_market(os.path.join(in_dir, name)) for name in BLOCK_FILES]
+    blocks = [parse_matrix_market(os.path.join(in_dir, name)) for name in BLOCK_FILES]
     return SectorJacobian(blocks[0], blocks[1], blocks[2], spec)

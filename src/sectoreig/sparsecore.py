@@ -10,11 +10,10 @@ tolerance.  Higher-level modules never touch scipy internals directly.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 # Entries smaller than this are treated as exact cancellations and removed
 # from the stored pattern.  Deliberately at the underflow edge: correctness
@@ -117,6 +116,12 @@ def spmv(A: sp.csr_matrix, x) -> np.ndarray:
     return A @ x
 
 
+def splu(A, **kwargs):
+    """scipy.sparse.linalg.splu, imported on first call: loading needs no scipy.sparse.linalg."""
+    from scipy.sparse.linalg import splu as superlu
+    return superlu(A, **kwargs)
+
+
 class SparseLU:
     """LU factorization handle for a square complex sparse matrix.
 
@@ -177,6 +182,36 @@ def write_matrix_market(path, A) -> None:
             fh.write(f"{i + 1} {j + 1} {float(v.real)!r} {float(v.imag)!r}\n")
 
 
+# One entry line as write_matrix_market writes it: 1-based row and column, real, imaginary.
+_MM_ENTRY = np.dtype([("ij", np.int64, 2), ("v", np.float64, 2)])
+_MM_HEADER = ["%%matrixmarket", "matrix", "coordinate", "complex", "general"]
+
+
+def parse_matrix_market(path) -> sp.coo_matrix:
+    """The entries of a 'coordinate complex general' Matrix Market file as
+    stored, not yet canonical.  Any other header, a wrong entry count or an
+    index out of range raises ValueError naming the file."""
+    try:
+        with open(path, encoding="ascii") as fh:
+            if fh.readline().lower().split() != _MM_HEADER:
+                raise ValueError("not a 'matrix coordinate complex general' Matrix Market file")
+            line = fh.readline()
+            while line.startswith("%") or line.isspace():
+                line = fh.readline()
+            nrows, ncols, nnz = (int(tok) for tok in line.split())
+            with warnings.catch_warnings():  # loadtxt warns on no data and on comment lines
+                warnings.simplefilter("ignore", UserWarning)
+                e = np.loadtxt(fh, dtype=_MM_ENTRY, comments="%", ndmin=1, max_rows=nnz + 1)
+        if e.size != nnz:
+            found = "more" if e.size > nnz else e.size
+            raise ValueError(f"size line gives {nnz} entries, the file holds {found}")
+        ij = e["ij"] - 1
+        data = e["v"].view(np.complex128)[:, 0]
+        return sp.coo_matrix((data, (ij[:, 0], ij[:, 1])), shape=(nrows, ncols))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def read_matrix_market(path) -> sp.csr_matrix:
     """Read a Matrix Market file into canonical complex CSR form."""
-    return canonical_csr(scipy.io.mmread(path))
+    return canonical_csr(parse_matrix_market(path))

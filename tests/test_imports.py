@@ -1,0 +1,70 @@
+"""The import boundary of the package: what loading a model pulls in, and
+the public names of ``sectoreig``, which import their submodule on first use."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import sectoreig
+
+SRC = Path(sectoreig.__file__).resolve().parents[1]
+ROTVEC = Path(__file__).parent / "data" / "models" / "rotvec"
+
+PUBLIC_NAMES = [
+    "BudgetExceededError", "DimensionMismatchError", "DofLayout", "EigenPair", "RotationSpec",
+    "SectorJacobian", "ShiftInvertConfig", "SingularMatrixError", "SparseLU", "SpectrumReport",
+    "circulant", "circulant_eigenvalues", "deduplicate_pairs", "dense_eigs", "eig",
+    "greedy_match", "lift_block_eigenvector", "lift_to_annulus", "load_sector_jacobian",
+    "make_random_sector_jacobian", "make_ring_advection_diffusion", "make_rotating_vector_model",
+    "materialize", "materialize_full", "models", "nodal_diameter", "read_matrix_market",
+    "reduced_block", "ring_first_row", "root_of_unity", "rotation_matrix",
+    "save_sector_jacobian", "sector", "shift_invert_eigs", "solve_annulus_spectrum",
+    "solve_full_annulus", "sparsecore", "spmv", "unity_power", "without_rotation",
+    "write_matrix_market",
+]
+
+
+def loaded_modules(code, names):
+    """Run ``code`` in a fresh interpreter; return which of ``names`` it left in sys.modules."""
+    probe = f"{code}\nimport sys\nprint(','.join(n for n in {names!r} if n in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    return [n for n in out.stdout.strip().split(",") if n]
+
+
+def test_loading_a_model_needs_only_numpy_and_scipy_sparse():
+    code = ("import sectoreig\n"
+            f"J = sectoreig.load_sector_jacobian({str(ROTVEC)!r})\n"
+            "from sectoreig.sector import dense_block\n"
+            "dense_block(J, 1)")
+    heavy = ["scipy.io", "scipy.linalg", "scipy.sparse.linalg"]
+    assert loaded_modules(code, heavy + ["scipy.sparse"]) == ["scipy.sparse"]
+
+
+def test_cli_import_leaves_out_scipy_io():
+    assert loaded_modules("import sectoreig.cli", ["scipy.io", "sectoreig.eig"]) == ["sectoreig.eig"]
+
+
+def test_public_names_unchanged_and_resolve():
+    assert sorted(sectoreig.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(sectoreig, name) is not None
+    assert set(PUBLIC_NAMES) <= set(dir(sectoreig))
+    assert sectoreig.load_sector_jacobian is sectoreig.sector.load_sector_jacobian
+
+
+def test_star_import():
+    namespace = {}
+    exec("from sectoreig import *", namespace)
+    assert set(PUBLIC_NAMES) <= set(namespace)
+    assert namespace["SparseLU"] is sectoreig.sparsecore.SparseLU
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sectoreig.no_such_name
+    assert not hasattr(sectoreig, "canonical_csr")

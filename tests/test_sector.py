@@ -1,5 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+
+import sectoreig.sector as sector_module
+import sectoreig.sparsecore as sparsecore
 
 from sectoreig.circulant import lift_block_eigenvector
 from sectoreig.eig import greedy_match
@@ -331,3 +336,27 @@ class TestDiskFormat:
         text = (tmp_path / "model" / "layout.txt").read_text()
         assert "M = 6" in text
         assert "rotating_pairs = 0:1" in text
+
+    def test_load_canonicalizes_each_block_once(self, tmp_path, monkeypatch):
+        J = make_rotating_vector_model(6, 3, 0.35)
+        save_sector_jacobian(J, tmp_path / "model")
+        calls = []
+
+        def counting(A):
+            calls.append(A.shape)
+            return canonical_csr(A)
+
+        monkeypatch.setattr(sector_module, "canonical_csr", counting)
+        monkeypatch.setattr(sparsecore, "canonical_csr", counting)
+        load_sector_jacobian(tmp_path / "model")
+        assert calls == [(J.N, J.N)] * 3
+
+    def test_empty_neighbor_blocks_load_without_warnings(self, tmp_path):
+        J = make_random_sector_jacobian(1, 5, 0.5, 0)
+        assert J.d_next.nnz == 0 and J.d_prev.nnz == 0
+        save_sector_jacobian(J, tmp_path / "model")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            K = load_sector_jacobian(tmp_path / "model")
+        assert K.M == 1 and K.d_next.nnz == 0 and K.d_prev.nnz == 0
+        assert np.array_equal(K.d_self.toarray(), J.d_self.toarray())

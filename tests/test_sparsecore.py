@@ -1,11 +1,17 @@
+import re
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.io
 
 from sectoreig.sparsecore import (
     DimensionMismatchError,
     SingularMatrixError,
     SparseLU,
     canonical_csr,
+    parse_matrix_market,
     read_matrix_market,
     root_of_unity,
     spmv,
@@ -21,6 +27,9 @@ def random_csr(rng, n, density=0.5, complex_values=True):
     if complex_values:
         vals = vals + 1j * rng.uniform(-1, 1, (n, n))
     return canonical_csr(np.where(mask, vals, 0.0))
+
+
+MODEL_FILES = sorted((Path(__file__).parent / "data" / "models").glob("*/*.mtx"))
 
 
 class TestRootOfUnity:
@@ -133,7 +142,78 @@ class TestMatrixMarket:
     def test_empty_matrix(self, tmp_path):
         path = tmp_path / "z.mtx"
         write_matrix_market(path, zeros_csr(3))
-        assert read_matrix_market(path).nnz == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            A = read_matrix_market(path)
+        assert A.shape == (3, 3) and A.nnz == 0
+
+    @pytest.mark.parametrize("path", MODEL_FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
+    def test_model_files_match_scipy_reader(self, path):
+        A = read_matrix_market(path)
+        B = canonical_csr(scipy.io.mmread(path))
+        assert A.shape == B.shape
+        for attr in ("indptr", "indices", "data"):
+            a, b = getattr(A, attr), getattr(B, attr)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_signed_zeros_kept(self, tmp_path):
+        path = tmp_path / "z.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate complex general\n"
+                        "2 2 2\n1 1 -0.0 1.5\n2 2 2.5 -0.0\n")
+        data = read_matrix_market(path).data
+        assert np.signbit(data.real).tolist() == [True, False]
+        assert np.signbit(data.imag).tolist() == [False, True]
+
+    def test_comments_between_header_and_size_line(self, tmp_path):
+        path = tmp_path / "c.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate complex general\n"
+                        "% written by hand\n%\n\n2 3 2\n1 3 1.5 -2.0\n2 1 0.25 0.0\n")
+        A = read_matrix_market(path)
+        assert A.shape == (2, 3)
+        assert np.array_equal(A.toarray(), [[0, 0, 1.5 - 2j], [0.25, 0, 0]])
+
+    def test_parse_keeps_entries_as_stored(self, tmp_path):
+        path = tmp_path / "d.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate complex general\n"
+                        "2 2 3\n2 2 1.0 0.0\n1 1 1e-310 0.0\n2 2 1.0 0.0\n")
+        coo = parse_matrix_market(path)
+        assert coo.nnz == 3
+        assert np.array_equal(read_matrix_market(path).toarray(), [[0, 0], [0, 2]])
+
+    @pytest.mark.parametrize("text", [
+        "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0\n",
+        "%%MatrixMarket matrix coordinate complex symmetric\n2 2 1\n1 1 1.0 0.0\n",
+        "%%MatrixMarket matrix array complex general\n2 2\n1.0 0.0\n",
+        "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 1\n",
+        "2 2 1\n1 1 1.0 0.0\n",
+        "",
+    ], ids=["real", "symmetric", "array", "pattern", "no-header", "empty-file"])
+    def test_other_formats_rejected(self, tmp_path, text):
+        path = tmp_path / "other.mtx"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read_matrix_market(path)
+
+    @pytest.mark.parametrize("body", [
+        "2 2 2\n1 1 1.0 0.0\n",
+        "2 2 1\n1 1 1.0 0.0\n2 2 1.0 0.0\n",
+        "2 2 0\n1 1 1.0 0.0\n",
+        "2 2 1\n",
+        "2 2 1\n3 1 1.0 0.0\n",
+        "2 2 1\n1 3 1.0 0.0\n",
+        "2 2 1\n0 1 1.0 0.0\n",
+        "2 2 1\n1.5 1 1.0 0.0\n",
+        "2 2 1\n1 1 1.0\n",
+        "2 2\n1 1 1.0 0.0\n",
+        "",
+    ], ids=["too-few", "too-many", "extra-after-empty", "missing-entry", "row-out-of-range",
+            "col-out-of-range", "index-zero", "fractional-index", "no-imaginary-part",
+            "short-size-line", "no-size-line"])
+    def test_malformed_body_rejected(self, tmp_path, body):
+        path = tmp_path / "bad.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate complex general\n" + body)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read_matrix_market(path)
 
 
 def test_non_finite_entries_rejected():
