@@ -3,7 +3,10 @@
 The workhorse is shift-invert Arnoldi: factor (A - sigma I), iterate on its
 inverse so eigenvalues near sigma become dominant, then map Ritz values
 back via lambda = sigma + 1/mu.  The inner iteration is ARPACK through
-scipy.
+scipy, stopped at the accuracy the acceptance test needs rather than at
+machine precision.  The first factorization of a solve call is SuperLU;
+when its factor fills DENSE_LU_MIN_FILL of n**2 or more, every later one
+in the call is dense LAPACK LU (SparseLU(..., dense=True)).
 
 Each block's route is chosen once, from its dimension n, before any LU:
 a block with MIN_SUBSPACE_DIM < n <= DENSE_ROUTE_MAX_DIM takes the dense
@@ -61,6 +64,17 @@ DENSE_EIG_BUDGET = 4_000
 # the whole block: perfbench's tracer test counts one LU factorization per
 # (harmonic, shift) on such a block.
 DENSE_ROUTE_MAX_DIM = 100
+# Once the first SuperLU factorization of a solve call fills at least this
+# fraction of n**2, and n <= DENSE_EIG_BUDGET, every later factorization in
+# the call is dense LAPACK LU: all blocks of a call share the pattern of
+# d_self + d_next + d_prev, so they fill alike.  Measured on random blocks
+# (2 cores, BLAS at 1 thread, medians of 9) as one factorization plus 41
+# solves, random-fill's count per shift: the two cost the same at fill
+# 0.27-0.32 for n = 800 (89 ms), 0.29-0.33 for n = 400 (19-20 ms) and about
+# 0.2 for n = 160-200; at fill 0.13, n = 800, SuperLU took 41 ms against
+# 90 ms, at random-fill's 0.50 it took 154 ms against 92 ms.  Ring and
+# rotvec blocks fill to under 0.01.
+DENSE_LU_MIN_FILL = 0.25
 # Largest full dimension M*N the sparse whole-annulus solve will assemble.
 SPARSE_SOLVE_BUDGET = 200_000
 
@@ -137,6 +151,9 @@ class SpectrumReport:
     storage: dict = field(default_factory=dict)
     # per block: "arnoldi", "dense", or "conj(c)" when mirrored from harmonic c
     routes: dict = field(default_factory=dict)
+    # whether Arnoldi factors by dense LU: None until the call's first
+    # SuperLU factorization decides it for every later one
+    dense_lu: bool | None = None
     warnings: list = field(default_factory=list)
     perturbed_shifts: list = field(default_factory=list)
     raw_count: int = 0
@@ -204,8 +221,16 @@ class _BudgetSpent(Exception):
     """Arnoldi asked for more operator applications than its budget."""
 
 
-def _arnoldi(block: Block, sigma: complex, k: int, info: SolveInfo):
+def _arnoldi(block: Block, sigma: complex, k: int, tol: float, info: SolveInfo,
+             dense_lu: bool):
     """Shift-invert Arnoldi candidates [(lambda, v)] near sigma.
+
+    ARPACK stops at tol / 100 rather than at machine precision.  At ARPACK
+    tolerance t, its test ||OP w - mu w|| <= t |mu|, OP = (B - sigma I)^-1,
+    bounds the residual ||(B - lambda I) w|| by t ||B - sigma I||_2, which
+    may exceed the ||B||_1 + |lambda| that scales the acceptance test: two
+    digits of margin keep converged pairs within tol.  Every pair is
+    re-verified anyway.
 
     On a block within DENSE_EIG_BUDGET, Arnoldi may apply the inverse at
     most n + 1 times, the cost of one pass over the whole space.  Past that
@@ -216,11 +241,11 @@ def _arnoldi(block: Block, sigma: complex, k: int, info: SolveInfo):
     eye = sp.identity(n, dtype=np.complex128, format="csr")
     sigma_used = sigma
     try:
-        lu = SparseLU(block.matrix - sigma_used * eye)
+        lu = SparseLU(block.matrix - sigma_used * eye, dense=dense_lu)
     except SingularMatrixError:
         sigma_used = sigma + 1e-8 * (1.0 + abs(sigma))
         info.perturbed_shift = sigma_used
-        lu = SparseLU(block.matrix - sigma_used * eye)
+        lu = SparseLU(block.matrix - sigma_used * eye, dense=dense_lu)
     info.factor_nnz = lu.factor_nnz
     budget = n + 1 if n <= DENSE_EIG_BUDGET else math.inf
 
@@ -234,7 +259,7 @@ def _arnoldi(block: Block, sigma: complex, k: int, info: SolveInfo):
     ncv = max(k + 2, min(max(MIN_SUBSPACE_DIM, 2 * k + 1), n))
     try:
         mu, W = eigs(op, k=k, which="LM", ncv=ncv,
-                     maxiter=MAX_RESTARTS, tol=0, v0=_start_vector(n))
+                     maxiter=MAX_RESTARTS, tol=tol / 100, v0=_start_vector(n))
     except _BudgetSpent:
         block.decompose()
         return []
@@ -307,7 +332,7 @@ def _dense_pairs(block: Block, shifts, k: int, cfg: ShiftInvertConfig, harmonic,
 
 
 def shift_invert_eigs(A, sigma: complex, k: int, cfg: ShiftInvertConfig,
-                      harmonic: int | None = None):
+                      harmonic: int | None = None, dense_lu: bool = False):
     """Up to k eigenpairs of A nearest sigma, ordered by |lambda - sigma|.
 
     A is a sparse matrix or a :class:`Block`; passing the same Block for
@@ -315,7 +340,8 @@ def shift_invert_eigs(A, sigma: complex, k: int, cfg: ShiftInvertConfig,
     The dense route is taken when the block's eigenvalues are already
     known, when k > n - 2 (too small for ARPACK) or when Arnoldi spends its
     budget of n + 1 inverse applications; it needs no sparse LU, and each
-    chosen eigenvalue's vector costs one dense solve.
+    chosen eigenvalue's vector costs one dense solve.  On the Arnoldi route
+    A - sigma I is factored by SuperLU, or by dense LAPACK LU when dense_lu.
 
     Returns (pairs, info).  A singular (A - sigma I) is retried once with
     sigma perturbed by 1e-8 * (1 + |sigma|) and the perturbation flagged;
@@ -332,7 +358,7 @@ def shift_invert_eigs(A, sigma: complex, k: int, cfg: ShiftInvertConfig,
     if block.values is None and k > block.n - 2:
         block.decompose()
     if block.values is None:
-        candidates = _arnoldi(block, sigma, k, info)
+        candidates = _arnoldi(block, sigma, k, cfg.tol, info, dense_lu)
     if block.values is not None:
         return _dense_pairs(block, [sigma], k, cfg, harmonic, info), info
     checked = [_verify(block, lam, v) for lam, v in candidates]
@@ -392,6 +418,8 @@ def _solve_block(block: Block, cfg: ShiftInvertConfig, report: SpectrumReport,
     The block's eigenvalues are computed up front when its dimension puts
     it on the dense route.  Shifts run shift_invert_eigs until the
     eigenvalues are known; the remaining shifts are answered in one pass.
+    The call's first SuperLU factorization, while report.dense_lu is None,
+    decides from its fill whether every later one is dense.
     """
     harmonic = None if key == "full" else key
     prefix = "" if harmonic is None else f"harmonic {harmonic}: "
@@ -406,7 +434,11 @@ def _solve_block(block: Block, cfg: ShiftInvertConfig, report: SpectrumReport,
             info = SolveInfo()
             pairs = _dense_pairs(block, cfg.shifts[i:], k, cfg, harmonic, info)
         else:
-            pairs, info = shift_invert_eigs(block, sigma, k, cfg, harmonic=harmonic)
+            pairs, info = shift_invert_eigs(block, sigma, k, cfg, harmonic=harmonic,
+                                            dense_lu=bool(report.dense_lu))
+            if report.dense_lu is None and info.factor_nnz:
+                report.dense_lu = (block.n <= DENSE_EIG_BUDGET
+                                   and info.factor_nnz >= DENSE_LU_MIN_FILL * block.n ** 2)
         collected.extend(pairs)
         storage = max(storage, info.factor_nnz)
         report.warnings.extend(prefix + w for w in info.warnings)

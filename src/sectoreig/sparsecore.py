@@ -126,35 +126,50 @@ class SparseLU:
     """LU factorization handle for a square complex sparse matrix.
 
     SuperLU orders the columns by minimum degree on A^T + A, which fills
-    less than its default COLAMD on the harmonic blocks.
+    less than its default COLAMD on the harmonic blocks.  With dense=True
+    the matrix is instead factored in place as one n x n array by LAPACK
+    getrf, for a matrix whose sparse factor would be nearly dense anyway.
 
     Read-only after construction and safe to share across threads.
     Raises :class:`SingularMatrixError` when the factorization detects a
     structural singularity or a pivot below PIVOT_TOL * max|A|.
     """
 
-    def __init__(self, A):
+    def __init__(self, A, dense: bool = False):
         A = canonical_csr(A)
         if A.shape[0] != A.shape[1]:
             raise DimensionMismatchError(f"matrix must be square, got {A.shape}")
         max_mag = float(np.abs(A.data).max()) if A.nnz else 0.0
         if max_mag == 0.0:
             raise SingularMatrixError("matrix is identically zero")
-        try:
-            self._lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError as exc:
-            raise SingularMatrixError(f"LU factorization failed: {exc}") from exc
-        pivots = np.abs(self._lu.U.diagonal())
+        self.shape = A.shape
+        self.dense = dense
+        if dense:
+            from scipy.linalg.lapack import zgetrf, zgetrs
+            # getrf factors A^T, the C-ordered array read in Fortran order, in
+            # place; solve() answers A x = y by the transposed solve
+            self._lu, self._piv, info = zgetrf(A.toarray().T, overwrite_a=True)
+            self._getrs = zgetrs
+            if info:
+                raise SingularMatrixError(f"LU factorization failed: U({info},{info}) is zero")
+            pivots = np.abs(self._lu.diagonal())
+        else:
+            try:
+                self._lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            except RuntimeError as exc:
+                raise SingularMatrixError(f"LU factorization failed: {exc}") from exc
+            pivots = np.abs(self._lu.U.diagonal())
         if pivots.size and float(pivots.min()) < PIVOT_TOL * max_mag:
             raise SingularMatrixError(
                 f"numerically singular: pivot {pivots.min():.3e} below "
                 f"{PIVOT_TOL:.0e} * max|A| = {PIVOT_TOL * max_mag:.3e}"
             )
-        self.shape = A.shape
 
     @property
     def factor_nnz(self) -> int:
-        """Stored nonzeros in the L and U factors combined."""
+        """Stored entries of the factors: L and U combined, or n**2 when dense."""
+        if self.dense:
+            return self._lu.size
         return int(self._lu.L.nnz + self._lu.U.nnz)
 
     def solve(self, y) -> np.ndarray:
@@ -164,6 +179,8 @@ class SparseLU:
             raise DimensionMismatchError(
                 f"right-hand side length {y.shape[0]} != {self.shape[0]}"
             )
+        if self.dense:
+            return self._getrs(self._lu, self._piv, y, trans=1)[0]
         return self._lu.solve(y)
 
 

@@ -26,6 +26,8 @@ from sectoreig.models import (
     ring_first_row,
 )
 from sectoreig.sector import (
+    DofLayout,
+    RotationSpec,
     SectorJacobian,
     dense_block,
     lift_to_annulus,
@@ -402,9 +404,13 @@ class TestConjugateMirror:
         report = solve_annulus_spectrum(J, harmonics=[1, 3], cfg=cfg)
         assert built == [1, 3]
         assert report.routes == {1: "arnoldi", 3: "arnoldi"}
+        # these blocks fill to 0.61, so harmonic 1's first factor made the
+        # rest of the call's factors dense
+        assert report.dense_lu is True
         direct = []
         for sigma in cfg.shifts:
-            direct.extend(shift_invert_eigs(reduced_block(J, 3), sigma, 2, cfg, harmonic=3)[0])
+            direct.extend(shift_invert_eigs(reduced_block(J, 3), sigma, 2, cfg, harmonic=3,
+                                            dense_lu=True)[0])
         direct = deduplicate_pairs(direct)
         got = [p for p in report.pairs if p.harmonic == 3]
         assert [(p.value, p.residual, p.shift) for p in got] == [
@@ -479,32 +485,40 @@ class TestConjugateMirror:
 
 
 @pytest.fixture
-def splu_specs(monkeypatch):
-    """The permc_spec of every splu call made through sectoreig.sparsecore."""
-    specs = []
+def splu_calls(monkeypatch):
+    """(permc_spec, matrix, factor) of every splu call made through sectoreig.sparsecore."""
+    calls = []
     real_splu = sparsecore.splu
 
     def recording_splu(A, permc_spec=None, **kwargs):
-        specs.append(permc_spec)
-        return real_splu(A, permc_spec=permc_spec, **kwargs)
+        lu = real_splu(A, permc_spec=permc_spec, **kwargs)
+        calls.append((permc_spec, A, lu))
+        return lu
 
     monkeypatch.setattr(sparsecore, "splu", recording_splu)
-    return specs
+    return calls
 
 
 class TestMinimumDegreeOrder:
-    """Every LU factorization orders by minimum degree on A^T + A, which
+    """Every SuperLU factorization orders by minimum degree on A^T + A, which
     fills less than SuperLU's default COLAMD on the harmonic blocks."""
 
-    def test_every_factorization_uses_minimum_degree(self, splu_specs):
-        # n = 200 is above DENSE_ROUTE_MAX_DIM, so every block is factored
+    def test_every_factorization_uses_minimum_degree(self, splu_calls):
+        # n = 200 is above DENSE_ROUTE_MAX_DIM, so every block is factored;
+        # ring blocks fill little, so all 4 x 3 factorizations are SuperLU
+        report = solve_annulus_spectrum(make_ring_advection_diffusion(4, 200, 1.0))
+        assert report.pairs and report.warnings == [] and report.dense_lu is False
+        specs = [spec for spec, _, _ in splu_calls]
+        assert len(specs) == 12 and set(specs) == {"MMD_AT_PLUS_A"}
+        # random blocks fill to 0.56: only the first, deciding factorization is SuperLU
+        splu_calls.clear()
         report = solve_annulus_spectrum(make_random_sector_jacobian(4, 200, 0.02, 0))
-        assert report.pairs and report.warnings == []
-        assert len(splu_specs) > 1 and set(splu_specs) == {"MMD_AT_PLUS_A"}
-        splu_specs.clear()
+        assert report.pairs and report.warnings == [] and report.dense_lu is True
+        assert [spec for spec, _, _ in splu_calls] == ["MMD_AT_PLUS_A"]
+        splu_calls.clear()
         solve_full_annulus(make_ring_advection_diffusion(4, 40, 1.0),
                            cfg=ShiftInvertConfig(shifts=(1j,)))
-        assert splu_specs == ["MMD_AT_PLUS_A"]
+        assert [spec for spec, _, _ in splu_calls] == ["MMD_AT_PLUS_A"]
 
     def test_pairs_are_eigenpairs_of_the_block_and_lift(self):
         J = make_random_sector_jacobian(4, 60, 0.08, 3)
@@ -520,18 +534,123 @@ class TestMinimumDegreeOrder:
             lifted = np.linalg.norm(A @ x - p.value * x) / np.linalg.norm(x)
             assert lifted < 1e-10 * norm_a
 
-    def test_fill_below_colamd(self):
-        J = make_random_sector_jacobian(4, 200, 0.02, 0)
+    def test_fill_below_colamd(self, splu_calls):
+        # blocks that fill to 0.12 stay on SuperLU: every reported factor size
+        J = make_random_sector_jacobian(4, 200, 0.005, 0)
         cfg = ShiftInvertConfig()
         report = solve_annulus_spectrum(J, cfg=cfg)
         eye = sp.identity(J.N, dtype=np.complex128, format="csc")
-        assert set(report.routes.values()) == {"arnoldi"}
+        assert set(report.routes.values()) == {"arnoldi"} and report.dense_lu is False
         assert report.peak_storage > 0
         for m, nnz in report.storage.items():
             B = reduced_block(J, m)
             for sigma in cfg.shifts:
                 lu = splu((B - sigma * eye).tocsc(), permc_spec="COLAMD")
                 assert nnz < lu.L.nnz + lu.U.nnz
+        # blocks that fill to 0.56: the one SuperLU factor, which decides the rest
+        splu_calls.clear()
+        report = solve_annulus_spectrum(make_random_sector_jacobian(4, 200, 0.02, 0), cfg=cfg)
+        assert set(report.routes.values()) == {"arnoldi"} and report.dense_lu is True
+        [(_, A, lu)] = splu_calls
+        colamd = splu(A, permc_spec="COLAMD")
+        assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+
+
+def counted(fn, arpack_tol_zero=False):
+    """(fn(), the dense flag of each LU factorization it made, its LU solve
+    count).  With arpack_tol_zero, ARPACK runs at tol = 0 as it once did."""
+    kinds, solves = [], [0]
+    real_lu, real_solve, real_eigs = SparseLU, SparseLU.solve, eig_module.eigs
+
+    def counting_solve(self, y):
+        solves[0] += 1
+        return real_solve(self, y)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eig_module, "SparseLU",
+                   lambda A, dense=False: kinds.append(dense) or real_lu(A, dense=dense))
+        mp.setattr(SparseLU, "solve", counting_solve)
+        if arpack_tol_zero:
+            mp.setattr(eig_module, "eigs", lambda *a, **kw: real_eigs(*a, **{**kw, "tol": 0}))
+        result = fn()
+    return result, kinds, solves[0]
+
+
+@pytest.fixture(scope="module")
+def random_fill():
+    """The random-fill benchmark model (4 x 800, density 0.005, seed 0) and
+    counted() runs of its default solve at ARPACK's tolerance and at tol = 0."""
+    J = make_random_sector_jacobian(4, 800, 0.005, 0)
+    return J, {zero: counted(lambda: solve_annulus_spectrum(J), zero) for zero in (False, True)}
+
+
+class TestDenseFactorDecision:
+    """A call whose first SuperLU factor fills DENSE_LU_MIN_FILL of n**2 or
+    more factors every later shifted block by dense LAPACK LU."""
+
+    def test_random_fill_factors_densely_after_the_first(self, random_fill):
+        J, runs = random_fill
+        report, kinds, _ = runs[False]
+        assert kinds == [False] + [True] * 11
+        assert report.dense_lu is True and report.warnings == []
+        assert report.storage == {m: J.N ** 2 for m in range(J.M)}
+        assert len(report.pairs) == 8
+        cfg = ShiftInvertConfig()
+        for p in report.pairs:
+            B = reduced_block(J, p.harmonic)
+            norm1 = abs(B).sum(axis=0).max()
+            direct = np.linalg.norm(B @ p.vector - p.value * p.vector)
+            assert direct / (norm1 + abs(p.value)) <= cfg.tol
+
+    def test_ring_block_stays_on_superlu(self):
+        J = make_ring_advection_diffusion(22, 800, 1.0)
+        report, kinds, _ = counted(lambda: solve_annulus_spectrum(J, harmonics=[1, 2]))
+        assert kinds == [False] * 6 and report.dense_lu is False
+        assert report.pairs and report.warnings == []
+
+    def test_blocks_above_the_dense_budget_stay_on_superlu(self, monkeypatch):
+        monkeypatch.setattr(eig_module, "DENSE_EIG_BUDGET", 199)
+        J = make_random_sector_jacobian(4, 200, 0.02, 0)
+        report, kinds, _ = counted(lambda: solve_annulus_spectrum(J, harmonics=[1]))
+        assert kinds == [False] * 3 and report.dense_lu is False
+
+    def test_singular_dense_shift_is_perturbed_and_recorded(self):
+        # column 7 of B - 3 I is zero, so the dense factor at shift 3 is
+        # exactly singular; the first shift's SuperLU factor fills past the
+        # threshold, so the second is dense
+        n = 120
+        rng = np.random.default_rng(7)
+        d_self = np.where(rng.random((n, n)) < 0.3, rng.uniform(-1, 1, (n, n)), 0.0)
+        d_self[:, 7] = 0.0
+        d_self[7, 7] = 3.0
+        zero = zeros_csr(n)
+        J = SectorJacobian(d_self, zero, zero, RotationSpec(1, DofLayout(n, 1)))
+        cfg = ShiftInvertConfig(shifts=(1j, 3.0))
+        report, kinds, _ = counted(lambda: solve_annulus_spectrum(J, cfg=cfg))
+        assert kinds == [False, True, True] and report.dense_lu is True
+        [(key, sigma, used)] = report.perturbed_shifts
+        assert (key, sigma) == (0, 3.0) and used == 3.0 + 1e-8 * 4.0
+        assert min(abs(p.value - 3.0) for p in report.pairs) <= 1e-10
+
+
+class TestArpackTolerance:
+    """ARPACK stops at the accuracy acceptance needs, not at tol = 0."""
+
+    def test_random_fill_needs_fewer_solves_for_the_same_pairs(self, random_fill):
+        _, runs = random_fill
+        (report, _, solves), (exact, _, exact_solves) = runs[False], runs[True]
+        assert exact_solves == 672 and solves <= 500
+        assert len(report.pairs) == len(exact.pairs)
+        for p in report.pairs:
+            q = min((q for q in exact.pairs if q.harmonic == p.harmonic),
+                    key=lambda q: abs(q.value - p.value))
+            assert abs(p.value - q.value) <= 1e-12 * abs(q.value)
+
+    def test_ring_full_solve_count_unchanged(self):
+        J = make_ring_advection_diffusion(512, 10, 1.0)
+        for zero in (False, True):
+            report, kinds, solves = counted(lambda: solve_full_annulus(J), zero)
+            assert kinds == [False] * 3 and solves == 63 and report.dense_lu is False
 
 
 class TestScaleInvariantAcceptance:

@@ -121,6 +121,41 @@ class TestSparseLU:
         assert lu.factor_nnz >= 4
 
 
+class TestDenseLU:
+    """SparseLU(A, dense=True): LAPACK getrf/getrs behind the same checks."""
+
+    @pytest.mark.parametrize("A", [
+        zeros_csr(3),
+        canonical_csr(np.array([[1.0, 0.0], [0.0, 0.0]])),
+        canonical_csr(np.array([[1.0, 2.0], [2.0, 4.0]])),  # exactly singular, no zero row
+        canonical_csr(np.diag([1.0, 1e-16])),
+    ], ids=["zero", "zero-row", "rank-one", "tiny-pivot"])
+    def test_singular_like_superlu(self, A):
+        for dense in (False, True):
+            with pytest.raises(SingularMatrixError):
+                SparseLU(A, dense=dense)
+
+    def test_solves_agree_with_superlu(self):
+        rng = np.random.default_rng(4)
+        n = 150
+        A = canonical_csr(random_csr(rng, n, density=0.1) + canonical_csr(2 * np.eye(n)))
+        Y = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+        sparse, dense = SparseLU(A), SparseLU(A, dense=True)
+        for y in Y.T:
+            x = sparse.solve(y)
+            assert np.linalg.norm(dense.solve(y) - x) <= 1e-12 * np.linalg.norm(x)
+
+    def test_storage_is_n_squared(self):
+        rng = np.random.default_rng(5)
+        A = canonical_csr(random_csr(rng, 40, density=0.05) + canonical_csr(np.eye(40)))
+        assert SparseLU(A, dense=True).factor_nnz == 40 ** 2
+
+    def test_dimension_mismatch(self):
+        lu = SparseLU(canonical_csr(np.eye(3)), dense=True)
+        with pytest.raises(DimensionMismatchError):
+            lu.solve(np.ones(4))
+
+
 class TestMatrixMarket:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(17)
