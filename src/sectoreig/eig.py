@@ -112,10 +112,11 @@ class ShiftInvertConfig:
         object.__setattr__(self, "shifts", tuple(complex(s) for s in self.shifts))
         if self.eigs_per_shift < 1:
             raise ValueError("eigs_per_shift must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        for name in ("tol", "scale"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        if not np.isfinite(self.shifts).all():
+            raise ValueError("shifts must be finite")
 
 
 @dataclass

@@ -1,9 +1,10 @@
 """Surrogate sector Jacobians with known or oracle-checkable spectra.
 
 These generators stand in for a flow-solver Jacobian: same nearest-neighbor
-sector coupling pattern, desk-scale sizes, and spectra that can be checked
-either analytically (the ring model is a scalar circulant) or against the
-dense oracle.
+sector coupling pattern, and spectra that can be checked either analytically
+(the ring model is a scalar circulant) or against the dense oracle.  Every
+block is built sparse from its stencil, and the random model draws its
+stream one row at a time, so memory stays O(N + nnz) at any size.
 """
 
 from __future__ import annotations
@@ -79,16 +80,9 @@ def make_ring_advection_diffusion(M: int, n: int, peclet: float,
     formula on the M*n-point first row (see :func:`ring_first_row`).
     """
     c_prev, c_self, c_next = _ring_coefficients(M, n, peclet, rotation_rate, diffusion, scheme)
-    d_self = sp.lil_matrix((n, n), dtype=np.complex128)
-    for i in range(n):
-        d_self[i, i] = c_self
-        if i + 1 < n:
-            d_self[i, i + 1] = c_next
-            d_self[i + 1, i] = c_prev
-    d_next = sp.lil_matrix((n, n), dtype=np.complex128)
-    d_next[n - 1, 0] = c_next
-    d_prev = sp.lil_matrix((n, n), dtype=np.complex128)
-    d_prev[0, n - 1] = c_prev
+    d_self = sp.diags([c_prev, c_self, c_next], [-1, 0, 1], shape=(n, n))
+    d_next = c_next * sp.eye(n, k=1 - n)
+    d_prev = c_prev * sp.eye(n, k=n - 1)
     layout = DofLayout(points_per_sector=n, vars_per_point=1)
     spec = RotationSpec(M, layout)
     return SectorJacobian(d_self, d_next, d_prev, spec)
@@ -110,17 +104,12 @@ def make_rotating_vector_model(M: int, n: int, coupling: float) -> SectorJacobia
     if n < 1:
         raise ValueError(f"points per sector must be >= 1, got {n}")
     c = float(coupling)
-    N = 2 * n
-    d_self = np.zeros((N, N))
-    for p in range(n):
-        d_self[2 * p:2 * p + 2, 2 * p:2 * p + 2] = _LOCAL_BLOCK
-    for p in range(n - 1):
-        d_self[2 * p:2 * p + 2, 2 * p + 2:2 * p + 4] = c * _FORWARD_COUPLING
-        d_self[2 * p + 2:2 * p + 4, 2 * p:2 * p + 2] = c * _BACKWARD_COUPLING
-    next_unrot = np.zeros((N, N))
-    next_unrot[N - 2:N, 0:2] = c * _FORWARD_COUPLING
-    prev_unrot = np.zeros((N, N))
-    prev_unrot[0:2, N - 2:N] = c * _BACKWARD_COUPLING
+    forward, backward = c * _FORWARD_COUPLING, c * _BACKWARD_COUPLING
+    d_self = (sp.kron(sp.identity(n), _LOCAL_BLOCK)
+              + sp.kron(sp.eye(n, k=1), forward) + sp.kron(sp.eye(n, k=-1), backward))
+    corner = sp.eye(n, k=1 - n)
+    next_unrot = sp.kron(corner, forward)
+    prev_unrot = sp.kron(corner.T, backward)
     layout = DofLayout(points_per_sector=n, vars_per_point=2, rotating_pairs=((0, 1),))
     spec = RotationSpec(M, layout)
     return SectorJacobian.from_unrotated(d_self, next_unrot, prev_unrot, spec)
@@ -146,20 +135,19 @@ def make_random_sector_jacobian(M: int, N: int, density: float, seed: int,
         raise ValueError(f"vars_per_point {vars_per_point} must divide N = {N}")
     rng = np.random.default_rng(seed)
 
-    def block() -> np.ndarray:
-        mask = rng.random((N, N)) < density
-        vals = rng.uniform(-1.0, 1.0, (N, N))
-        return np.where(mask, vals, 0.0)
+    def block() -> sp.csr_matrix:
+        # The same doubles as rng.random((N, N)) then rng.uniform(-1, 1, (N, N)),
+        # drawn a row at a time so that only the kept entries are stored.
+        cols = [np.flatnonzero(rng.random(N) < density) for _ in range(N)]
+        vals = [rng.uniform(-1.0, 1.0, N)[c] for c in cols]
+        indptr = np.concatenate(([0], np.cumsum([len(c) for c in cols])))
+        return sp.csr_matrix((np.concatenate(vals), np.concatenate(cols), indptr), shape=(N, N))
 
     d_self = block()
-    if M >= 3:
-        d_next = block()
-        d_prev = block()
-    else:
-        d_next = np.zeros((N, N))
-        d_prev = np.zeros((N, N))
-    degree = (d_self != 0).sum(axis=1) + (d_next != 0).sum(axis=1) + (d_prev != 0).sum(axis=1)
-    d_self[np.diag_indices(N)] -= 2.0 * degree
+    empty = sp.csr_matrix((N, N))
+    d_next, d_prev = (block(), block()) if M >= 3 else (empty, empty)
+    degree = sum(np.diff((b != 0).indptr) for b in (d_self, d_next, d_prev))
+    d_self = d_self - sp.diags(2.0 * degree)
     layout = DofLayout(points_per_sector=N // vars_per_point,
                        vars_per_point=vars_per_point,
                        rotating_pairs=rotating_pairs)

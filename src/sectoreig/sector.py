@@ -104,7 +104,7 @@ def rotation_matrix(spec: RotationSpec, power: int) -> sp.csr_matrix:
         point[a, b] = -s
         point[b, a] = s
         point[b, b] = c
-    return canonical_csr(sp.block_diag([point] * lay.points_per_sector, format="csr"))
+    return canonical_csr(sp.kron(sp.identity(lay.points_per_sector), point, format="csr"))
 
 
 @dataclass(frozen=True)

@@ -326,6 +326,19 @@ class TestEig:
         rc = main(["eig", str(tmp_path / "nope"), "--out", str(tmp_path / "x.csv")])
         assert rc != 0
 
+    @pytest.mark.parametrize("option", [["--shifts", "nan+0i"], ["--shifts", "1i", "nan-2i"],
+                                        ["--scale", "nan"], ["--scale", "inf"]])
+    def test_non_finite_input_exits_2(self, tmp_path, capsys, option):
+        model = tmp_path / "ring"
+        assert main(["gen", "ring", "--sectors", "8", "--points", "30", "--peclet", "1",
+                     "--out", str(model)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "x.csv"
+        assert main(["eig", str(model), *option, "--out", str(out)]) == 2
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error:") and "finite" in errors[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["eig", "verify"])
     def test_layout_missing_key_exits_2(self, tmp_path, capsys, command):
         model = tmp_path / "ring"
@@ -384,6 +397,26 @@ class TestVerify:
         assert captured.err.startswith("FAIL: ")
         assert captured.err.endswith("; use a smaller instance\n")
         assert "PASS" not in captured.out
+
+    @pytest.mark.parametrize("flags, rc, verdict", [([], 0, "PASS"),
+                                                    (["--no-rotation"], 1, "FAIL")])
+    def test_eigenvectors_only_of_sector_blocks(self, tmp_path, capsys, monkeypatch,
+                                                flags, rc, verdict):
+        out = tmp_path / "rv"
+        assert main(["gen", "rotvec", "--sectors", "6", "--points", "4",
+                     "--out", str(out)]) == 0
+        eig = np.linalg.eig
+        sizes = []
+
+        def sector_sized_eig(a):
+            sizes.append(a.shape[0])
+            assert a.shape[0] <= 8, "np.linalg.eig called on the whole operator"
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", sector_sized_eig)
+        assert main(["verify", str(out), *flags]) == rc
+        assert verdict in capsys.readouterr().out
+        assert sizes == ([] if flags else [8] * 6)
 
     def test_rotation_stack_built_once(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "rv"

@@ -821,6 +821,11 @@ class TestConfigValidation:
             ShiftInvertConfig(tol=0.0)
         with pytest.raises(ValueError):
             ShiftInvertConfig(scale=-1.0)
+        for bad in (dict(tol=np.nan), dict(tol=np.inf), dict(scale=np.nan),
+                    dict(scale=np.inf), dict(shifts=(1j, complex(np.nan, 0.0))),
+                    dict(shifts=(complex(0.0, np.inf),))):
+            with pytest.raises(ValueError, match="finite"):
+                ShiftInvertConfig(**bad)
 
 
 def test_greedy_match_validates_sizes():

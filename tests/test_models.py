@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -156,3 +159,50 @@ def test_generators_round_trip_on_disk(tmp_path, maker):
     for name in ("d_self", "d_next", "d_prev"):
         assert np.array_equal(getattr(J, name).toarray(), getattr(K, name).toarray())
     assert K.rotation == J.rotation
+
+
+# SHA-256 of d_self.mtx, d_next.mtx, d_prev.mtx and layout.txt as saved, recorded
+# while the generators still built dense arrays.  The first four are the perfbench
+# workload models (perfbench/run.py WORKLOADS), whose oracle cache is keyed on these bytes.
+MODEL_DIGESTS = [
+    pytest.param(lambda: make_ring_advection_diffusion(128, 50, 1.0),
+                 "01a61615deae6af24383a53a608fd6c3d42175a2f7b75b7615738c43d012fbe3",
+                 id="ring-wide"),
+    pytest.param(lambda: make_rotating_vector_model(8, 50, 0.3),
+                 "b2888bb5910ce0c69d783c371b450d5fe166f430fbb1c5c9762c2b08b37e9a0a",
+                 id="rotvec-clustered"),
+    pytest.param(lambda: make_random_sector_jacobian(4, 800, 0.005, 0),
+                 "6630dd35cca984dc59c74965494819051101357369544305b71cf60e5d74ea52",
+                 id="random-fill"),
+    pytest.param(lambda: make_ring_advection_diffusion(512, 10, 1.0),
+                 "c616f19ea7c7b963e2fc33337e77971a1a29ce4231563cd47fc621980a19d54f",
+                 id="ring-full"),
+    pytest.param(lambda: make_random_sector_jacobian(5, 12, 0.3, 7, vars_per_point=2,
+                                                     rotating_pairs=((0, 1),)),
+                 "53760e36e7765ad299052e49f808e18359f53198dcd1c79fc80b4672ed08eaed",
+                 id="random-pair"),
+]
+
+
+@pytest.mark.parametrize("maker, digest", MODEL_DIGESTS)
+def test_saved_model_bytes_are_pinned(tmp_path, maker, digest):
+    save_sector_jacobian(maker(), tmp_path)
+    h = hashlib.sha256()
+    for name in ("d_self.mtx", "d_next.mtx", "d_prev.mtx", "layout.txt"):
+        h.update((tmp_path / name).read_bytes())
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("maker, bound_mib", [
+    # a dense N x N array here would be 1458 MiB and 122 MiB
+    (lambda: make_rotating_vector_model(22, 4500, 0.3), 16),
+    (lambda: make_random_sector_jacobian(4, 4000, 0.005, 0), 32),
+])
+def test_generators_store_only_their_entries(maker, bound_mib):
+    tracemalloc.start()
+    try:
+        maker()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20
