@@ -13,7 +13,7 @@ import importlib
 __version__ = "0.1.0"
 
 # The public names of each submodule.  A name imports its submodule on first
-# use (PEP 562), so loading a model needs only numpy and scipy.sparse.
+# use (PEP 562), so loading a model imports numpy and no scipy module.
 _EXPORTS = {
     "circulant": "circulant_eigenvalues lift_block_eigenvector",
     "eig": "EigenPair ShiftInvertConfig SpectrumReport dense_eigs deduplicate_pairs greedy_match"

@@ -47,7 +47,9 @@ CSV_HEADER = "harmonic,nodal_diameter,lambda_re,lambda_im,residual,shift_re,shif
 
 def parse_shift(text: str) -> complex:
     """Parse 'a+bi' complex literals, e.g. '0+1i' or '2.5-0.5i'."""
-    cleaned = text.strip().replace(" ", "").replace("i", "j")
+    cleaned = text.strip().replace(" ", "")
+    if cleaned.endswith("i"):  # only the imaginary unit: 'inf' keeps its i
+        cleaned = cleaned[:-1] + "j"
     try:
         return complex(cleaned)
     except ValueError as exc:

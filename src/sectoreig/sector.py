@@ -14,22 +14,27 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .circulant import lift_block_eigenvector
 from .sparsecore import (
     CANCELLATION_TOL,
     BudgetExceededError,
+    CsrArrays,
     canonical_csr,
     check_harmonic,
+    csr_from_arrays,
     parse_matrix_market,
     unity_power,
     write_matrix_market,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 BLOCK_FILES = ("d_self.mtx", "d_next.mtx", "d_prev.mtx")
 LAYOUT_FILE = "layout.txt"
@@ -95,6 +100,7 @@ def rotation_matrix(spec: RotationSpec, power: int) -> sp.csr_matrix:
     is formed directly from ``power`` (negative means inverse), so large
     powers do not accumulate roundoff.
     """
+    import scipy.sparse as sp
     lay = spec.layout
     point = np.eye(lay.vars_per_point, dtype=np.complex128)
     angle = power * spec.theta
@@ -107,32 +113,50 @@ def rotation_matrix(spec: RotationSpec, power: int) -> sp.csr_matrix:
     return canonical_csr(sp.kron(sp.identity(lay.points_per_sector), point, format="csr"))
 
 
-@dataclass(frozen=True)
 class SectorJacobian:
     """One sector's Jacobian blocks in rotated variables, plus the rotation.
 
     ``d_self`` couples the sector to itself, ``d_next`` to the sector one
     pitch ahead (positive theta), ``d_prev`` to the sector one pitch
     behind.  All farther couplings are structurally zero.
+
+    The blocks are kept as canonical CSR arrays in ``blocks`` (self, next,
+    prev), which :func:`dense_block`, :attr:`is_real` and
+    :func:`save_sector_jacobian` read directly.  A block given as
+    :class:`CsrArrays` is taken as canonical; anything else goes through
+    ``canonical_csr``.  The scipy CSR attributes ``d_self``, ``d_next`` and
+    ``d_prev`` are built from the arrays on first access.
     """
 
-    d_self: sp.csr_matrix = field(repr=False)
-    d_next: sp.csr_matrix = field(repr=False)
-    d_prev: sp.csr_matrix = field(repr=False)
-    rotation: RotationSpec
-
-    def __post_init__(self):
-        N = self.rotation.layout.N
-        for name in ("d_self", "d_next", "d_prev"):
-            blk = canonical_csr(getattr(self, name))
+    def __init__(self, d_self, d_next, d_prev, rotation: RotationSpec):
+        self.rotation = rotation
+        N = rotation.layout.N
+        blocks = []
+        for name, blk in (("d_self", d_self), ("d_next", d_next), ("d_prev", d_prev)):
+            if not isinstance(blk, CsrArrays):
+                blk = self.__dict__[name] = canonical_csr(blk)
+                blk = CsrArrays(blk.indptr, blk.indices, blk.data, blk.shape)
             if blk.shape != (N, N):
                 raise ValueError(f"{name} must be {N}x{N}, got {blk.shape}")
-            object.__setattr__(self, name, blk)
-        if self.rotation.M < 3 and (self.d_next.nnz or self.d_prev.nnz):
+            blocks.append(blk)
+        self.blocks = tuple(blocks)
+        if rotation.M < 3 and (blocks[1].nnz or blocks[2].nnz):
             raise ValueError(
                 "neighbor blocks address distinct sectors only for M >= 3; "
-                f"got M = {self.rotation.M} with nonzero neighbor coupling"
+                f"got M = {rotation.M} with nonzero neighbor coupling"
             )
+
+    @cached_property
+    def d_self(self) -> sp.csr_matrix:
+        return csr_from_arrays(self.blocks[0])
+
+    @cached_property
+    def d_next(self) -> sp.csr_matrix:
+        return csr_from_arrays(self.blocks[1])
+
+    @cached_property
+    def d_prev(self) -> sp.csr_matrix:
+        return csr_from_arrays(self.blocks[2])
 
     @property
     def M(self) -> int:
@@ -146,11 +170,12 @@ class SectorJacobian:
     def is_real(self) -> bool:
         """Whether all three blocks are real, so that reduced_block(J, M - m)
         is conj(reduced_block(J, m)) bit for bit.  O(nnz)."""
-        return not any(np.any(b.data.imag) for b in (self.d_self, self.d_next, self.d_prev))
+        return not any(np.any(b.data.imag) for b in self.blocks)
 
     @cached_property
     def rotation_stack(self) -> sp.csr_matrix:
         """Block-diagonal stack diag(T^0, T^1, ..., T^{M-1}); its transpose is its inverse."""
+        import scipy.sparse as sp
         parts = [rotation_matrix(self.rotation, s) for s in range(self.M)]
         return sp.block_diag(parts, format="csr")
 
@@ -173,6 +198,7 @@ class SectorJacobian:
 
 def cyclic_shift(M: int, k: int) -> sp.csr_matrix:
     """M x M cyclic shift S^k: ones at (i, (i + k) mod M)."""
+    import scipy.sparse as sp
     i = np.arange(M)
     return sp.csr_matrix((np.ones(M), (i, (i + k) % M)), shape=(M, M))
 
@@ -195,7 +221,7 @@ def dense_block(J: SectorJacobian, m: int) -> np.ndarray:
     check_harmonic(m, J.M)
     out = np.zeros(J.N * J.N, dtype=np.complex128)
     starts = np.arange(0, J.N * J.N, J.N)
-    for k, b in ((0, J.d_self), (1, J.d_next), (J.M - 1, J.d_prev)):
+    for k, b in zip((0, 1, J.M - 1), J.blocks):
         out[np.repeat(starts, np.diff(b.indptr)) + b.indices] += b.data * unity_power(m, k, J.M)
     out[np.abs(out) < CANCELLATION_TOL] = 0.0
     return out.reshape(J.N, J.N)
@@ -207,6 +233,7 @@ def materialize(J: SectorJacobian, budget: int = DENSE_ORACLE_BUDGET) -> sp.csr_
     Block (i, j) is b_{(j-i) mod M}.  Intended for oracle-side
     verification only, hence the size budget.
     """
+    import scipy.sparse as sp
     full = J.M * J.N
     if full > budget:
         raise BudgetExceededError(
@@ -295,7 +322,7 @@ def save_sector_jacobian(J: SectorJacobian, out_dir) -> None:
         fh.write(f"points_per_sector = {lay.points_per_sector}\n")
         fh.write(f"vars_per_point = {lay.vars_per_point}\n")
         fh.write(f"rotating_pairs = {_format_pairs(lay.rotating_pairs)}\n")
-    for name, blk in zip(BLOCK_FILES, (J.d_self, J.d_next, J.d_prev)):
+    for name, blk in zip(BLOCK_FILES, J.blocks):
         write_matrix_market(os.path.join(out_dir, name), blk)
 
 

@@ -1,19 +1,26 @@
 """Complex sparse-matrix primitives shared by the whole package.
 
-Everything is represented as scipy CSR matrices with complex128 entries.
-The helpers here enforce the package-wide storage conventions: canonical
-index structure (sorted, duplicate-free), finite entries only, and
-pruning of stored values whose magnitude falls below the cancellation
-tolerance.  Higher-level modules never touch scipy internals directly.
+Every matrix is stored in canonical complex128 CSR form: sorted,
+duplicate-free column indices, finite entries only, and no stored value
+whose magnitude falls below the cancellation tolerance.  Matrices the
+package builds are scipy CSR matrices made canonical by
+:func:`canonical_csr`.  A Matrix Market file is read by numpy alone into
+the same form as plain arrays (:class:`CsrArrays`), and
+:func:`csr_from_arrays` makes the scipy matrix from them when one is
+needed, so that reading a model imports no scipy module.  Higher-level
+modules never touch scipy internals directly.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # Entries smaller than this are treated as exact cancellations and removed
 # from the stored pattern.  Deliberately at the underflow edge: correctness
@@ -80,12 +87,28 @@ def unity_power(m: int, k: int, M: int) -> complex:
     return root_of_unity((m * k) % M, M)
 
 
+class CsrArrays(NamedTuple):
+    """A canonical complex CSR matrix as numpy arrays, under scipy's names:
+    code that reads ``indptr``, ``indices``, ``data``, ``shape`` and ``nnz``
+    takes this and a canonical scipy CSR matrix alike."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+
 def canonical_csr(A) -> sp.csr_matrix:
     """Coerce ``A`` to a canonical complex CSR matrix.
 
     Canonical means: sorted column indices, no duplicates, no stored
     entries below the cancellation tolerance, and all values finite.
     """
+    import scipy.sparse as sp
     mat = sp.csr_matrix(A, dtype=np.complex128, copy=True)
     mat.sum_duplicates()
     mat.sort_indices()
@@ -99,8 +122,17 @@ def canonical_csr(A) -> sp.csr_matrix:
     return mat
 
 
+def csr_from_arrays(a: CsrArrays) -> sp.csr_matrix:
+    """The scipy CSR matrix of canonical arrays, sharing their memory."""
+    import scipy.sparse as sp
+    mat = sp.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)
+    mat.has_canonical_format = True
+    return mat
+
+
 def zeros_csr(nrows: int, ncols: int | None = None) -> sp.csr_matrix:
     """Structurally empty CSR matrix."""
+    import scipy.sparse as sp
     if ncols is None:
         ncols = nrows
     return sp.csr_matrix((nrows, ncols), dtype=np.complex128)
@@ -117,7 +149,7 @@ def spmv(A: sp.csr_matrix, x) -> np.ndarray:
 
 
 def splu(A, **kwargs):
-    """scipy.sparse.linalg.splu, imported on first call: loading needs no scipy.sparse.linalg."""
+    """scipy.sparse.linalg.splu, imported on the first factorization."""
     from scipy.sparse.linalg import splu as superlu
     return superlu(A, **kwargs)
 
@@ -184,19 +216,31 @@ class SparseLU:
         return self._lu.solve(y)
 
 
+# Entries formatted per write: bounds the Python lists and strings a large block needs.
+_MM_WRITE_CHUNK = 1 << 16
+
+
 def write_matrix_market(path, A) -> None:
     """Write ``A`` as 'coordinate complex general' Matrix Market, 1-based.
 
     Values are written with shortest round-trip formatting so a
-    write/read cycle reproduces them bit-exactly.
+    write/read cycle reproduces them bit-exactly.  ``A`` is made canonical
+    first unless it is already a :class:`CsrArrays`.
     """
-    A = canonical_csr(A)
-    coo = A.tocoo()
+    if not isinstance(A, CsrArrays):
+        A = canonical_csr(A)
+    nrows, ncols = A.shape
+    rows = np.repeat(np.arange(1, nrows + 1), np.diff(A.indptr))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("%%MatrixMarket matrix coordinate complex general\n")
-        fh.write(f"{A.shape[0]} {A.shape[1]} {coo.nnz}\n")
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{i + 1} {j + 1} {float(v.real)!r} {float(v.imag)!r}\n")
+        fh.write(f"{nrows} {ncols} {A.nnz}\n")
+        # tolist() gives Python floats, whose repr is the shortest round trip
+        for lo in range(0, A.nnz, _MM_WRITE_CHUNK):
+            part = slice(lo, lo + _MM_WRITE_CHUNK)
+            fh.write("".join(
+                f"{i} {j} {re!r} {im!r}\n" for i, j, re, im in zip(
+                    rows[part].tolist(), (A.indices[part] + 1).tolist(),
+                    A.data[part].real.tolist(), A.data[part].imag.tolist())))
 
 
 # One entry line as write_matrix_market writes it: 1-based row and column, real, imaginary.
@@ -204,10 +248,15 @@ _MM_ENTRY = np.dtype([("ij", np.int64, 2), ("v", np.float64, 2)])
 _MM_HEADER = ["%%matrixmarket", "matrix", "coordinate", "complex", "general"]
 
 
-def parse_matrix_market(path) -> sp.coo_matrix:
-    """The entries of a 'coordinate complex general' Matrix Market file as
-    stored, not yet canonical.  Any other header, a wrong entry count or an
-    index out of range raises ValueError naming the file."""
+def parse_matrix_market(path) -> CsrArrays:
+    """Read a 'coordinate complex general' Matrix Market file into canonical
+    CSR arrays, with numpy alone.  Duplicate entries are summed in file
+    order, sums below the cancellation tolerance are dropped, and the index
+    dtype is int32 where it fits, so the arrays are canonical_csr's bytes
+    (but for three or more duplicates of one entry, which scipy may sum in
+    another order).
+    Any other header, a wrong entry count, an index out of range or a
+    non-finite entry raises ValueError naming the file."""
     try:
         with open(path, encoding="ascii") as fh:
             if fh.readline().lower().split() != _MM_HEADER:
@@ -216,19 +265,38 @@ def parse_matrix_market(path) -> sp.coo_matrix:
             while line.startswith("%") or line.isspace():
                 line = fh.readline()
             nrows, ncols, nnz = (int(tok) for tok in line.split())
+            if min(nrows, ncols, nnz) < 0:
+                raise ValueError(f"negative size line {nrows} {ncols} {nnz}")
             with warnings.catch_warnings():  # loadtxt warns on no data and on comment lines
                 warnings.simplefilter("ignore", UserWarning)
                 e = np.loadtxt(fh, dtype=_MM_ENTRY, comments="%", ndmin=1, max_rows=nnz + 1)
         if e.size != nnz:
             found = "more" if e.size > nnz else e.size
             raise ValueError(f"size line gives {nnz} entries, the file holds {found}")
-        ij = e["ij"] - 1
+        row, col = (e["ij"] - 1).T
+        if nnz and not (row.min() >= 0 and col.min() >= 0
+                        and row.max() < nrows and col.max() < ncols):
+            raise ValueError(f"an entry index lies outside the {nrows}x{ncols} matrix")
         data = e["v"].view(np.complex128)[:, 0]
-        return sp.coo_matrix((data, (ij[:, 0], ij[:, 1])), shape=(nrows, ncols))
+        key = row * ncols + col
+        if np.any(key[1:] <= key[:-1]):  # not already in row-major order without duplicates
+            order = np.argsort(key, kind="stable")
+            row, col, key, data = row[order], col[order], key[order], data[order]
+            starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum fails below
+                row, col, data = row[starts], col[starts], np.add.reduceat(data, starts)
+        keep = ~(np.abs(data) < CANCELLATION_TOL)  # NaN is kept, to fail the next check
+        row, col, data = row[keep], col[keep], data[keep]
+        if not np.isfinite(data).all():
+            raise ValueError("matrix contains non-finite entries")
+        index = np.int32 if max(nrows, ncols, data.size) <= np.iinfo(np.int32).max else np.int64
+        indptr = np.zeros(nrows + 1, dtype=index)
+        indptr[1:] = np.cumsum(np.bincount(row, minlength=nrows))
+        return CsrArrays(indptr, col.astype(index), data, (nrows, ncols))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
 def read_matrix_market(path) -> sp.csr_matrix:
     """Read a Matrix Market file into canonical complex CSR form."""
-    return canonical_csr(parse_matrix_market(path))
+    return csr_from_arrays(parse_matrix_market(path))

@@ -49,6 +49,12 @@ class TestParseShift:
         assert parse_shift("2.5-0.5i") == 2.5 - 0.5j
         assert parse_shift("3") == 3 + 0j
 
+    def test_infinite_parts(self):
+        inf = float("inf")
+        assert parse_shift("inf+0i") == complex(inf, 0)
+        assert parse_shift("0+infi") == complex(0, inf)
+        assert parse_shift("-inf-1i") == complex(-inf, -1)
+
     def test_invalid(self):
         import argparse
         with pytest.raises(argparse.ArgumentTypeError):
@@ -327,6 +333,8 @@ class TestEig:
         assert rc != 0
 
     @pytest.mark.parametrize("option", [["--shifts", "nan+0i"], ["--shifts", "1i", "nan-2i"],
+                                        ["--shifts", "inf+0i"], ["--shifts", "0+infi"],
+                                        ["--shifts=-inf-1i"],
                                         ["--scale", "nan"], ["--scale", "inf"]])
     def test_non_finite_input_exits_2(self, tmp_path, capsys, option):
         model = tmp_path / "ring"

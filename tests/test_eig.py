@@ -196,6 +196,19 @@ class TestDenseRoute:
         assert calls == {"eigvals": 4, "solve": chosen, "spmv": chosen}
         assert chosen < report.raw_count
 
+    def test_loaded_model_on_dense_route_builds_no_scipy_block(self, tmp_path, monkeypatch):
+        save_sector_jacobian(make_rotating_vector_model(7, 30, 0.3), tmp_path / "model")
+        J = load_sector_jacobian(tmp_path / "model")
+
+        def refuse(a):
+            raise AssertionError("a scipy block was built on the dense route")
+
+        monkeypatch.setattr(sector_module, "csr_from_arrays", refuse)
+        report = solve_annulus_spectrum(J, cfg=ShiftInvertConfig())
+        assert set(report.routes.values()) == {"dense", "conj(3)", "conj(2)", "conj(1)"}
+        assert report.warnings == [] and report.raw_count == 7 * 3 * 2
+        assert not {"d_self", "d_next", "d_prev"} & set(vars(J))
+
     def test_converging_block_above_dense_route_never_decomposes(self, monkeypatch):
         calls = []
         real_eigvals = np.linalg.eigvals

@@ -7,8 +7,11 @@ import sys
 from pathlib import Path
 
 import pytest
+import scipy.io
+import scipy.sparse
 
 import sectoreig
+from sectoreig.sparsecore import canonical_csr
 
 SRC = Path(sectoreig.__file__).resolve().parents[1]
 ROTVEC = Path(__file__).parent / "data" / "models" / "rotvec"
@@ -27,22 +30,42 @@ PUBLIC_NAMES = [
 ]
 
 
+def run_fresh(code):
+    """Run ``code`` in a fresh interpreter and return what it printed."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    return out.stdout.strip()
+
+
 def loaded_modules(code, names):
     """Run ``code`` in a fresh interpreter; return which of ``names`` it left in sys.modules."""
     probe = f"{code}\nimport sys\nprint(','.join(n for n in {names!r} if n in sys.modules))"
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True)
-    return [n for n in out.stdout.strip().split(",") if n]
+    return [n for n in run_fresh(probe).split(",") if n]
 
 
-def test_loading_a_model_needs_only_numpy_and_scipy_sparse():
+def test_loading_a_model_imports_no_scipy():
     code = ("import sectoreig\n"
             f"J = sectoreig.load_sector_jacobian({str(ROTVEC)!r})\n"
             "from sectoreig.sector import dense_block\n"
-            "dense_block(J, 1)")
-    heavy = ["scipy.io", "scipy.linalg", "scipy.sparse.linalg"]
-    assert loaded_modules(code, heavy + ["scipy.sparse"]) == ["scipy.sparse"]
+            "dense_block(J, 1)\n"
+            "assert J.is_real\n"
+            "import sys\n"
+            "print(','.join(n for n in sys.modules if n.split('.')[0] == 'scipy'))")
+    assert run_fresh(code) == ""
+
+
+def test_loaded_blocks_are_canonical_scipy_csr():
+    J = sectoreig.load_sector_jacobian(ROTVEC)
+    for name in ("d_self", "d_next", "d_prev"):
+        assert name not in vars(J)
+        block, want = getattr(J, name), canonical_csr(scipy.io.mmread(ROTVEC / f"{name}.mtx"))
+        assert type(block) is scipy.sparse.csr_matrix and block.has_canonical_format
+        assert getattr(J, name) is block  # built once
+        assert block.shape == want.shape
+        for attr in ("indptr", "indices", "data"):
+            a, b = getattr(block, attr), getattr(want, attr)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_cli_import_leaves_out_scipy_io():

@@ -1,3 +1,5 @@
+import os
+import re
 import warnings
 
 import numpy as np
@@ -340,16 +342,32 @@ class TestDiskFormat:
     def test_load_canonicalizes_each_block_once(self, tmp_path, monkeypatch):
         J = make_rotating_vector_model(6, 3, 0.35)
         save_sector_jacobian(J, tmp_path / "model")
-        calls = []
+        parsed = []
 
-        def counting(A):
-            calls.append(A.shape)
-            return canonical_csr(A)
+        def counting(path):
+            parsed.append(os.path.basename(path))
+            return sparsecore.parse_matrix_market(path)
 
-        monkeypatch.setattr(sector_module, "canonical_csr", counting)
-        monkeypatch.setattr(sparsecore, "canonical_csr", counting)
-        load_sector_jacobian(tmp_path / "model")
-        assert calls == [(J.N, J.N)] * 3
+        def refuse(A):
+            raise AssertionError("a loaded block was canonicalized again")
+
+        # the parser makes each block canonical; the constructor keeps its arrays
+        monkeypatch.setattr(sector_module, "parse_matrix_market", counting)
+        monkeypatch.setattr(sector_module, "canonical_csr", refuse)
+        monkeypatch.setattr(sparsecore, "canonical_csr", refuse)
+        K = load_sector_jacobian(tmp_path / "model")
+        assert parsed == ["d_self.mtx", "d_next.mtx", "d_prev.mtx"]
+        for b, c in zip(J.blocks, K.blocks):
+            assert all(np.array_equal(x, y) for x, y in zip(b, c))
+
+    def test_bad_block_file_named_on_load(self, tmp_path):
+        save_sector_jacobian(make_rotating_vector_model(6, 3, 0.35), tmp_path / "model")
+        path = tmp_path / "model" / "d_next.mtx"
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].rsplit(" ", 1)[0] + " nan"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*non-finite"):
+            load_sector_jacobian(tmp_path / "model")
 
     def test_empty_neighbor_blocks_load_without_warnings(self, tmp_path):
         J = make_random_sector_jacobian(1, 5, 0.5, 0)

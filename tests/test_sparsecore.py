@@ -5,8 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.io
+import scipy.sparse as sp
 
 from sectoreig.sparsecore import (
+    CsrArrays,
     DimensionMismatchError,
     SingularMatrixError,
     SparseLU,
@@ -207,13 +209,40 @@ class TestMatrixMarket:
         assert A.shape == (2, 3)
         assert np.array_equal(A.toarray(), [[0, 0, 1.5 - 2j], [0.25, 0, 0]])
 
-    def test_parse_keeps_entries_as_stored(self, tmp_path):
+    def test_parse_returns_canonical_arrays(self, tmp_path):
         path = tmp_path / "d.mtx"
         path.write_text("%%MatrixMarket matrix coordinate complex general\n"
                         "2 2 3\n2 2 1.0 0.0\n1 1 1e-310 0.0\n2 2 1.0 0.0\n")
-        coo = parse_matrix_market(path)
-        assert coo.nnz == 3
+        arrays = parse_matrix_market(path)
+        assert isinstance(arrays, CsrArrays) and arrays.shape == (2, 2) and arrays.nnz == 1
+        assert arrays.indptr.tolist() == [0, 0, 1] and arrays.indices.tolist() == [1]
+        assert arrays.data.tolist() == [2.0]
         assert np.array_equal(read_matrix_market(path).toarray(), [[0, 0], [0, 2]])
+
+    @pytest.mark.parametrize("shape, entries", [
+        ((3, 4), [(2, 3, 1.5 - 2j), (0, 1, 0.25), (2, 0, -1j), (0, 0, 3.0), (1, 2, 7.0)]),
+        ((3, 3), [(1, 1, 1.0), (0, 2, 2j), (1, 1, 2.5 - 1j), (1, 1, 1e-3), (0, 2, -1.0)]),
+        ((3, 3), [(0, 0, 1.0), (1, 1, 1e-301 + 1e-302j), (2, 2, -1e-310), (2, 1, 1e-300)]),
+        ((2, 2), [(0, 1, 0.0), (1, 0, -0.0 + 0j), (1, 1, 4.0)]),
+        ((2, 2), [(0, 0, 1.0), (0, 0, -1.0), (1, 1, 1e-300), (1, 1, -1e-300)]),
+        ((0, 0), []),
+        ((4, 3), []),
+        ((1, 40), [(0, j % 20, complex(j, -j)) for j in range(40)][::-1]),
+    ], ids=["unsorted", "duplicates", "below-1e-300", "explicit-zero", "cancelling-duplicates",
+            "0x0", "empty", "long-row-duplicates"])
+    def test_parse_matches_canonical_csr(self, tmp_path, shape, entries):
+        path = tmp_path / "m.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate complex general\n"
+                        f"{shape[0]} {shape[1]} {len(entries)}\n"
+                        + "".join(f"{i + 1} {j + 1} {complex(v).real!r} {complex(v).imag!r}\n"
+                                  for i, j, v in entries))
+        i, j, v = (np.array(x) for x in zip(*entries)) if entries else ([], [], [])
+        want = canonical_csr(sp.coo_matrix((v, (i, j)), shape=shape, dtype=np.complex128))
+        got = parse_matrix_market(path)
+        assert got.shape == want.shape and got.nnz == want.nnz
+        for attr in ("indptr", "indices", "data"):
+            a, b = getattr(got, attr), getattr(want, attr)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("text", [
         "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0\n",
@@ -237,13 +266,19 @@ class TestMatrixMarket:
         "2 2 1\n3 1 1.0 0.0\n",
         "2 2 1\n1 3 1.0 0.0\n",
         "2 2 1\n0 1 1.0 0.0\n",
+        "2 2 1\n1 0 1.0 0.0\n",
         "2 2 1\n1.5 1 1.0 0.0\n",
         "2 2 1\n1 1 1.0\n",
         "2 2\n1 1 1.0 0.0\n",
+        "-2 2 0\n",
         "",
+        "2 2 1\n1 1 nan 0.0\n",
+        "2 2 1\n1 1 1.0 -inf\n",
+        "2 2 2\n1 1 1e308 0.0\n1 1 1e308 0.0\n",
     ], ids=["too-few", "too-many", "extra-after-empty", "missing-entry", "row-out-of-range",
-            "col-out-of-range", "index-zero", "fractional-index", "no-imaginary-part",
-            "short-size-line", "no-size-line"])
+            "col-out-of-range", "index-zero", "col-index-zero", "fractional-index",
+            "no-imaginary-part", "short-size-line", "negative-size", "no-size-line", "nan",
+            "inf", "overflowing-sum"])
     def test_malformed_body_rejected(self, tmp_path, body):
         path = tmp_path / "bad.mtx"
         path.write_text("%%MatrixMarket matrix coordinate complex general\n" + body)
