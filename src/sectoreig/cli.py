@@ -23,6 +23,7 @@ from .eig import (
     ShiftInvertConfig,
     dense_eigs,
     greedy_match,
+    lapack_eig,
     solve_annulus_spectrum,
     solve_full_annulus,
 )
@@ -184,7 +185,7 @@ def cmd_verify(args) -> int:
     max_lift_residual = 0.0
     for m in range(J.M):
         if args.no_rotation:
-            reduced_vals.extend(np.linalg.eigvals(dense_block(reduced_source, m)))
+            reduced_vals.extend(lapack_eig(dense_block(reduced_source, m)))
             continue
         w, V = dense_eigs(dense_block(reduced_source, m))
         reduced_vals.extend(w)

@@ -14,10 +14,11 @@ route, assembled as an array (sector.dense_block).  Other blocks go to
 Arnoldi; on one with n <= DENSE_EIG_BUDGET, Arnoldi may apply the inverse
 n + 1 times, one pass over the whole space, and when that runs out (or
 k > n - 2) the block takes the dense route after all.  The dense route
-computes all eigenvalues once and answers the remaining shifts in one
-pass: each distinct eigenvalue chosen by any of them gets its vector from
-one step of inverse iteration, a single dense solve, which from a
-backward-stable eigenvalue leaves a residual near eps ||B||.
+computes all eigenvalues once, by real LAPACK when the block is real (on
+real sector blocks, harmonics 0 and M/2), and answers the remaining shifts
+in one pass: each distinct eigenvalue chosen by any of them gets its
+vector from one step of inverse iteration, a single dense solve, which
+from a backward-stable eigenvalue leaves a residual near eps ||B||.
 
 On real sector blocks, harmonic M - m takes conj(B_m) and the conjugates
 of harmonic m's dense eigenvalues.  Blocks on the Arnoldi route solve
@@ -182,6 +183,16 @@ def _start_vector(n: int) -> np.ndarray:
     return v
 
 
+def lapack_eig(B: np.ndarray, vectors: bool = False):
+    """np.linalg.eig(B), or np.linalg.eigvals(B) without vectors, as complex128.
+    A B with no nonzero imaginary entry goes to real LAPACK (dgeev, not zgeev):
+    its real eigenvalues have imaginary part exactly 0, the others exact conjugates."""
+    B = B.real if np.iscomplexobj(B) and not B.imag.any() else B
+    if vectors:
+        return tuple(x.astype(np.complex128, copy=False) for x in np.linalg.eig(B))
+    return np.linalg.eigvals(B).astype(np.complex128, copy=False)
+
+
 class Block:
     """One square operator solved at several shifts.
 
@@ -215,7 +226,7 @@ class Block:
         """Store the dense matrix and all its eigenvalues, once."""
         if self.values is None:
             self.dense = self.matrix.toarray() if self.dense is None else self.dense
-            self.values = np.linalg.eigvals(self.dense)
+            self.values = lapack_eig(self.dense)
 
 
 class _BudgetSpent(Exception):
@@ -373,8 +384,7 @@ def dense_eigs(A, budget: int = DENSE_EIG_BUDGET):
     budget, before any densification, since this path is strictly for
     verification.
     """
-    if not sp.issparse(A):
-        A = np.asarray(A)
+    A = A if sp.issparse(A) else np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square, got {A.shape}")
     n = A.shape[0]
@@ -382,9 +392,7 @@ def dense_eigs(A, budget: int = DENSE_EIG_BUDGET):
         raise BudgetExceededError(
             f"dense oracle refuses dimension {n} > budget {budget}", required=n
         )
-    if sp.issparse(A):
-        A = A.toarray()
-    return np.linalg.eig(np.asarray(A, dtype=np.complex128))
+    return lapack_eig(A.toarray() if sp.issparse(A) else A, vectors=True)
 
 
 def deduplicate_pairs(pairs):

@@ -250,11 +250,11 @@ _MM_HEADER = ["%%matrixmarket", "matrix", "coordinate", "complex", "general"]
 
 def parse_matrix_market(path) -> CsrArrays:
     """Read a 'coordinate complex general' Matrix Market file into canonical
-    CSR arrays, with numpy alone.  Duplicate entries are summed in file
-    order, sums below the cancellation tolerance are dropped, and the index
-    dtype is int32 where it fits, so the arrays are canonical_csr's bytes
-    (but for three or more duplicates of one entry, which scipy may sum in
-    another order).
+    CSR arrays, with numpy alone.  Duplicate entries are added one at a time
+    in file order, sums below the cancellation tolerance are dropped, and
+    the index dtype is int32 where it fits, so the arrays are canonical_csr's
+    bytes (but for three or more duplicates of one entry in a row of more
+    than 16 entries, which scipy's unstable sort may add in another order).
     Any other header, a wrong entry count, an index out of range or a
     non-finite entry raises ValueError naming the file."""
     try:
@@ -282,9 +282,10 @@ def parse_matrix_market(path) -> CsrArrays:
         if np.any(key[1:] <= key[:-1]):  # not already in row-major order without duplicates
             order = np.argsort(key, kind="stable")
             row, col, key, data = row[order], col[order], key[order], data[order]
-            starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+            first = np.r_[True, key[1:] != key[:-1]]
+            row, col, data, later = row[first], col[first], data[first], data[~first]
             with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum fails below
-                row, col, data = row[starts], col[starts], np.add.reduceat(data, starts)
+                np.add.at(data, np.cumsum(first)[~first] - 1, later)
         keep = ~(np.abs(data) < CANCELLATION_TOL)  # NaN is kept, to fail the next check
         row, col, data = row[keep], col[keep], data[keep]
         if not np.isfinite(data).all():

@@ -310,6 +310,8 @@ def test_criterion_8_scaling_contract():
 def test_criterion_9_shift_invert_correctness():
     worst_dist = 0.0
     worst_res = 0.0
+    worst_backward = 0.0
+    cfg = ShiftInvertConfig()
     for i in range(50):
         rng = np.random.default_rng(5000 + i)
         n = 30 + (i * 7) % 171
@@ -319,15 +321,20 @@ def test_criterion_9_shift_invert_correctness():
         vals[np.diag_indices(n)] -= 2.0
         A = canonical_csr(vals)
         sigma = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        pairs, _ = shift_invert_eigs(A, sigma, 5, ShiftInvertConfig())
+        pairs, _ = shift_invert_eigs(A, sigma, 5, cfg)
         assert len(pairs) == 5
         oracle, _ = dense_eigs(A.toarray())
         nearest = oracle[np.argsort(np.abs(oracle - sigma))[:5]]
         ours = np.array([p.value for p in pairs])
         worst_dist = max(worst_dist, greedy_match(ours, nearest).max())
         worst_res = max(worst_res, max(p.residual for p in pairs))
-    ok = worst_dist <= 1e-9 and worst_res <= 1e-10
+        # the quantity eig accepts a pair on: ||Bv - lambda v|| / (||B||_1 + |lambda|)
+        norm1 = abs(A).sum(axis=0).max()
+        worst_backward = max(worst_backward,
+                             max(p.residual / (norm1 + abs(p.value)) for p in pairs))
+    ok = worst_dist <= 1e-9 and worst_res <= 1e-10 and worst_backward <= cfg.tol
     report_criterion(9, ok,
                      f"50 random sparse matrices (N <= 200): max distance to "
                      f"the oracle's 5 nearest {worst_dist:.3e} (tol 1e-9), "
-                     f"max re-verified residual {worst_res:.3e} (tol 1e-10)")
+                     f"max re-verified residual {worst_res:.3e} (tol 1e-10), "
+                     f"max backward error {worst_backward:.3e} (tol {cfg.tol:.0e})")

@@ -170,6 +170,9 @@ class TestEig:
         # dense eigendecomposition of its source block gives (conjugated on
         # a mirrored harmonic), as when the dense route also computed every
         # vector, and is checked against the analytic circulant spectrum.
+        # Harmonics 0 and 11 are real blocks, decomposed by real LAPACK on
+        # both sides: harmonic 0's zero eigenvalue has imaginary part exactly
+        # 0, and harmonic 11's pair are exact conjugates.
         model = tmp_path / "ring22"
         assert main(["gen", "ring", "--sectors", "22", "--points", "40",
                      "--peclet", "1", "--out", str(model)]) == 0
@@ -197,7 +200,8 @@ class TestEig:
     def test_rotvec_spectrum_unchanged(self, tmp_path):
         # A rotating layout: d_next and d_prev carry the frame rotation, so
         # this recording pins the rotated neighbor terms of every harmonic
-        # block (n = 100, dense route, harmonics 5..7 mirrored from 3..1).
+        # block (n = 100, dense route, harmonics 5..7 mirrored from 3..1;
+        # harmonics 0 and 4 are real blocks, decomposed by real LAPACK).
         model = tmp_path / "rv8"
         assert main(["gen", "rotvec", "--sectors", "8", "--points", "50",
                      "--coupling", "0.3", "--out", str(model)]) == 0

@@ -717,6 +717,83 @@ class TestDenseEigs:
             dense_eigs(sp.identity(5, format="csr"), budget=4)
 
 
+class TestRealArithmetic:
+    """A dense block with no nonzero imaginary entry is decomposed by real
+    LAPACK (dgeev); any other block by complex LAPACK (zgeev)."""
+
+    @staticmethod
+    def lapack_inputs(monkeypatch):
+        dtypes = []
+        for name in ("eig", "eigvals"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda B, real=real: dtypes.append(B.dtype) or real(B))
+        return dtypes
+
+    @pytest.mark.parametrize("B", [
+        # symmetric: every eigenvalue real, so numpy's dgeev returns float64
+        dense_block(make_ring_advection_diffusion(6, 30, 0.0), 0),
+        np.diag(np.arange(1.0, 31.0)) + np.diag(np.ones(29), 1) + np.diag(np.ones(29), -1),
+    ], ids=["ring-peclet-0-harmonic-0", "symmetric-tridiagonal"])
+    def test_all_real_eigenvalues_come_back_complex(self, B, monkeypatch):
+        dtypes = self.lapack_inputs(monkeypatch)
+        block = Block(np.asarray(B, dtype=np.complex128))
+        block.decompose()
+        w, V = dense_eigs(B)
+        assert block.values.dtype == w.dtype == V.dtype == np.complex128
+        assert dtypes == [np.float64, np.float64]
+        assert np.all(block.values.imag == 0.0) and np.all(w.imag == 0.0)
+        # eigvals' values are bitwise among eig's, as the golden tests assume
+        assert set(block.values) <= set(w)
+
+    @pytest.mark.parametrize("J,m", [
+        (make_rotating_vector_model(8, 50, 0.3), 0),
+        (make_rotating_vector_model(8, 50, 0.3), 4),
+        (make_ring_advection_diffusion(22, 40, 1.0), 11),
+        (make_random_sector_jacobian(6, 60, 0.1, 3), 3),
+    ], ids=["rotvec-0", "rotvec-half", "ring-half", "random-half"])
+    def test_real_block_gives_exact_conjugate_pairs(self, J, m, monkeypatch):
+        dtypes = self.lapack_inputs(monkeypatch)
+        B = dense_block(J, m)
+        block = Block(B)
+        block.decompose()
+        w = block.values
+        assert dtypes == [np.float64] and w.dtype == np.complex128
+        nonreal = w[w.imag != 0]
+        assert len(nonreal) > 0
+        assert np.array_equal(np.sort_complex(nonreal), np.sort_complex(nonreal.conj()))
+        assert set(w) <= set(dense_eigs(B)[0])
+        assert greedy_match(w, np.linalg.eigvals(B)).max() <= 1e-12 * block.norm1
+
+    def test_any_imaginary_entry_takes_complex_lapack(self, monkeypatch):
+        rng = np.random.default_rng(36)
+        B = rng.standard_normal((40, 40)).astype(np.complex128)
+        B[7, 3] += 1e-300j
+        want = np.linalg.eigvals(B)
+        dtypes = self.lapack_inputs(monkeypatch)
+        block = Block(B)
+        block.decompose()
+        assert dtypes == [np.complex128]
+        assert np.array_equal(block.values, want)
+
+    def test_mirrored_harmonics_keep_complex_lapack_bytes(self):
+        # harmonics 0 and M/2 are real; 1..3 are complex and 5..7 mirror them
+        J = make_rotating_vector_model(8, 50, 0.3)
+        report = solve_annulus_spectrum(J)
+        for m in range(J.M):
+            B = dense_block(J, min(m, J.M - m))
+            if m in (0, 4):
+                assert report.routes[m] == "dense" and not B.imag.any()
+                w = np.linalg.eigvals(B.real)
+            else:
+                w = np.linalg.eigvals(B)
+            if m > 4:
+                assert report.routes[m] == f"conj({J.M - m})"
+                w = w.conj()
+            got = [p.value for p in report.pairs if p.harmonic == m]
+            assert got and set(got) <= set(w)
+
+
 class TestDeduplication:
     def _pair(self, value, harmonic=0, residual=1e-12):
         return EigenPair(value, np.ones(1), harmonic, residual, 1j)

@@ -228,8 +228,9 @@ class TestMatrixMarket:
         ((0, 0), []),
         ((4, 3), []),
         ((1, 40), [(0, j % 20, complex(j, -j)) for j in range(40)][::-1]),
+        ((2, 3), [(1, 2, 1e16), (0, 1, 5.0), (1, 2, 1.0), (1, 2, -1e16), (1, 2, 3.0 - 0.0j)]),
     ], ids=["unsorted", "duplicates", "below-1e-300", "explicit-zero", "cancelling-duplicates",
-            "0x0", "empty", "long-row-duplicates"])
+            "0x0", "empty", "long-row-duplicates", "duplicates-summed-in-order"])
     def test_parse_matches_canonical_csr(self, tmp_path, shape, entries):
         path = tmp_path / "m.mtx"
         path.write_text("%%MatrixMarket matrix coordinate complex general\n"
@@ -243,6 +244,27 @@ class TestMatrixMarket:
         for attr in ("indptr", "indices", "data"):
             a, b = getattr(got, attr), getattr(want, attr)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_duplicates_summed_in_file_order_on_long_rows(self, tmp_path, seed):
+        # 40 distinct entries and four copies of the entry in column 8 in one
+        # shuffled row, the copies in this order: added one at a time in
+        # file order they give exactly 3.0, in most other orders (or added
+        # in pairs) 0.0, 4.0 or 5.0.  Past 16 entries an unstable sort may
+        # swap the copies; canonical_csr's can, so this row is not compared
+        # with it.
+        rng = np.random.default_rng(seed)
+        others = iter([(0, int(j), complex(j + 1)) for j in rng.permutation(np.r_[0:7, 8:60])[:40]])
+        copies = iter([(0, 7, 1e16), (0, 7, 1.0), (0, 7, -1e16), (0, 7, 3.0)])
+        slots = set(rng.choice(44, 4, replace=False).tolist())
+        entries = [next(copies if s in slots else others) for s in range(44)]
+        path = tmp_path / "m.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate complex general\n1 60 44\n"
+                        + "".join(f"{i + 1} {j + 1} {complex(v).real!r} {complex(v).imag!r}\n"
+                                  for i, j, v in entries))
+        got = parse_matrix_market(path)
+        assert got.nnz == 41 and np.all(np.diff(got.indices) > 0)
+        assert got.data[np.searchsorted(got.indices, 7)] == 3.0
 
     @pytest.mark.parametrize("text", [
         "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0\n",
