@@ -15,16 +15,16 @@ __version__ = "0.1.0"
 # The public names of each submodule.  A name imports its submodule on first
 # use (PEP 562), so loading a model imports numpy and no scipy module.
 _EXPORTS = {
-    "circulant": "circulant_eigenvalues lift_block_eigenvector",
     "eig": "EigenPair ShiftInvertConfig SpectrumReport dense_eigs deduplicate_pairs greedy_match"
     " shift_invert_eigs solve_annulus_spectrum solve_full_annulus",
     "models": "make_random_sector_jacobian make_ring_advection_diffusion"
     " make_rotating_vector_model ring_first_row",
-    "sector": "DofLayout RotationSpec SectorJacobian lift_to_annulus load_sector_jacobian"
-    " materialize materialize_full nodal_diameter reduced_block rotation_matrix"
-    " save_sector_jacobian without_rotation",
+    "sector": "DofLayout RotationSpec SectorJacobian circulant_eigenvalues lift_block_eigenvector"
+    " lift_to_annulus load_sector_jacobian materialize materialize_full nodal_diameter"
+    " reduced_block root_of_unity rotation_matrix save_sector_jacobian unity_power"
+    " without_rotation",
     "sparsecore": "BudgetExceededError DimensionMismatchError SingularMatrixError SparseLU"
-    " read_matrix_market root_of_unity spmv unity_power write_matrix_market",
+    " spmv write_matrix_market",
 }
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = sorted([*_EXPORTS, *_SUBMODULE])

@@ -8,11 +8,12 @@ machine precision.  The first factorization of a solve call is SuperLU;
 when its factor fills DENSE_LU_MIN_FILL of n**2 or more, every later one
 in the call is dense LAPACK LU (SparseLU(..., dense=True)).
 
-Each block's route is chosen once, from its dimension n, before any LU:
-a block with MIN_SUBSPACE_DIM < n <= DENSE_ROUTE_MAX_DIM takes the dense
-route, assembled as an array (sector.dense_block).  Other blocks go to
-Arnoldi; on one with n <= DENSE_EIG_BUDGET, Arnoldi may apply the inverse
-n + 1 times, one pass over the whole space, and when that runs out (or
+Each block's route is chosen once, from its dimension n, where the block
+is built: a block with MIN_SUBSPACE_DIM < n <= DENSE_ROUTE_MAX_DIM is
+assembled as an array (sector.dense_block, or the whole operator's
+toarray()) and takes the dense route.  Other blocks go to Arnoldi; on
+one with n <= DENSE_EIG_BUDGET, Arnoldi may apply the inverse n + 1
+times, one pass over the whole space, and when that runs out (or
 k > n - 2) the block takes the dense route after all.  The dense route
 computes all eigenvalues once, by real LAPACK when the block is real (on
 real sector blocks, harmonics 0 and M/2), and answers the remaining shifts
@@ -81,6 +82,8 @@ SPARSE_SOLVE_BUDGET = 200_000
 
 # Arnoldi subspace dimension is max(MIN_SUBSPACE_DIM, 2k + 1), capped at n.
 MIN_SUBSPACE_DIM = 20
+# Dimensions of the blocks that are built as arrays and take the dense route.
+DENSE_ROUTE_DIMS = range(MIN_SUBSPACE_DIM + 1, DENSE_ROUTE_MAX_DIM + 1)
 # ARPACK restart cap; on blocks within DENSE_EIG_BUDGET the budget of n + 1
 # inverse applications normally ends Arnoldi first.
 MAX_RESTARTS = 300
@@ -424,8 +427,8 @@ def _solve_block(block: Block, cfg: ShiftInvertConfig, report: SpectrumReport,
     """Solve one block at every configured shift, fold the bookkeeping into
     report (keyed by harmonic, or "full"), and return its deduplicated pairs.
 
-    The block's eigenvalues are computed up front when its dimension puts
-    it on the dense route.  Shifts run shift_invert_eigs until the
+    The eigenvalues of a block built as an array (the dense route) are
+    computed up front.  Shifts run shift_invert_eigs until the
     eigenvalues are known; the remaining shifts are answered in one pass.
     The call's first SuperLU factorization, while report.dense_lu is None,
     decides from its fill whether every later one is dense.
@@ -433,7 +436,7 @@ def _solve_block(block: Block, cfg: ShiftInvertConfig, report: SpectrumReport,
     harmonic = None if key == "full" else key
     prefix = "" if harmonic is None else f"harmonic {harmonic}: "
     k = cfg.eigs_per_shift
-    if MIN_SUBSPACE_DIM < block.n <= DENSE_ROUTE_MAX_DIM:
+    if block.dense is not None:
         block.decompose()
     collected = []
     storage = 0
@@ -480,7 +483,7 @@ def solve_annulus_spectrum(J: SectorJacobian, harmonics=None,
     if harmonics is None:
         harmonics = range(J.M)
     report = SpectrumReport(pairs=[], M=J.M, N=J.N)
-    build = dense_block if MIN_SUBSPACE_DIM < J.N <= DENSE_ROUTE_MAX_DIM else reduced_block
+    build = dense_block if J.N in DENSE_ROUTE_DIMS else reduced_block
     mirror = J.is_real
     by_source: dict = {}
     for m in sorted(set(harmonics)):
@@ -508,7 +511,7 @@ def solve_annulus_spectrum(J: SectorJacobian, harmonics=None,
 
 
 def solve_full_annulus(J: SectorJacobian, cfg: ShiftInvertConfig | None = None) -> SpectrumReport:
-    """Whole-annulus spectrum: assemble A sparsely, shift-invert per shift.
+    """Whole-annulus spectrum: assemble A sparsely and solve it as one block.
 
     No harmonic labels are available on this route; pairs carry
     harmonic = None.
@@ -517,7 +520,8 @@ def solve_full_annulus(J: SectorJacobian, cfg: ShiftInvertConfig | None = None) 
     A = materialize_full(J, budget=SPARSE_SOLVE_BUDGET) * (1.0 / cfg.scale)
     report = SpectrumReport(pairs=[], M=J.M, N=J.N)
     t0 = time.perf_counter()
-    report.pairs = _solve_block(Block(A), cfg, report, "full")
+    block = Block(A.toarray() if J.M * J.N in DENSE_ROUTE_DIMS else A)
+    report.pairs = _solve_block(block, cfg, report, "full")
     report.wall_times["full"] = time.perf_counter() - t0
     return report
 

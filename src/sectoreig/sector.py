@@ -1,4 +1,4 @@
-"""Cyclic-symmetric Jacobians stored as one sector plus a rotation.
+"""Cyclic-symmetric Jacobians stored as one sector plus a rotation, and their reduction.
 
 A rotationally periodic operator is fully described by the three nonzero
 sector blocks (self, next-neighbor, previous-neighbor coupling, all in
@@ -7,7 +7,9 @@ operator A is similar to a block circulant B via the block-diagonal
 rotation stack.  B has three nonzero block offsets, so harmonic m sees the
 N x N block d_self + rho_m d_next + conj(rho_m) d_prev (:func:`reduced_block`;
 :func:`dense_block` as an array), the spectrum splits into M per-harmonic
-problems, and eigenvectors lift back to the full annulus segment by segment.
+problems, and eigenvectors lift back to the full annulus segment by segment,
+segment s scaled by rho_m^s, where rho_m = exp(2 pi i m/M) (:func:`root_of_unity`).
+With 1 x 1 blocks the same rule gives a scalar circulant's spectrum.
 """
 
 from __future__ import annotations
@@ -20,16 +22,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .circulant import lift_block_eigenvector
 from .sparsecore import (
     CANCELLATION_TOL,
     BudgetExceededError,
     CsrArrays,
     canonical_csr,
-    check_harmonic,
     csr_from_arrays,
     parse_matrix_market,
-    unity_power,
     write_matrix_market,
 )
 
@@ -43,6 +42,39 @@ LAYOUT_KEYS = ("M", "points_per_sector", "vars_per_point")
 # Largest full dimension M*N for which materializing the whole operator
 # (the dense-oracle side) is allowed by default.
 DENSE_ORACLE_BUDGET = 20_000
+
+
+def check_harmonic(m: int, M: int) -> None:
+    """Validate a harmonic index against the sector count: 0 <= m < M."""
+    if not 0 <= m < M:
+        raise ValueError(f"harmonic index {m} out of range [0, {M})")
+
+
+def root_of_unity(m: int, M: int) -> complex:
+    """Return rho_m = exp(2j*pi*m/M), the m-th of the M complex roots of 1.
+
+    Computed from the angle directly (never by repeated multiplication),
+    and folded so that root_of_unity(M - m, M) is the exact complex
+    conjugate of root_of_unity(m, M): the conj(c) mirror of real sector
+    blocks rests on it.
+    """
+    check_harmonic(m, M)
+    if 2 * m > M:
+        return root_of_unity(M - m, M).conjugate()
+    # exact values at the axis crossings
+    if m == 0:
+        return 1.0 + 0.0j
+    if 2 * m == M:
+        return -1.0 + 0.0j
+    if 4 * m == M:
+        return 1.0j
+    angle = 2.0 * math.pi * m / M
+    return complex(math.cos(angle), math.sin(angle))
+
+
+def unity_power(m: int, k: int, M: int) -> complex:
+    """rho_m**k with the exponent reduced mod M, so large powers stay exact."""
+    return root_of_unity((m * k) % M, M)
 
 
 @dataclass(frozen=True)
@@ -227,6 +259,22 @@ def dense_block(J: SectorJacobian, m: int) -> np.ndarray:
     return out.reshape(J.N, J.N)
 
 
+def circulant_eigenvalues(first_row) -> np.ndarray:
+    """All K eigenvalues of the K x K circulant with this first row, ordered by harmonic.
+
+    Harmonic m sees sum_k b_k rho_m^k over the nonzero entries b_k only, the
+    rule of :func:`reduced_block` with 1 x 1 blocks; its eigenvector is
+    [1, rho_m, ..., rho_m^{K-1}], ``lift_block_eigenvector([1.0], m, K)``.
+    """
+    row = np.asarray(first_row, dtype=np.complex128)
+    if row.ndim != 1 or row.size == 0:
+        raise ValueError(f"first_row must be a non-empty 1-D array, got shape {row.shape}")
+    K = row.size
+    roots = np.array([root_of_unity(j, K) for j in range(K)])
+    k = np.flatnonzero(row)
+    return roots[np.outer(np.arange(K), k) % K] @ row[k]
+
+
 def materialize(J: SectorJacobian, budget: int = DENSE_ORACLE_BUDGET) -> sp.csr_matrix:
     """Assemble the MN x MN block circulant in rotated variables: sum_k kron(S^k, b_k).
 
@@ -256,6 +304,17 @@ def materialize_full(J: SectorJacobian, budget: int = DENSE_ORACLE_BUDGET) -> sp
         return B
     stack = J.rotation_stack
     return canonical_csr(stack @ B @ stack.T)
+
+
+def lift_block_eigenvector(v, m: int, M: int) -> np.ndarray:
+    """Expand a length-N reduced eigenvector, or (N, k) columns, to length M*N.
+
+    Segment s of the output is rho_m^s * v, so a reduced eigenpair of the
+    harmonic-m block becomes an eigenpair of the block circulant.
+    """
+    check_harmonic(m, M)
+    v = np.asarray(v, dtype=np.complex128)
+    return np.concatenate([unity_power(m, s, M) * v for s in range(M)])
 
 
 def lift_to_annulus(v, m: int, J: SectorJacobian) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Complex sparse-matrix primitives shared by the whole package.
+"""Complex sparse-matrix primitives: canonical CSR storage, LU and Matrix Market I/O.
 
 Every matrix is stored in canonical complex128 CSR form: sorted,
 duplicate-free column indices, finite entries only, and no stored value
@@ -13,7 +13,6 @@ modules never touch scipy internals directly.
 
 from __future__ import annotations
 
-import math
 import warnings
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -49,42 +48,6 @@ class BudgetExceededError(ValueError):
     def __init__(self, message: str, required: int):
         super().__init__(message)
         self.required = required
-
-
-def check_harmonic(m: int, M: int) -> int:
-    """Validate a harmonic index against the sector count."""
-    m = int(m)
-    if M < 1:
-        raise ValueError(f"sector count must be >= 1, got {M}")
-    if not 0 <= m < M:
-        raise ValueError(f"harmonic index {m} out of range [0, {M})")
-    return m
-
-
-def root_of_unity(m: int, M: int) -> complex:
-    """Return exp(2j*pi*m/M), the m-th of the M complex roots of 1.
-
-    Computed from the angle directly (never by repeated multiplication),
-    and folded so that root_of_unity(M - m, M) is the exact complex
-    conjugate of root_of_unity(m, M).
-    """
-    check_harmonic(m, M)
-    if 2 * m > M:
-        return root_of_unity(M - m, M).conjugate()
-    # exact values at the axis crossings
-    if m == 0:
-        return 1.0 + 0.0j
-    if 2 * m == M:
-        return -1.0 + 0.0j
-    if 4 * m == M:
-        return 1.0j
-    angle = 2.0 * math.pi * m / M
-    return complex(math.cos(angle), math.sin(angle))
-
-
-def unity_power(m: int, k: int, M: int) -> complex:
-    """rho_m**k with the exponent reduced mod M, so large powers stay exact."""
-    return root_of_unity((m * k) % M, M)
 
 
 class CsrArrays(NamedTuple):
@@ -128,14 +91,6 @@ def csr_from_arrays(a: CsrArrays) -> sp.csr_matrix:
     mat = sp.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)
     mat.has_canonical_format = True
     return mat
-
-
-def zeros_csr(nrows: int, ncols: int | None = None) -> sp.csr_matrix:
-    """Structurally empty CSR matrix."""
-    import scipy.sparse as sp
-    if ncols is None:
-        ncols = nrows
-    return sp.csr_matrix((nrows, ncols), dtype=np.complex128)
 
 
 def spmv(A: sp.csr_matrix, x) -> np.ndarray:
@@ -297,7 +252,3 @@ def parse_matrix_market(path) -> CsrArrays:
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
-
-def read_matrix_market(path) -> sp.csr_matrix:
-    """Read a Matrix Market file into canonical complex CSR form."""
-    return csr_from_arrays(parse_matrix_market(path))

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from sectoreig.circulant import circulant_eigenvalues
 from sectoreig.cli import main as cli_main
 from sectoreig.eig import (
     ShiftInvertConfig,
@@ -30,6 +29,7 @@ from sectoreig.sector import (
     DofLayout,
     RotationSpec,
     SectorJacobian,
+    circulant_eigenvalues,
     lift_to_annulus,
     materialize,
     materialize_full,

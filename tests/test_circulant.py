@@ -1,22 +1,25 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
-from sectoreig.circulant import circulant_eigenvalues, lift_block_eigenvector
 from sectoreig.eig import greedy_match
 from sectoreig.sector import (
     DofLayout,
     RotationSpec,
     SectorJacobian,
+    circulant_eigenvalues,
+    lift_block_eigenvector,
     materialize,
     reduced_block,
-)
-from sectoreig.sparsecore import (
-    BudgetExceededError,
-    canonical_csr,
     root_of_unity,
-    zeros_csr,
 )
+from sectoreig.sparsecore import BudgetExceededError, canonical_csr
+
+
+def empty_csr(n):
+    """Structurally empty complex n x n CSR matrix."""
+    return sp.csr_matrix((n, n), dtype=complex)
 
 
 def scalar_jacobian(M, d_self, d_next, d_prev):
@@ -93,7 +96,7 @@ class TestReducedBlock:
     def test_single_block_operator(self):
         rng = np.random.default_rng(9)
         b0 = random_jacobian(rng, 3, 3).d_self
-        J = scalar_jacobian(5, b0, zeros_csr(3), zeros_csr(3))
+        J = scalar_jacobian(5, b0, empty_csr(3), empty_csr(3))
         for m in range(5):
             assert np.array_equal(reduced_block(J, m).toarray(), b0.toarray())
 
@@ -147,12 +150,12 @@ class TestMaterialize:
     def test_degenerate_single_sector(self):
         rng = np.random.default_rng(15)
         b0 = random_jacobian(rng, 3, 4).d_self
-        J = scalar_jacobian(1, b0, zeros_csr(4), zeros_csr(4))
+        J = scalar_jacobian(1, b0, empty_csr(4), empty_csr(4))
         assert np.array_equal(materialize(J).toarray(), b0.toarray())
 
     def test_identity_blocks(self):
         eye = canonical_csr(np.eye(2))
-        J = scalar_jacobian(3, eye, zeros_csr(2), zeros_csr(2))
+        J = scalar_jacobian(3, eye, empty_csr(2), empty_csr(2))
         assert np.array_equal(materialize(J).toarray(), np.eye(6))
 
     def test_block_placement(self):
@@ -178,7 +181,7 @@ def test_block_shape_validation():
     with pytest.raises(ValueError):
         scalar_jacobian(3, eye2, canonical_csr(np.eye(3)), eye2)
     with pytest.raises(ValueError):
-        SectorJacobian(zeros_csr(2, 3), zeros_csr(2), zeros_csr(2),
+        SectorJacobian(sp.csr_matrix((2, 3), dtype=complex), empty_csr(2), empty_csr(2),
                        RotationSpec(3, DofLayout(2, 1)))
     with pytest.raises(ValueError):
-        scalar_jacobian(0, eye2, zeros_csr(2), zeros_csr(2))
+        scalar_jacobian(0, eye2, empty_csr(2), empty_csr(2))

@@ -10,9 +10,9 @@ import sectoreig.cli as cli
 import sectoreig.eig as eig_module
 import sectoreig.sector as sector_module
 from sectoreig.cli import main, parse_shift
-from sectoreig.circulant import circulant_eigenvalues
 from sectoreig.eig import ShiftInvertConfig, dense_eigs, greedy_match
 from sectoreig.models import ring_first_row
+from sectoreig.sector import circulant_eigenvalues
 
 DATA = Path(__file__).parent / "data"
 
@@ -398,6 +398,21 @@ class TestVerify:
         printed = capsys.readouterr().out
         assert "FAIL" in printed
         assert "max lift residual:    skipped\n" in printed
+
+    @pytest.mark.parametrize("exponent", [40, -40])
+    @pytest.mark.parametrize("flags, rc, verdict", [([], 0, "PASS"),
+                                                    (["--no-rotation"], 1, "FAIL")])
+    def test_verdict_does_not_depend_on_scale(self, tmp_path, capsys, exponent, flags, rc,
+                                              verdict):
+        out = tmp_path / "rv"
+        assert main(["gen", "rotvec", "--sectors", "6", "--points", "2", "--out", str(out)]) == 0
+        J = sector_module.load_sector_jacobian(out)
+        scale = 2.0 ** exponent  # exact: the spectrum scales with it
+        blocks = (scale * b for b in (J.d_self, J.d_next, J.d_prev))
+        sector_module.save_sector_jacobian(sector_module.SectorJacobian(*blocks, J.rotation), out)
+        capsys.readouterr()
+        assert main(["verify", str(out), "--tol", "1e-8", *flags]) == rc
+        assert f"{verdict} (tol 1.0e-08 * ||A||_1)" in capsys.readouterr().out
 
     def test_budget_refusal_exits_2(self, tmp_path, capsys):
         out = tmp_path / "ring"

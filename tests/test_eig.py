@@ -7,7 +7,6 @@ from scipy.sparse.linalg import ArpackNoConvergence, splu
 import sectoreig.eig as eig_module
 import sectoreig.sector as sector_module
 import sectoreig.sparsecore as sparsecore
-from sectoreig.circulant import circulant_eigenvalues
 from sectoreig.eig import (
     Block,
     EigenPair,
@@ -29,6 +28,7 @@ from sectoreig.sector import (
     DofLayout,
     RotationSpec,
     SectorJacobian,
+    circulant_eigenvalues,
     dense_block,
     lift_to_annulus,
     load_sector_jacobian,
@@ -36,7 +36,7 @@ from sectoreig.sector import (
     reduced_block,
     save_sector_jacobian,
 )
-from sectoreig.sparsecore import BudgetExceededError, SparseLU, canonical_csr, zeros_csr
+from sectoreig.sparsecore import BudgetExceededError, SparseLU, canonical_csr
 
 
 def random_shifted_sparse(rng, n, density=0.2):
@@ -220,6 +220,19 @@ class TestDenseRoute:
         assert report.routes == {m: "arnoldi" for m in range(4)}
         assert report.pairs and report.warnings == []
 
+    @pytest.mark.parametrize("n, route", [
+        (eig_module.MIN_SUBSPACE_DIM, "arnoldi"), (eig_module.MIN_SUBSPACE_DIM + 1, "dense"),
+        (eig_module.DENSE_ROUTE_MAX_DIM, "dense"), (eig_module.DENSE_ROUTE_MAX_DIM + 1, "arnoldi"),
+    ])
+    def test_route_window_edges(self, n, route):
+        # one window routes a harmonic block of dimension n and a whole
+        # annulus of dimension M * N = n alike
+        report = solve_annulus_spectrum(make_ring_advection_diffusion(3, n, 1.0))
+        assert report.routes == {0: route, 1: route, 2: "conj(1)" if route == "dense" else route}
+        M = next(M for M in range(3, n + 1) if n % M == 0)
+        report = solve_full_annulus(make_ring_advection_diffusion(M, n // M, 1.0))
+        assert report.routes == {"full": route}
+
     def test_solve_path_never_computes_every_vector(self, monkeypatch):
         def refuse(a):
             raise AssertionError("np.linalg.eig called on the solve path")
@@ -275,8 +288,8 @@ class TestInverseIterationVectors:
         # B - lambda I has an exactly zero pivot for each computed lambda
         from sectoreig.sector import DofLayout, RotationSpec
         d = np.arange(1.0, 31.0) * -0.5
-        J = SectorJacobian(canonical_csr(np.diag(d)), zeros_csr(30), zeros_csr(30),
-                           RotationSpec(4, DofLayout(30, 1)))
+        zero = sp.csr_matrix((30, 30), dtype=complex)
+        J = SectorJacobian(canonical_csr(np.diag(d)), zero, zero, RotationSpec(4, DofLayout(30, 1)))
         outcomes = []
         real_solve = np.linalg.solve
 
@@ -636,7 +649,7 @@ class TestDenseFactorDecision:
         d_self = np.where(rng.random((n, n)) < 0.3, rng.uniform(-1, 1, (n, n)), 0.0)
         d_self[:, 7] = 0.0
         d_self[7, 7] = 3.0
-        zero = zeros_csr(n)
+        zero = sp.csr_matrix((n, n), dtype=complex)
         J = SectorJacobian(d_self, zero, zero, RotationSpec(1, DofLayout(n, 1)))
         cfg = ShiftInvertConfig(shifts=(1j, 3.0))
         report, kinds, _ = counted(lambda: solve_annulus_spectrum(J, cfg=cfg))
@@ -823,7 +836,8 @@ class TestAnnulusSolvers:
         # re-wrap as a 5-sector operator with no coupling
         from sectoreig.sector import DofLayout, RotationSpec
         spec = RotationSpec(5, DofLayout(8, 1))
-        J = SectorJacobian(J.d_self, zeros_csr(8), zeros_csr(8), spec)
+        zero = sp.csr_matrix((8, 8), dtype=complex)
+        J = SectorJacobian(J.d_self, zero, zero, spec)
         cfg = ShiftInvertConfig(shifts=(-2.0 + 0j,), eigs_per_shift=2)
         report = solve_annulus_spectrum(J, cfg=cfg)
         by_harmonic = {}

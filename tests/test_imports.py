@@ -19,10 +19,10 @@ ROTVEC = Path(__file__).parent / "data" / "models" / "rotvec"
 PUBLIC_NAMES = [
     "BudgetExceededError", "DimensionMismatchError", "DofLayout", "EigenPair", "RotationSpec",
     "SectorJacobian", "ShiftInvertConfig", "SingularMatrixError", "SparseLU", "SpectrumReport",
-    "circulant", "circulant_eigenvalues", "deduplicate_pairs", "dense_eigs", "eig",
+    "circulant_eigenvalues", "deduplicate_pairs", "dense_eigs", "eig",
     "greedy_match", "lift_block_eigenvector", "lift_to_annulus", "load_sector_jacobian",
     "make_random_sector_jacobian", "make_ring_advection_diffusion", "make_rotating_vector_model",
-    "materialize", "materialize_full", "models", "nodal_diameter", "read_matrix_market",
+    "materialize", "materialize_full", "models", "nodal_diameter",
     "reduced_block", "ring_first_row", "root_of_unity", "rotation_matrix",
     "save_sector_jacobian", "sector", "shift_invert_eigs", "solve_annulus_spectrum",
     "solve_full_annulus", "sparsecore", "spmv", "unity_power", "without_rotation",
@@ -78,6 +78,9 @@ def test_public_names_unchanged_and_resolve():
         assert getattr(sectoreig, name) is not None
     assert set(PUBLIC_NAMES) <= set(dir(sectoreig))
     assert sectoreig.load_sector_jacobian is sectoreig.sector.load_sector_jacobian
+    for name in ("circulant_eigenvalues", "lift_block_eigenvector", "root_of_unity",
+                 "unity_power"):
+        assert getattr(sectoreig, name) is getattr(sectoreig.sector, name)
 
 
 def test_star_import():
@@ -91,3 +94,4 @@ def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         sectoreig.no_such_name
     assert not hasattr(sectoreig, "canonical_csr")
+    assert not hasattr(sectoreig, "circulant")

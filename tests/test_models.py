@@ -4,7 +4,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sectoreig.circulant import circulant_eigenvalues
 from sectoreig.eig import greedy_match
 from sectoreig.models import (
     make_random_sector_jacobian,
@@ -13,6 +12,7 @@ from sectoreig.models import (
     ring_first_row,
 )
 from sectoreig.sector import (
+    circulant_eigenvalues,
     load_sector_jacobian,
     materialize_full,
     reduced_block,

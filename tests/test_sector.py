@@ -4,11 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import sectoreig.sector as sector_module
 import sectoreig.sparsecore as sparsecore
 
-from sectoreig.circulant import lift_block_eigenvector
 from sectoreig.eig import greedy_match
 from sectoreig.models import (
     make_random_sector_jacobian,
@@ -20,6 +20,7 @@ from sectoreig.sector import (
     RotationSpec,
     SectorJacobian,
     dense_block,
+    lift_block_eigenvector,
     lift_to_annulus,
     load_sector_jacobian,
     materialize,
@@ -30,7 +31,12 @@ from sectoreig.sector import (
     save_sector_jacobian,
     without_rotation,
 )
-from sectoreig.sparsecore import canonical_csr, zeros_csr
+from sectoreig.sparsecore import canonical_csr
+
+
+def empty_csr(n):
+    """Structurally empty complex n x n CSR matrix."""
+    return sp.csr_matrix((n, n), dtype=complex)
 
 
 def vector_spec(M, points=2):
@@ -111,7 +117,7 @@ class TestSectorJacobian:
         with pytest.raises(ValueError):
             SectorJacobian(eye, eye, eye, spec)
         # zero neighbors are fine for degenerate M
-        J = SectorJacobian(eye, zeros_csr(1), zeros_csr(1), spec)
+        J = SectorJacobian(eye, empty_csr(1), empty_csr(1), spec)
         assert J.M == 2
 
     def test_from_unrotated_applies_change_of_variables(self):
@@ -144,7 +150,7 @@ class TestMaterializeFull:
         spec = scalar_spec(4, points=2)
         rng = np.random.default_rng(23)
         d_self = canonical_csr(rng.uniform(-1, 1, (2, 2)))
-        J = SectorJacobian(d_self, zeros_csr(2), zeros_csr(2), spec)
+        J = SectorJacobian(d_self, empty_csr(2), empty_csr(2), spec)
         full = materialize_full(J).toarray()
         expected = np.kron(np.eye(4), d_self.toarray())
         assert np.array_equal(full, expected)
@@ -188,7 +194,7 @@ class TestLiftToAnnulus:
         spec = scalar_spec(5, points=2)
         rng = np.random.default_rng(25)
         d_self = canonical_csr(rng.uniform(-1, 1, (2, 2)))
-        J = SectorJacobian(d_self, zeros_csr(2), zeros_csr(2), spec)
+        J = SectorJacobian(d_self, empty_csr(2), empty_csr(2), spec)
         v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         for m in range(5):
             assert np.array_equal(lift_to_annulus(v, m, J),
@@ -196,7 +202,7 @@ class TestLiftToAnnulus:
 
     def test_harmonic_zero_scalar_copies(self):
         spec = scalar_spec(4, points=2)
-        J = SectorJacobian(canonical_csr(np.eye(2)), zeros_csr(2), zeros_csr(2), spec)
+        J = SectorJacobian(canonical_csr(np.eye(2)), empty_csr(2), empty_csr(2), spec)
         v = np.array([1.0, -2.0])
         assert np.array_equal(lift_to_annulus(v, 0, J), np.tile(v, 4))
 
@@ -263,7 +269,7 @@ def model_at(model, M):
     if M >= 3 or model == "random":
         return make(M)
     J = make(3)
-    return SectorJacobian(J.d_self, zeros_csr(J.N), zeros_csr(J.N),
+    return SectorJacobian(J.d_self, empty_csr(J.N), empty_csr(J.N),
                           RotationSpec(M, J.rotation.layout))
 
 

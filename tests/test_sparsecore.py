@@ -13,14 +13,12 @@ from sectoreig.sparsecore import (
     SingularMatrixError,
     SparseLU,
     canonical_csr,
+    csr_from_arrays,
     parse_matrix_market,
-    read_matrix_market,
-    root_of_unity,
     spmv,
-    unity_power,
     write_matrix_market,
-    zeros_csr,
 )
+from sectoreig.sector import root_of_unity, unity_power
 
 
 def random_csr(rng, n, density=0.5, complex_values=True):
@@ -74,7 +72,7 @@ class TestSpmv:
         assert np.array_equal(spmv(eye, x), x)
 
     def test_zero_matrix(self):
-        assert np.array_equal(spmv(zeros_csr(2), [5.0, 7.0]), np.zeros(2))
+        assert np.array_equal(spmv(sp.csr_matrix((2, 2), dtype=complex), [5.0, 7.0]), np.zeros(2))
 
     def test_against_dense(self):
         rng = np.random.default_rng(7)
@@ -85,7 +83,7 @@ class TestSpmv:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            spmv(zeros_csr(2), [1.0, 2.0, 3.0])
+            spmv(sp.csr_matrix((2, 2), dtype=complex), [1.0, 2.0, 3.0])
 
 
 class TestSparseLU:
@@ -108,7 +106,7 @@ class TestSparseLU:
 
     def test_zero_matrix_is_singular(self):
         with pytest.raises(SingularMatrixError):
-            SparseLU(zeros_csr(3))
+            SparseLU(sp.csr_matrix((3, 3), dtype=complex))
 
     def test_structural_singularity(self):
         with pytest.raises(SingularMatrixError):
@@ -127,7 +125,7 @@ class TestDenseLU:
     """SparseLU(A, dense=True): LAPACK getrf/getrs behind the same checks."""
 
     @pytest.mark.parametrize("A", [
-        zeros_csr(3),
+        sp.csr_matrix((3, 3), dtype=complex),
         canonical_csr(np.array([[1.0, 0.0], [0.0, 0.0]])),
         canonical_csr(np.array([[1.0, 2.0], [2.0, 4.0]])),  # exactly singular, no zero row
         canonical_csr(np.diag([1.0, 1e-16])),
@@ -164,7 +162,7 @@ class TestMatrixMarket:
         A = random_csr(rng, 9, density=0.3)
         path = tmp_path / "block.mtx"
         write_matrix_market(path, A)
-        B = read_matrix_market(path)
+        B = parse_matrix_market(path)
         assert A.shape == B.shape
         assert np.array_equal(A.indptr, B.indptr)
         assert np.array_equal(A.indices, B.indices)
@@ -178,15 +176,15 @@ class TestMatrixMarket:
 
     def test_empty_matrix(self, tmp_path):
         path = tmp_path / "z.mtx"
-        write_matrix_market(path, zeros_csr(3))
+        write_matrix_market(path, sp.csr_matrix((3, 3), dtype=complex))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            A = read_matrix_market(path)
+            A = parse_matrix_market(path)
         assert A.shape == (3, 3) and A.nnz == 0
 
     @pytest.mark.parametrize("path", MODEL_FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
     def test_model_files_match_scipy_reader(self, path):
-        A = read_matrix_market(path)
+        A = parse_matrix_market(path)
         B = canonical_csr(scipy.io.mmread(path))
         assert A.shape == B.shape
         for attr in ("indptr", "indices", "data"):
@@ -197,7 +195,7 @@ class TestMatrixMarket:
         path = tmp_path / "z.mtx"
         path.write_text("%%MatrixMarket matrix coordinate complex general\n"
                         "2 2 2\n1 1 -0.0 1.5\n2 2 2.5 -0.0\n")
-        data = read_matrix_market(path).data
+        data = parse_matrix_market(path).data
         assert np.signbit(data.real).tolist() == [True, False]
         assert np.signbit(data.imag).tolist() == [False, True]
 
@@ -205,7 +203,7 @@ class TestMatrixMarket:
         path = tmp_path / "c.mtx"
         path.write_text("%%MatrixMarket matrix coordinate complex general\n"
                         "% written by hand\n%\n\n2 3 2\n1 3 1.5 -2.0\n2 1 0.25 0.0\n")
-        A = read_matrix_market(path)
+        A = csr_from_arrays(parse_matrix_market(path))
         assert A.shape == (2, 3)
         assert np.array_equal(A.toarray(), [[0, 0, 1.5 - 2j], [0.25, 0, 0]])
 
@@ -217,7 +215,7 @@ class TestMatrixMarket:
         assert isinstance(arrays, CsrArrays) and arrays.shape == (2, 2) and arrays.nnz == 1
         assert arrays.indptr.tolist() == [0, 0, 1] and arrays.indices.tolist() == [1]
         assert arrays.data.tolist() == [2.0]
-        assert np.array_equal(read_matrix_market(path).toarray(), [[0, 0], [0, 2]])
+        assert np.array_equal(csr_from_arrays(arrays).toarray(), [[0, 0], [0, 2]])
 
     @pytest.mark.parametrize("shape, entries", [
         ((3, 4), [(2, 3, 1.5 - 2j), (0, 1, 0.25), (2, 0, -1j), (0, 0, 3.0), (1, 2, 7.0)]),
@@ -278,7 +276,7 @@ class TestMatrixMarket:
         path = tmp_path / "other.mtx"
         path.write_text(text)
         with pytest.raises(ValueError, match=re.escape(str(path))):
-            read_matrix_market(path)
+            parse_matrix_market(path)
 
     @pytest.mark.parametrize("body", [
         "2 2 2\n1 1 1.0 0.0\n",
@@ -305,7 +303,7 @@ class TestMatrixMarket:
         path = tmp_path / "bad.mtx"
         path.write_text("%%MatrixMarket matrix coordinate complex general\n" + body)
         with pytest.raises(ValueError, match=re.escape(str(path))):
-            read_matrix_market(path)
+            parse_matrix_market(path)
 
 
 def test_non_finite_entries_rejected():
