@@ -25,8 +25,7 @@ _FORWARD_COUPLING = np.array([[0.7, 0.2], [-0.1, 0.4]])
 _BACKWARD_COUPLING = np.array([[0.3, -0.2], [0.25, 0.5]])
 
 
-def _ring_coefficients(M: int, n: int, peclet: float, rotation_rate: float,
-                       diffusion: float, scheme: str):
+def _ring_coefficients(M: int, n: int, peclet: float, diffusion: float, scheme: str):
     """Stencil coefficients (c_prev, c_self, c_next) for the periodic ring."""
     if M < 3:
         raise ValueError(f"ring model needs M >= 3, got {M}")
@@ -39,26 +38,25 @@ def _ring_coefficients(M: int, n: int, peclet: float, rotation_rate: float,
     if scheme not in ("upwind", "central"):
         raise ValueError(f"unknown advection scheme {scheme!r}")
     h = 2.0 * math.pi / (M * n)
-    speed = peclet + rotation_rate
     d = diffusion / h**2
     if scheme == "upwind":
-        c_prev = d + speed / h
-        c_self = -2.0 * d - speed / h
+        c_prev = d + peclet / h
+        c_self = -2.0 * d - peclet / h
         c_next = d
     else:
-        c_prev = d + speed / (2.0 * h)
+        c_prev = d + peclet / (2.0 * h)
         c_self = -2.0 * d
-        c_next = d - speed / (2.0 * h)
+        c_next = d - peclet / (2.0 * h)
     return c_prev, c_self, c_next
 
 
-def ring_first_row(M: int, n: int, peclet: float, rotation_rate: float = 0.0,
-                   diffusion: float = 1.0, scheme: str = "upwind") -> np.ndarray:
+def ring_first_row(M: int, n: int, peclet: float, diffusion: float = 1.0,
+                   scheme: str = "upwind") -> np.ndarray:
     """First row of the full ring operator, a K x K scalar circulant with K = M*n.
 
     Its exact spectrum, the analytic oracle, is ``circulant_eigenvalues`` of this row.
     """
-    c_prev, c_self, c_next = _ring_coefficients(M, n, peclet, rotation_rate, diffusion, scheme)
+    c_prev, c_self, c_next = _ring_coefficients(M, n, peclet, diffusion, scheme)
     K = M * n
     row = np.zeros(K, dtype=np.complex128)
     row[0] = c_self
@@ -68,18 +66,17 @@ def ring_first_row(M: int, n: int, peclet: float, rotation_rate: float = 0.0,
 
 
 def make_ring_advection_diffusion(M: int, n: int, peclet: float,
-                                  rotation_rate: float = 0.0,
                                   diffusion: float = 1.0,
                                   scheme: str = "upwind") -> SectorJacobian:
     """Scalar advection-diffusion on a periodic ring of M*n nodes.
 
     Central-difference diffusion plus advection (first-order upwind by
     default, central when requested) with mesh spacing h = 2*pi/(M*n).
-    The advection speed is peclet + rotation_rate.  The full operator is a
-    scalar circulant, so the exact spectrum comes from the circulant
-    formula on the M*n-point first row (see :func:`ring_first_row`).
+    The advection speed is peclet.  The full operator is a scalar
+    circulant, so the exact spectrum comes from the circulant formula on
+    the M*n-point first row (see :func:`ring_first_row`).
     """
-    c_prev, c_self, c_next = _ring_coefficients(M, n, peclet, rotation_rate, diffusion, scheme)
+    c_prev, c_self, c_next = _ring_coefficients(M, n, peclet, diffusion, scheme)
     d_self = sp.diags([c_prev, c_self, c_next], [-1, 0, 1], shape=(n, n))
     d_next = c_next * sp.eye(n, k=1 - n)
     d_prev = c_prev * sp.eye(n, k=n - 1)

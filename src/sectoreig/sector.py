@@ -23,9 +23,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .sparsecore import (
-    CANCELLATION_TOL,
     BudgetExceededError,
     CsrArrays,
+    canonical_arrays,
     canonical_csr,
     csr_from_arrays,
     parse_matrix_market,
@@ -228,11 +228,24 @@ class SectorJacobian:
         )
 
 
-def cyclic_shift(M: int, k: int) -> sp.csr_matrix:
-    """M x M cyclic shift S^k: ones at (i, (i + k) mod M)."""
-    import scipy.sparse as sp
-    i = np.arange(M)
-    return sp.csr_matrix((np.ones(M), (i, (i + k) % M)), shape=(M, M))
+def _rows(b: CsrArrays) -> np.ndarray:
+    """The row index of each stored entry of a CSR block, in storage order."""
+    return np.repeat(np.arange(b.shape[0]), np.diff(b.indptr))
+
+
+def _sum_of_terms(terms, shape) -> CsrArrays:
+    """Canonical arrays of the sum of (rows, cols, values) terms in the order
+    given, then + 0.0, which makes a -0.0 part +0.0 as a scipy sum does."""
+    rows, cols, vals = (np.concatenate(x) for x in zip(*terms))
+    a = canonical_arrays(rows, cols, vals, shape)
+    a.data[:] += 0.0
+    return a
+
+
+def _reduced_arrays(J: SectorJacobian, m: int) -> CsrArrays:
+    check_harmonic(m, J.M)
+    return _sum_of_terms([(_rows(b), b.indices, b.data * unity_power(m, k, J.M))
+                          for k, b in zip((0, 1, J.M - 1), J.blocks)], (J.N, J.N))
 
 
 def reduced_block(J: SectorJacobian, m: int) -> sp.csr_matrix:
@@ -241,22 +254,16 @@ def reduced_block(J: SectorJacobian, m: int) -> sp.csr_matrix:
     The offsets are 0, 1 and M-1; below three sectors they collide, but the
     neighbor blocks are then empty (enforced by SectorJacobian) and add nothing.
     """
-    check_harmonic(m, J.M)
-    terms = ((0, J.d_self), (1, J.d_next), (J.M - 1, J.d_prev))
-    return canonical_csr(sum(unity_power(m, k, J.M) * b for k, b in terms))
+    return csr_from_arrays(_reduced_arrays(J, m))
 
 
 def dense_block(J: SectorJacobian, m: int) -> np.ndarray:
-    """reduced_block(J, m) as an array, bit for bit: the three terms' stored
-    entries are added into zeros in reduced_block's order, and sums below
-    the cancellation tolerance are zeroed, as canonical_csr drops them."""
-    check_harmonic(m, J.M)
-    out = np.zeros(J.N * J.N, dtype=np.complex128)
-    starts = np.arange(0, J.N * J.N, J.N)
-    for k, b in zip((0, 1, J.M - 1), J.blocks):
-        out[np.repeat(starts, np.diff(b.indptr)) + b.indices] += b.data * unity_power(m, k, J.M)
-    out[np.abs(out) < CANCELLATION_TOL] = 0.0
-    return out.reshape(J.N, J.N)
+    """reduced_block(J, m) as an array, bit for bit: its canonical arrays
+    scattered into zeros."""
+    a = _reduced_arrays(J, m)
+    out = np.zeros((J.N, J.N), dtype=np.complex128)
+    out[_rows(a), a.indices] = a.data
+    return out
 
 
 def circulant_eigenvalues(first_row) -> np.ndarray:
@@ -276,28 +283,30 @@ def circulant_eigenvalues(first_row) -> np.ndarray:
 
 
 def materialize(J: SectorJacobian, budget: int = DENSE_ORACLE_BUDGET) -> sp.csr_matrix:
-    """Assemble the MN x MN block circulant in rotated variables: sum_k kron(S^k, b_k).
+    """Assemble the MN x MN block circulant in rotated variables.
 
-    Block (i, j) is b_{(j-i) mod M}.  Intended for oracle-side
-    verification only, hence the size budget.
+    Block (i, j) is b_{(j-i) mod M}: each sector block is tiled into its M
+    block positions and the whole is made canonical once.  Intended for
+    oracle-side verification only, hence the size budget.
     """
-    import scipy.sparse as sp
     full = J.M * J.N
     if full > budget:
         raise BudgetExceededError(
             f"materializing a {full}x{full} operator exceeds budget {budget}",
             required=full,
         )
-    terms = ((0, J.d_self), (1, J.d_next), (J.M - 1, J.d_prev))
-    return canonical_csr(sum(sp.kron(cyclic_shift(J.M, k), b, format="csr") for k, b in terms))
+    i = np.arange(J.M)[:, None]  # block row i holds b_k in block column (i + k) mod M
+    terms = [((i * J.N + _rows(b)).ravel(), ((i + k) % J.M * J.N + b.indices).ravel(),
+              np.tile(b.data, J.M)) for k, b in zip((0, 1, J.M - 1), J.blocks)]
+    return csr_from_arrays(_sum_of_terms(terms, (full, full)))
 
 
 def materialize_full(J: SectorJacobian, budget: int = DENSE_ORACLE_BUDGET) -> sp.csr_matrix:
     """Full MN x MN operator in original (unrotated) variables.
 
     Block (m1, m2) equals T^{m1} b_{(m2-m1) mod M} T^{-m2}; assembled as
-    the similarity product of the rotation stack with the block circulant's
-    Kronecker assembly.  Refuses instances above the size budget.
+    the similarity product of the rotation stack with the block circulant
+    of :func:`materialize`.  Refuses instances above the size budget.
     """
     B = materialize(J, budget=budget)
     if not J.rotation.layout.rotating_pairs:

@@ -2,12 +2,12 @@
 
 Every matrix is stored in canonical complex128 CSR form: sorted,
 duplicate-free column indices, finite entries only, and no stored value
-whose magnitude falls below the cancellation tolerance.  Matrices the
-package builds are scipy CSR matrices made canonical by
-:func:`canonical_csr`.  A Matrix Market file is read by numpy alone into
-the same form as plain arrays (:class:`CsrArrays`), and
-:func:`csr_from_arrays` makes the scipy matrix from them when one is
-needed, so that reading a model imports no scipy module.  Higher-level
+whose magnitude falls below the cancellation tolerance.  Every matrix the
+package assembles or reads is made so by one function, with numpy alone:
+:func:`canonical_arrays`, into plain arrays (:class:`CsrArrays`).
+:func:`canonical_csr` applies it to a scipy matrix or an array, and
+:func:`csr_from_arrays` makes the scipy matrix from the arrays when one
+is needed, so that reading a model imports no scipy module.  Higher-level
 modules never touch scipy internals directly.
 """
 
@@ -65,24 +65,41 @@ class CsrArrays(NamedTuple):
         return self.data.size
 
 
-def canonical_csr(A) -> sp.csr_matrix:
-    """Coerce ``A`` to a canonical complex CSR matrix.
-
-    Canonical means: sorted column indices, no duplicates, no stored
-    entries below the cancellation tolerance, and all values finite.
-    """
-    import scipy.sparse as sp
-    mat = sp.csr_matrix(A, dtype=np.complex128, copy=True)
-    mat.sum_duplicates()
-    mat.sort_indices()
-    if mat.nnz:
-        tiny = np.abs(mat.data) < CANCELLATION_TOL
-        if tiny.any():
-            mat.data[tiny] = 0.0
-            mat.eliminate_zeros()
-    if mat.nnz and not np.all(np.isfinite(mat.data)):
+def canonical_arrays(row, col, data, shape) -> CsrArrays:
+    """Canonical CSR arrays of the complex entries ``data[i]`` at in-range
+    ``(row[i], col[i])``: the one canonicalisation rule of the package.  A
+    stable sort into row-major order adds duplicate entries one at a time
+    in the order given; sums below the cancellation tolerance are dropped,
+    indices are int32 where they fit, and a non-finite entry raises
+    ValueError."""
+    nrows, ncols = shape
+    data = np.asarray(data, dtype=np.complex128)
+    key = np.asarray(row, dtype=np.int64) * ncols + col  # int64: row * ncols overflows int32
+    if np.any(key[1:] <= key[:-1]):  # not already in row-major order without duplicates
+        order = np.argsort(key, kind="stable")
+        key, data = key[order], data[order]
+        first = np.r_[True, key[1:] != key[:-1]]
+        if not first.all():
+            key, data, later = key[first], data[first], data[~first]
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum fails below
+                np.add.at(data, np.cumsum(first)[~first] - 1, later)
+    keep = ~(np.abs(data) < CANCELLATION_TOL)  # NaN is kept, to fail the next check
+    key, data = key[keep], data[keep]
+    if not np.isfinite(data).all():
         raise ValueError("matrix contains non-finite entries")
-    return mat
+    index = np.int32 if max(nrows, ncols, data.size) <= np.iinfo(np.int32).max else np.int64
+    row, col = np.divmod(key, ncols)
+    indptr = np.zeros(nrows + 1, dtype=index)
+    indptr[1:] = np.cumsum(np.bincount(row, minlength=nrows))
+    return CsrArrays(indptr, col.astype(index), data, (nrows, ncols))
+
+
+def canonical_csr(A) -> sp.csr_matrix:
+    """Coerce ``A`` to a canonical complex CSR matrix: the scipy matrix of
+    :func:`canonical_arrays` on its entries, in their storage order."""
+    import scipy.sparse as sp
+    coo = sp.coo_matrix(A, dtype=np.complex128)
+    return csr_from_arrays(canonical_arrays(coo.row, coo.col, coo.data, coo.shape))
 
 
 def csr_from_arrays(a: CsrArrays) -> sp.csr_matrix:
@@ -205,13 +222,11 @@ _MM_HEADER = ["%%matrixmarket", "matrix", "coordinate", "complex", "general"]
 
 def parse_matrix_market(path) -> CsrArrays:
     """Read a 'coordinate complex general' Matrix Market file into canonical
-    CSR arrays, with numpy alone.  Duplicate entries are added one at a time
-    in file order, sums below the cancellation tolerance are dropped, and
-    the index dtype is int32 where it fits, so the arrays are canonical_csr's
-    bytes (but for three or more duplicates of one entry in a row of more
-    than 16 entries, which scipy's unstable sort may add in another order).
-    Any other header, a wrong entry count, an index out of range or a
-    non-finite entry raises ValueError naming the file."""
+    CSR arrays, with numpy alone: :func:`canonical_arrays` of its entries in
+    file order, so duplicate entries are added in file order and the arrays
+    are canonical_csr's bytes for the same entries.  Any other header, a
+    wrong entry count, an index out of range or a non-finite entry raises
+    ValueError naming the file."""
     try:
         with open(path, encoding="ascii") as fh:
             if fh.readline().lower().split() != _MM_HEADER:
@@ -232,23 +247,7 @@ def parse_matrix_market(path) -> CsrArrays:
         if nnz and not (row.min() >= 0 and col.min() >= 0
                         and row.max() < nrows and col.max() < ncols):
             raise ValueError(f"an entry index lies outside the {nrows}x{ncols} matrix")
-        data = e["v"].view(np.complex128)[:, 0]
-        key = row * ncols + col
-        if np.any(key[1:] <= key[:-1]):  # not already in row-major order without duplicates
-            order = np.argsort(key, kind="stable")
-            row, col, key, data = row[order], col[order], key[order], data[order]
-            first = np.r_[True, key[1:] != key[:-1]]
-            row, col, data, later = row[first], col[first], data[first], data[~first]
-            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum fails below
-                np.add.at(data, np.cumsum(first)[~first] - 1, later)
-        keep = ~(np.abs(data) < CANCELLATION_TOL)  # NaN is kept, to fail the next check
-        row, col, data = row[keep], col[keep], data[keep]
-        if not np.isfinite(data).all():
-            raise ValueError("matrix contains non-finite entries")
-        index = np.int32 if max(nrows, ncols, data.size) <= np.iinfo(np.int32).max else np.int64
-        indptr = np.zeros(nrows + 1, dtype=index)
-        indptr[1:] = np.cumsum(np.bincount(row, minlength=nrows))
-        return CsrArrays(indptr, col.astype(index), data, (nrows, ncols))
+        return canonical_arrays(row, col, e["v"].view(np.complex128)[:, 0], (nrows, ncols))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

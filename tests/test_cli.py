@@ -74,6 +74,7 @@ class TestGen:
         assert "peclet = 10.0" in manifest
         assert "sectors = 22" in manifest
         assert "version = " in manifest
+        assert "rotation_rate" not in manifest
 
     def test_random_gen_deterministic(self, tmp_path):
         args = ["gen", "random", "--sectors", "4", "--points", "6",
@@ -398,6 +399,19 @@ class TestVerify:
         printed = capsys.readouterr().out
         assert "FAIL" in printed
         assert "max lift residual:    skipped\n" in printed
+
+    def test_wrong_lift_fails(self, tmp_path, capsys, monkeypatch):
+        # eigenvalues lifted at the next harmonic still match the dense
+        # spectrum; only the lift residual sees that the vectors are wrong
+        out = tmp_path / "rv"
+        assert main(["gen", "rotvec", "--sectors", "6", "--points", "4", "--out", str(out)]) == 0
+        lift = cli.lift_to_annulus
+        monkeypatch.setattr(cli, "lift_to_annulus", lambda v, m, J: lift(v, (m + 1) % J.M, J))
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 1
+        printed = capsys.readouterr().out
+        distance = float(re.search(r"max matched distance: (\S+)", printed).group(1))
+        assert distance < 1e-12 and "FAIL" in printed
 
     @pytest.mark.parametrize("exponent", [40, -40])
     @pytest.mark.parametrize("flags, rc, verdict", [([], 0, "PASS"),

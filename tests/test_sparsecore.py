@@ -243,14 +243,13 @@ class TestMatrixMarket:
             a, b = getattr(got, attr), getattr(want, attr)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("seed", range(20))
     def test_duplicates_summed_in_file_order_on_long_rows(self, tmp_path, seed):
         # 40 distinct entries and four copies of the entry in column 8 in one
         # shuffled row, the copies in this order: added one at a time in
         # file order they give exactly 3.0, in most other orders (or added
         # in pairs) 0.0, 4.0 or 5.0.  Past 16 entries an unstable sort may
-        # swap the copies; canonical_csr's can, so this row is not compared
-        # with it.
+        # swap the copies, so canonical_csr must sort as the parser does.
         rng = np.random.default_rng(seed)
         others = iter([(0, int(j), complex(j + 1)) for j in rng.permutation(np.r_[0:7, 8:60])[:40]])
         copies = iter([(0, 7, 1e16), (0, 7, 1.0), (0, 7, -1e16), (0, 7, 3.0)])
@@ -263,6 +262,10 @@ class TestMatrixMarket:
         got = parse_matrix_market(path)
         assert got.nnz == 41 and np.all(np.diff(got.indices) > 0)
         assert got.data[np.searchsorted(got.indices, 7)] == 3.0
+        i, j, v = (np.array(x) for x in zip(*entries))
+        want = canonical_csr(sp.coo_matrix((v, (i, j)), shape=(1, 60), dtype=np.complex128))
+        for attr in ("indptr", "indices", "data"):
+            assert getattr(got, attr).tobytes() == getattr(want, attr).tobytes()
 
     @pytest.mark.parametrize("text", [
         "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0\n",
@@ -310,6 +313,15 @@ def test_non_finite_entries_rejected():
     bad = np.array([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
         canonical_csr(bad)
+
+
+def test_canonical_key_does_not_overflow():
+    # int32 COO indices: row * ncols + col exceeds 2**31 from row 30 678 on
+    n, h = 70_000, 35_000
+    A = canonical_csr(sp.coo_matrix(([3.0, 4.0, 1.0, 2.0], ([n - 1, h, 0, n - 1],
+                                                            [n - 1, 1, n - 1, 0])), shape=(n, n)))
+    assert A.indptr[[0, 1, h, h + 1, n - 1, n]].tolist() == [0, 1, 1, 2, 2, 4]
+    assert A.indices.tolist() == [n - 1, 1, 0, n - 1] and A.data.tolist() == [1, 4, 2, 3]
 
 
 def test_canonical_prunes_underflow():
