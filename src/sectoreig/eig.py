@@ -70,12 +70,13 @@ DENSE_ROUTE_MAX_DIM = 100
 # fraction of n**2, and n <= DENSE_EIG_BUDGET, every later factorization in
 # the call is dense LAPACK LU: all blocks of a call share the pattern of
 # d_self + d_next + d_prev, so they fill alike.  Measured on random blocks
-# (2 cores, BLAS at 1 thread, medians of 9) as one factorization plus 41
-# solves, random-fill's count per shift: the two cost the same at fill
-# 0.27-0.32 for n = 800 (89 ms), 0.29-0.33 for n = 400 (19-20 ms) and about
-# 0.2 for n = 160-200; at fill 0.13, n = 800, SuperLU took 41 ms against
-# 90 ms, at random-fill's 0.50 it took 154 ms against 92 ms.  Ring and
-# rotvec blocks fill to under 0.01.
+# (2 cores, BLAS at 1 thread, medians of 15) as one factorization plus 41
+# trsv solves, random-fill's count per shift: the two cost the same at fill
+# 0.26-0.31 for n = 800 (60-65 ms), 0.17-0.18 for n = 400 (15 ms) and below
+# 0.12 for n = 200; at fill 0.13, n = 800, SuperLU took 45 ms against
+# 70 ms, at random-fill's 0.50 it took 163 ms against 73 ms.  The constant
+# follows n = 800, the size of random-fill.  Ring and rotvec blocks fill to
+# under 0.01.
 DENSE_LU_MIN_FILL = 0.25
 # Largest full dimension M*N the sparse whole-annulus solve will assemble.
 SPARSE_SOLVE_BUDGET = 200_000
@@ -87,8 +88,14 @@ DENSE_ROUTE_DIMS = range(MIN_SUBSPACE_DIM + 1, DENSE_ROUTE_MAX_DIM + 1)
 # ARPACK restart cap; on blocks within DENSE_EIG_BUDGET the budget of n + 1
 # inverse applications normally ends Arnoldi first.
 MAX_RESTARTS = 300
-# Relative distance below which two eigenvalues of one harmonic are merged.
+# Relative distance below which two eigenvalues of one harmonic are merged,
+# relative to |lambda| but at least to DEDUP_FLOOR * ||B||_1, so the rule
+# does not change with the scale of B: near 0 it merges within 1e-10 ||B||_1,
+# the default backward-error tol.  On the benchmark models and the README
+# ring, merged copies lie within 1e-15 ||B||_1, distinct eigenvalues at
+# least 5e-7 ||B||_1 apart (ring-full).
 DEDUP_BASE_TOL = 1e-6
+DEDUP_FLOOR = 1e-4
 
 # Fixed seed for the Arnoldi start vector so repeated runs are bit-stable.
 _START_VECTOR_SEED = 20230817
@@ -289,20 +296,20 @@ def _arnoldi(block: Block, sigma: complex, k: int, tol: float, info: SolveInfo,
 
 def _inverse_iteration(block: Block, lam: complex) -> np.ndarray:
     """Eigenvector of the eigenvalue lam of the dense block by one step of
-    inverse iteration: the solution of (B - lam I) x = v0.  An exactly
-    singular B - lam I is retried once with lam moved by eps (1 + ||B||_1)."""
-    shifted = block.dense.copy()
+    inverse iteration: the solution of 2**-e (B - lam I) x = v0, with 2**e
+    within a factor 2 of ||B||_1.  The scaling is exact and leaves the
+    matrix near unit norm, so ||x|| is near 1/eps and neither x nor the
+    factors underflow or overflow at any scale of B.  An exactly singular
+    B - lam I is retried once with lam moved by eps 2**e."""
+    scale = math.ldexp(1.0, -math.frexp(block.norm1)[1])
+    shifted = block.dense * scale
     diagonal = shifted.reshape(-1)[::block.n + 1]
-    diagonal -= lam
-    # v0 times a power of two within a factor 2 of ||B||_1, an exact
-    # scaling: ||x|| is then near 1/eps whatever the scale of B, so on a
-    # tiny block neither x nor its norm overflows
-    rhs = _start_vector(block.n) * math.ldexp(1.0, math.frexp(block.norm1)[1])
+    diagonal -= lam * scale
     try:
-        return np.linalg.solve(shifted, rhs)
+        return np.linalg.solve(shifted, _start_vector(block.n))
     except np.linalg.LinAlgError:
-        diagonal -= np.finfo(float).eps * (1.0 + block.norm1)
-        return np.linalg.solve(shifted, rhs)
+        diagonal -= np.finfo(float).eps
+        return np.linalg.solve(shifted, _start_vector(block.n))
 
 
 def _verify(block: Block, lam: complex, x: np.ndarray):
@@ -398,9 +405,11 @@ def dense_eigs(A, budget: int = DENSE_EIG_BUDGET):
     return lapack_eig(A.toarray() if sp.issparse(A) else A, vectors=True)
 
 
-def deduplicate_pairs(pairs):
-    """Merge duplicates (same harmonic, nearby eigenvalues), keeping the
-    smaller residual.  Idempotent: a second pass changes nothing."""
+def deduplicate_pairs(pairs, unit: float = 1.0):
+    """Merge duplicates (same harmonic, eigenvalues within DEDUP_BASE_TOL *
+    max(unit, |lambda|) of each other), keeping the smaller residual.  unit,
+    in the units of the eigenvalues, is the magnitude below which closeness
+    is absolute.  Idempotent: a second pass changes nothing."""
     kept: list = []
     ordered = sorted(pairs, key=lambda p: (p.residual, p.value.real, p.value.imag))
     for cand in ordered:
@@ -408,7 +417,7 @@ def deduplicate_pairs(pairs):
         for prev in kept:
             if prev.harmonic != cand.harmonic:
                 continue
-            if abs(prev.value - cand.value) < DEDUP_BASE_TOL * max(1.0, abs(prev.value)):
+            if abs(prev.value - cand.value) <= DEDUP_BASE_TOL * max(unit, abs(prev.value)):
                 dup = True
                 break
         if not dup:
@@ -463,7 +472,7 @@ def _solve_block(block: Block, cfg: ShiftInvertConfig, report: SpectrumReport,
     # a mirrored block's route, conj(c), is already set by its caller
     report.routes.setdefault(key, "dense" if dense else "arnoldi")
     report.raw_count += len(collected)
-    return deduplicate_pairs(collected)
+    return deduplicate_pairs(collected, unit=DEDUP_FLOOR * block.norm1)
 
 
 def solve_annulus_spectrum(J: SectorJacobian, harmonics=None,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -698,6 +700,24 @@ class TestScaleInvariantAcceptance:
                 [ref[np.argsort(np.abs(ref - s), kind="stable")[:2]] for s in cfg.shifts])
             assert np.abs(got[:, None] - ref[None, :]).min(axis=1).max() <= tol
             assert np.abs(nearest[:, None] - got[None, :]).min(axis=1).max() <= tol
+
+    @pytest.mark.parametrize("scale", [2.0 ** 20, 2.0 ** -20, 1e305])
+    def test_dense_route_same_pairs_at_any_scale(self, scale):
+        # At 2**20 the eigenvalues are about 2e-6 and lie 1e-8 apart, which an
+        # absolute dedup floor of 1 merged; at 1e305, ||B||_1 is near 3e-305,
+        # where inverse iteration with its right-hand side scaled by 2**e
+        # underflowed.
+        J = make_rotating_vector_model(4, 15, 0.3)
+        plain = solve_annulus_spectrum(J)
+        assert len(plain.pairs) == 9
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            cfg = ShiftInvertConfig(shifts=[s / scale for s in (1j, 2j, 3j)], scale=scale)
+            scaled = solve_annulus_spectrum(J, cfg=cfg)
+        assert scaled.warnings == [] and scaled.routes == plain.routes
+        assert [p.harmonic for p in scaled.pairs] == [p.harmonic for p in plain.pairs]
+        got, ref = scaled.values() * scale, plain.values()
+        assert (greedy_match(got, ref) <= 1e-12 * np.abs(ref).min()).all()
 
 
 class TestDenseEigs:

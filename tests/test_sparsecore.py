@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.io
+import scipy.linalg
 import scipy.sparse as sp
 
 from sectoreig.sparsecore import (
@@ -122,7 +123,8 @@ class TestSparseLU:
 
 
 class TestDenseLU:
-    """SparseLU(A, dense=True): LAPACK getrf/getrs behind the same checks."""
+    """SparseLU(A, dense=True): LAPACK getrf, then two BLAS trsv and a
+    permutation per solve, behind the same checks."""
 
     @pytest.mark.parametrize("A", [
         sp.csr_matrix((3, 3), dtype=complex),
@@ -154,6 +156,52 @@ class TestDenseLU:
         lu = SparseLU(canonical_csr(np.eye(3)), dense=True)
         with pytest.raises(DimensionMismatchError):
             lu.solve(np.ones(4))
+
+    def test_solve_through_many_row_swaps(self):
+        # a tiny diagonal under a large shuffled entry in each row: getrf's
+        # partial pivoting swaps most rows, and the matrix stays well conditioned
+        rng = np.random.default_rng(21)
+        n = 200
+        target = rng.permutation(n)
+        A = 0.01 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        A[np.diag_indices(n)] = 1e-9
+        A[np.arange(n), target] = 4.0 + 2.0j
+        assert (scipy.linalg.lu_factor(A.T)[1] != np.arange(n)).mean() > 0.9
+        y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        x = np.linalg.solve(A, y)
+        got = SparseLU(canonical_csr(A), dense=True).solve(y)
+        assert np.linalg.norm(got - x) <= 1e-13 * np.linalg.norm(x)
+
+    def test_permutation_matrix_permutes_exactly(self):
+        rng = np.random.default_rng(22)
+        n = 50
+        target = rng.permutation(n)
+        A = np.zeros((n, n))
+        A[np.arange(n), target] = 1.0  # row i of A x = y reads x[target[i]] = y[i]
+        y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        x = np.empty(n, dtype=complex)
+        x[target] = y
+        assert np.array_equal(SparseLU(canonical_csr(A), dense=True).solve(y), x)
+
+    def test_solve_leaves_input_alone(self):
+        rng = np.random.default_rng(23)
+        A = canonical_csr(random_csr(rng, 30, density=0.3) + canonical_csr(3 * np.eye(30)))
+        lu = SparseLU(A, dense=True)
+        y = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+        before = y.copy()
+        x = lu.solve(y)
+        assert np.array_equal(y, before)
+        assert x.dtype == np.complex128 and x.shape == (30,)
+        assert not np.shares_memory(x, y)
+
+    def test_non_contiguous_right_hand_side(self):
+        rng = np.random.default_rng(24)
+        A = canonical_csr(random_csr(rng, 30, density=0.3) + canonical_csr(3 * np.eye(30)))
+        lu = SparseLU(A, dense=True)
+        Y = rng.standard_normal((30, 2)) + 1j * rng.standard_normal((30, 2))
+        assert not Y[:, 1].flags.contiguous
+        assert np.array_equal(lu.solve(Y[:, 1]), lu.solve(Y[:, 1].copy()))
+        assert np.allclose(A @ lu.solve(Y[:, 1]), Y[:, 1], rtol=0, atol=1e-12)
 
 
 class TestMatrixMarket:
