@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigs
 
 from .sector import SectorJacobian, dense_block, materialize_full, reduced_block
 from .sparsecore import (
@@ -51,7 +51,9 @@ from .sparsecore import (
     spmv,
 )
 
-# Largest dimension accepted by the dense eigendecomposition oracle.
+# Largest n for which the package forms an n x n dense array: dense_eigs
+# (the oracle, and verify's whole operator), the dense fallback of a block
+# that spent its Arnoldi budget, and the dense LU.
 DENSE_EIG_BUDGET = 4_000
 # Largest block sent straight to the dense route: the largest block of a
 # perfbench workload that gains from it (rotvec-clustered, n = 100, whose
@@ -78,8 +80,6 @@ DENSE_ROUTE_MAX_DIM = 100
 # follows n = 800, the size of random-fill.  Ring and rotvec blocks fill to
 # under 0.01.
 DENSE_LU_MIN_FILL = 0.25
-# Largest full dimension M*N the sparse whole-annulus solve will assemble.
-SPARSE_SOLVE_BUDGET = 200_000
 
 # Arnoldi subspace dimension is max(MIN_SUBSPACE_DIM, 2k + 1), capped at n.
 MIN_SUBSPACE_DIM = 20
@@ -193,16 +193,6 @@ def _start_vector(n: int) -> np.ndarray:
     return v
 
 
-def lapack_eig(B: np.ndarray, vectors: bool = False):
-    """np.linalg.eig(B), or np.linalg.eigvals(B) without vectors, as complex128.
-    A B with no nonzero imaginary entry goes to real LAPACK (dgeev, not zgeev):
-    its real eigenvalues have imaginary part exactly 0, the others exact conjugates."""
-    B = B.real if np.iscomplexobj(B) and not B.imag.any() else B
-    if vectors:
-        return tuple(x.astype(np.complex128, copy=False) for x in np.linalg.eig(B))
-    return np.linalg.eigvals(B).astype(np.complex128, copy=False)
-
-
 class Block:
     """One square operator solved at several shifts.
 
@@ -236,7 +226,7 @@ class Block:
         """Store the dense matrix and all its eigenvalues, once."""
         if self.values is None:
             self.dense = self.matrix.toarray() if self.dense is None else self.dense
-            self.values = lapack_eig(self.dense)
+            self.values = dense_eigs(self.dense, vectors=False)
 
 
 class _BudgetSpent(Exception):
@@ -257,7 +247,8 @@ def _arnoldi(block: Block, sigma: complex, k: int, tol: float, info: SolveInfo,
     On a block within DENSE_EIG_BUDGET, Arnoldi may apply the inverse at
     most n + 1 times, the cost of one pass over the whole space.  Past that
     the block's eigenvalues are computed densely and no candidates are
-    returned.
+    returned.  Any other ARPACK error is recorded in info.warnings and
+    returns no candidates.
     """
     n = block.n
     eye = sp.identity(n, dtype=np.complex128, format="csr")
@@ -291,6 +282,9 @@ def _arnoldi(block: Block, sigma: complex, k: int, tol: float, info: SolveInfo,
             f"shift {sigma}: only {len(mu)}/{k} eigenvalues converged "
             f"after {MAX_RESTARTS} restarts"
         )
+    except ArpackError as exc:  # e.g. an inverse that underflows to a zero vector
+        info.warnings.append(f"shift {sigma}: {exc}")
+        return []
     return [(sigma_used + 1.0 / mu[i], W[:, i]) for i in range(len(mu))]
 
 
@@ -387,22 +381,28 @@ def shift_invert_eigs(A, sigma: complex, k: int, cfg: ShiftInvertConfig,
     return _accepted(block, checked, sigma, harmonic, cfg, info), info
 
 
-def dense_eigs(A, budget: int = DENSE_EIG_BUDGET):
-    """Full dense eigendecomposition oracle: returns (values, right vectors).
+def dense_eigs(A, vectors: bool = True):
+    """All eigenvalues of A, as (values, right vectors), or the values alone
+    without vectors: np.linalg.eig or eigvals, as complex128.  The package's
+    one dense eigendecomposition, for the oracle and the dense route.
 
-    Accepts a dense array or a sparse matrix; refuses dimensions above the
-    budget, before any densification, since this path is strictly for
-    verification.
+    Accepts an array or a sparse matrix, and refuses a dimension above
+    DENSE_EIG_BUDGET before forming the array.  An A with no nonzero
+    imaginary entry goes to real LAPACK (dgeev, not zgeev): its real
+    eigenvalues have imaginary part exactly 0, the others exact conjugates.
     """
     A = A if sp.issparse(A) else np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square, got {A.shape}")
     n = A.shape[0]
-    if n > budget:
-        raise BudgetExceededError(
-            f"dense oracle refuses dimension {n} > budget {budget}", required=n
-        )
-    return lapack_eig(A.toarray() if sp.issparse(A) else A, vectors=True)
+    if n > DENSE_EIG_BUDGET:
+        raise BudgetExceededError(f"dense eigendecomposition refuses dimension {n} > budget "
+                                  f"{DENSE_EIG_BUDGET}", required=n)
+    A = A.toarray() if sp.issparse(A) else A
+    A = A.real if np.iscomplexobj(A) and not A.imag.any() else A
+    if vectors:
+        return tuple(x.astype(np.complex128, copy=False) for x in np.linalg.eig(A))
+    return np.linalg.eigvals(A).astype(np.complex128, copy=False)
 
 
 def deduplicate_pairs(pairs, unit: float = 1.0):
@@ -526,7 +526,7 @@ def solve_full_annulus(J: SectorJacobian, cfg: ShiftInvertConfig | None = None) 
     harmonic = None.
     """
     cfg = cfg or ShiftInvertConfig()
-    A = materialize_full(J, budget=SPARSE_SOLVE_BUDGET) * (1.0 / cfg.scale)
+    A = materialize_full(J) * (1.0 / cfg.scale)
     report = SpectrumReport(pairs=[], M=J.M, N=J.N)
     t0 = time.perf_counter()
     block = Block(A.toarray() if J.M * J.N in DENSE_ROUTE_DIMS else A)

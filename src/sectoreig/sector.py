@@ -39,9 +39,10 @@ BLOCK_FILES = ("d_self.mtx", "d_next.mtx", "d_prev.mtx")
 LAYOUT_FILE = "layout.txt"
 LAYOUT_KEYS = ("M", "points_per_sector", "vars_per_point")
 
-# Largest full dimension M*N for which materializing the whole operator
-# (the dense-oracle side) is allowed by default.
-DENSE_ORACLE_BUDGET = 20_000
+# Largest full dimension M*N that materialize and materialize_full assemble
+# by default, as one sparse matrix (the whole-annulus solve); verify passes
+# the smaller eig.DENSE_EIG_BUDGET, since it forms the dense array.
+ASSEMBLY_BUDGET = 200_000
 
 
 def check_harmonic(m: int, M: int) -> None:
@@ -152,12 +153,10 @@ class SectorJacobian:
     pitch ahead (positive theta), ``d_prev`` to the sector one pitch
     behind.  All farther couplings are structurally zero.
 
-    The blocks are kept as canonical CSR arrays in ``blocks`` (self, next,
-    prev), which :func:`dense_block`, :attr:`is_real` and
-    :func:`save_sector_jacobian` read directly.  A block given as
-    :class:`CsrArrays` is taken as canonical; anything else goes through
-    ``canonical_csr``.  The scipy CSR attributes ``d_self``, ``d_next`` and
-    ``d_prev`` are built from the arrays on first access.
+    The blocks are kept once, as canonical CSR arrays in ``blocks`` (self,
+    next, prev); ``csr_from_arrays(J.blocks[i])`` is the scipy matrix of one,
+    sharing its memory.  A block given as :class:`CsrArrays` is taken as
+    canonical; anything else goes through ``canonical_csr``.
     """
 
     def __init__(self, d_self, d_next, d_prev, rotation: RotationSpec):
@@ -166,8 +165,8 @@ class SectorJacobian:
         blocks = []
         for name, blk in (("d_self", d_self), ("d_next", d_next), ("d_prev", d_prev)):
             if not isinstance(blk, CsrArrays):
-                blk = self.__dict__[name] = canonical_csr(blk)
-                blk = CsrArrays(blk.indptr, blk.indices, blk.data, blk.shape)
+                c = canonical_csr(blk)
+                blk = CsrArrays(c.indptr, c.indices, c.data, c.shape)
             if blk.shape != (N, N):
                 raise ValueError(f"{name} must be {N}x{N}, got {blk.shape}")
             blocks.append(blk)
@@ -177,18 +176,6 @@ class SectorJacobian:
                 "neighbor blocks address distinct sectors only for M >= 3; "
                 f"got M = {rotation.M} with nonzero neighbor coupling"
             )
-
-    @cached_property
-    def d_self(self) -> sp.csr_matrix:
-        return csr_from_arrays(self.blocks[0])
-
-    @cached_property
-    def d_next(self) -> sp.csr_matrix:
-        return csr_from_arrays(self.blocks[1])
-
-    @cached_property
-    def d_prev(self) -> sp.csr_matrix:
-        return csr_from_arrays(self.blocks[2])
 
     @property
     def M(self) -> int:
@@ -282,12 +269,12 @@ def circulant_eigenvalues(first_row) -> np.ndarray:
     return roots[np.outer(np.arange(K), k) % K] @ row[k]
 
 
-def materialize(J: SectorJacobian, budget: int = DENSE_ORACLE_BUDGET) -> sp.csr_matrix:
+def materialize(J: SectorJacobian, budget: int = ASSEMBLY_BUDGET) -> sp.csr_matrix:
     """Assemble the MN x MN block circulant in rotated variables.
 
     Block (i, j) is b_{(j-i) mod M}: each sector block is tiled into its M
-    block positions and the whole is made canonical once.  Intended for
-    oracle-side verification only, hence the size budget.
+    block positions and the whole is made canonical once.  Refuses
+    instances above the size budget.
     """
     full = J.M * J.N
     if full > budget:
@@ -301,7 +288,7 @@ def materialize(J: SectorJacobian, budget: int = DENSE_ORACLE_BUDGET) -> sp.csr_
     return csr_from_arrays(_sum_of_terms(terms, (full, full)))
 
 
-def materialize_full(J: SectorJacobian, budget: int = DENSE_ORACLE_BUDGET) -> sp.csr_matrix:
+def materialize_full(J: SectorJacobian, budget: int = ASSEMBLY_BUDGET) -> sp.csr_matrix:
     """Full MN x MN operator in original (unrotated) variables.
 
     Block (m1, m2) equals T^{m1} b_{(m2-m1) mod M} T^{-m2}; assembled as
@@ -356,12 +343,11 @@ def without_rotation(J: SectorJacobian) -> SectorJacobian:
         return J
     stripped = DofLayout(lay.points_per_sector, lay.vars_per_point, ())
     spec = RotationSpec(J.M, stripped)
-    t_fwd = rotation_matrix(J.rotation, 1)
-    t_bwd = rotation_matrix(J.rotation, -1)
+    d_self, d_next, d_prev = J.blocks
     return SectorJacobian(
-        d_self=J.d_self,
-        d_next=J.d_next @ t_bwd,
-        d_prev=J.d_prev @ t_fwd,
+        d_self=d_self,
+        d_next=csr_from_arrays(d_next) @ rotation_matrix(J.rotation, -1),
+        d_prev=csr_from_arrays(d_prev) @ rotation_matrix(J.rotation, 1),
         rotation=spec,
     )
 

@@ -14,7 +14,7 @@ from sectoreig.sector import (
     reduced_block,
     root_of_unity,
 )
-from sectoreig.sparsecore import BudgetExceededError, canonical_csr
+from sectoreig.sparsecore import BudgetExceededError, canonical_csr, csr_from_arrays
 
 
 def empty_csr(n):
@@ -90,12 +90,12 @@ class TestReducedBlock:
     def test_harmonic_zero_is_plain_sum(self):
         rng = np.random.default_rng(8)
         J = random_jacobian(rng, 4, 3)
-        expected = (J.d_self + J.d_next + J.d_prev).toarray()
+        expected = sum(csr_from_arrays(b).toarray() for b in J.blocks)
         assert np.max(np.abs(reduced_block(J, 0).toarray() - expected)) <= 1e-14
 
     def test_single_block_operator(self):
         rng = np.random.default_rng(9)
-        b0 = random_jacobian(rng, 3, 3).d_self
+        b0 = csr_from_arrays(random_jacobian(rng, 3, 3).blocks[0])
         J = scalar_jacobian(5, b0, empty_csr(3), empty_csr(3))
         for m in range(5):
             assert np.array_equal(reduced_block(J, m).toarray(), b0.toarray())
@@ -149,7 +149,7 @@ class TestLift:
 class TestMaterialize:
     def test_degenerate_single_sector(self):
         rng = np.random.default_rng(15)
-        b0 = random_jacobian(rng, 3, 4).d_self
+        b0 = csr_from_arrays(random_jacobian(rng, 3, 4).blocks[0])
         J = scalar_jacobian(1, b0, empty_csr(4), empty_csr(4))
         assert np.array_equal(materialize(J).toarray(), b0.toarray())
 
@@ -161,7 +161,7 @@ class TestMaterialize:
     def test_block_placement(self):
         rng = np.random.default_rng(16)
         J = random_jacobian(rng, 3, 2)
-        blocks = (J.d_self, J.d_next, J.d_prev)
+        blocks = [csr_from_arrays(b) for b in J.blocks]
         full = materialize(J).toarray()
         for i in range(3):
             for j in range(3):

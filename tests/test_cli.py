@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import sectoreig.cli as cli
 import sectoreig.eig as eig_module
@@ -13,6 +14,7 @@ from sectoreig.cli import main, parse_shift
 from sectoreig.eig import ShiftInvertConfig, dense_eigs, greedy_match
 from sectoreig.models import ring_first_row
 from sectoreig.sector import circulant_eigenvalues
+from sectoreig.sparsecore import csr_from_arrays
 
 DATA = Path(__file__).parent / "data"
 
@@ -333,6 +335,35 @@ class TestEig:
         assert a
         assert greedy_match(a, b).max() <= 1e-12 * max(1.0, max(map(abs, a)))
 
+    def test_harmonic_out_of_range_exits_2(self, tmp_path, capsys):
+        model = tmp_path / "ring"
+        assert main(["gen", "ring", "--sectors", "4", "--points", "3",
+                     "--out", str(model)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "x.csv"
+        assert main(["eig", str(model), "--harmonics", "4", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: harmonic index 4 out of range [0, 4)\n"
+        assert not out.exists()
+
+    def test_arpack_error_is_a_warning(self, tmp_path, capsys):
+        # B_0 = 2e308 I overflows; B_1 and B_3 = 1e308 (1 +- i) I, whose inverse
+        # underflows, so ARPACK finds its start vector zero
+        model = tmp_path / "huge"
+        big = 1e308 * sp.identity(8, format="csr")
+        spec = sector_module.RotationSpec(4, sector_module.DofLayout(8, 1))
+        J = sector_module.SectorJacobian(big, big, sp.csr_matrix((8, 8)), spec)
+        sector_module.save_sector_jacobian(J, model)
+        out = tmp_path / "x.csv"
+        assert main(["eig", str(model), "--out", str(out)]) == 0
+        warnings = [line for line in (tmp_path / "x.csv.summary.txt").read_text().splitlines()
+                    if line.startswith("warning: ")]
+        assert "warning: harmonic 0 failed: matrix contains non-finite entries" in warnings
+        for m in (1, 3):
+            for shift in ("1j", "2j", "3j"):
+                assert (f"warning: harmonic {m}: shift {shift}: "
+                        "ARPACK error -9: Starting vector is zero.") in warnings
+        assert f"({len(warnings)} warnings)" in capsys.readouterr().out
+
     def test_missing_directory_fails(self, tmp_path):
         rc = main(["eig", str(tmp_path / "nope"), "--out", str(tmp_path / "x.csv")])
         assert rc != 0
@@ -422,18 +453,18 @@ class TestVerify:
         assert main(["gen", "rotvec", "--sectors", "6", "--points", "2", "--out", str(out)]) == 0
         J = sector_module.load_sector_jacobian(out)
         scale = 2.0 ** exponent  # exact: the spectrum scales with it
-        blocks = (scale * b for b in (J.d_self, J.d_next, J.d_prev))
+        blocks = (scale * csr_from_arrays(b) for b in J.blocks)
         sector_module.save_sector_jacobian(sector_module.SectorJacobian(*blocks, J.rotation), out)
         capsys.readouterr()
         assert main(["verify", str(out), "--tol", "1e-8", *flags]) == rc
         assert f"{verdict} (tol 1.0e-08 * ||A||_1)" in capsys.readouterr().out
 
     def test_budget_refusal_exits_2(self, tmp_path, capsys):
-        out = tmp_path / "ring"
-        assert main(["gen", "ring", "--sectors", "4", "--points", "4",
+        out = tmp_path / "ring"  # M * N = 4100 > DENSE_EIG_BUDGET
+        assert main(["gen", "ring", "--sectors", "41", "--points", "100",
                      "--out", str(out)]) == 0
         capsys.readouterr()
-        assert main(["verify", str(out), "--budget", "10"]) == 2
+        assert main(["verify", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("FAIL: ")
         assert captured.err.endswith("; use a smaller instance\n")

@@ -38,7 +38,7 @@ from sectoreig.sector import (
     reduced_block,
     save_sector_jacobian,
 )
-from sectoreig.sparsecore import BudgetExceededError, SparseLU, canonical_csr
+from sectoreig.sparsecore import BudgetExceededError, SparseLU, canonical_csr, csr_from_arrays
 
 
 def random_shifted_sparse(rng, n, density=0.2):
@@ -209,7 +209,6 @@ class TestDenseRoute:
         report = solve_annulus_spectrum(J, cfg=ShiftInvertConfig())
         assert set(report.routes.values()) == {"dense", "conj(3)", "conj(2)", "conj(1)"}
         assert report.warnings == [] and report.raw_count == 7 * 3 * 2
-        assert not {"d_self", "d_next", "d_prev"} & set(vars(J))
 
     def test_converging_block_above_dense_route_never_decomposes(self, monkeypatch):
         calls = []
@@ -493,9 +492,10 @@ class TestConjugateMirror:
 
     def test_complex_blocks_take_no_mirror(self, tmp_path):
         J = make_rotating_vector_model(6, 30, 0.3)
-        d_next = J.d_next.copy()
+        d_self, d_next, d_prev = J.blocks
+        d_next = csr_from_arrays(d_next).copy()
         d_next.data[:3] += 0.05j
-        save_sector_jacobian(SectorJacobian(J.d_self, d_next, J.d_prev, J.rotation),
+        save_sector_jacobian(SectorJacobian(d_self, d_next, d_prev, J.rotation),
                              tmp_path / "complex")
         J = load_sector_jacobian(tmp_path / "complex")
         assert not J.is_real
@@ -743,11 +743,21 @@ class TestDenseEigs:
             res = np.linalg.norm(A @ V[:, i] - w[i] * V[:, i])
             assert res / np.linalg.norm(A, 2) <= 1e-9
 
-    def test_budget_refusal(self):
-        with pytest.raises(BudgetExceededError):
-            dense_eigs(np.eye(5), budget=4)
-        with pytest.raises(BudgetExceededError):
-            dense_eigs(sp.identity(5, format="csr"), budget=4)
+    def test_budget_refusal(self, monkeypatch):
+        A = sp.identity(eig_module.DENSE_EIG_BUDGET + 1, format="csr")
+
+        def densify(*_):
+            raise AssertionError("densified before the budget check")
+
+        monkeypatch.setattr(sp.csr_matrix, "toarray", densify)
+        with pytest.raises(BudgetExceededError) as err:
+            dense_eigs(A)
+        assert err.value.required == eig_module.DENSE_EIG_BUDGET + 1
+        monkeypatch.setattr(eig_module, "DENSE_EIG_BUDGET", 4)
+        for vectors in (True, False):
+            with pytest.raises(BudgetExceededError):
+                dense_eigs(np.eye(5), vectors=vectors)
+        assert np.array_equal(dense_eigs(np.eye(4), vectors=False), np.ones(4))
 
 
 class TestRealArithmetic:
@@ -857,7 +867,7 @@ class TestAnnulusSolvers:
         from sectoreig.sector import DofLayout, RotationSpec
         spec = RotationSpec(5, DofLayout(8, 1))
         zero = sp.csr_matrix((8, 8), dtype=complex)
-        J = SectorJacobian(J.d_self, zero, zero, spec)
+        J = SectorJacobian(J.blocks[0], zero, zero, spec)
         cfg = ShiftInvertConfig(shifts=(-2.0 + 0j,), eigs_per_shift=2)
         report = solve_annulus_spectrum(J, cfg=cfg)
         by_harmonic = {}

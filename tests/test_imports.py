@@ -6,12 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy.io
 import scipy.sparse
 
 import sectoreig
-from sectoreig.sparsecore import canonical_csr
+from sectoreig.sparsecore import canonical_csr, csr_from_arrays
 
 SRC = Path(sectoreig.__file__).resolve().parents[1]
 ROTVEC = Path(__file__).parent / "data" / "models" / "rotvec"
@@ -57,11 +58,12 @@ def test_loading_a_model_imports_no_scipy():
 
 def test_loaded_blocks_are_canonical_scipy_csr():
     J = sectoreig.load_sector_jacobian(ROTVEC)
-    for name in ("d_self", "d_next", "d_prev"):
-        assert name not in vars(J)
-        block, want = getattr(J, name), canonical_csr(scipy.io.mmread(ROTVEC / f"{name}.mtx"))
+    for i, name in enumerate(("d_self", "d_next", "d_prev")):
+        assert not hasattr(J, name)  # each block is stored once, as arrays
+        block = csr_from_arrays(J.blocks[i])
+        want = canonical_csr(scipy.io.mmread(ROTVEC / f"{name}.mtx"))
         assert type(block) is scipy.sparse.csr_matrix and block.has_canonical_format
-        assert getattr(J, name) is block  # built once
+        assert np.shares_memory(block.data, J.blocks[i].data)  # not copied
         assert block.shape == want.shape
         for attr in ("indptr", "indices", "data"):
             a, b = getattr(block, attr), getattr(want, attr)

@@ -19,6 +19,7 @@ from sectoreig.sector import (
     save_sector_jacobian,
     without_rotation,
 )
+from sectoreig.sparsecore import csr_from_arrays
 
 
 def reduced_union(J):
@@ -88,7 +89,7 @@ class TestRingModel:
 class TestRotatingVectorModel:
     def test_zero_coupling_is_block_diagonal(self):
         J = make_rotating_vector_model(5, 3, 0.0)
-        assert J.d_next.nnz == 0 and J.d_prev.nnz == 0
+        assert J.blocks[1].nnz == 0 and J.blocks[2].nnz == 0
         vals = np.linalg.eigvals(materialize_full(J).toarray())
         local = np.linalg.eigvals(np.array([[-2.0, -1.0], [1.0, -2.0]]))
         expected = np.tile(local, 15)
@@ -118,18 +119,18 @@ class TestRandomModel:
     def test_same_seed_bit_identical(self):
         a = make_random_sector_jacobian(4, 6, 0.4, seed=7)
         b = make_random_sector_jacobian(4, 6, 0.4, seed=7)
-        for name in ("d_self", "d_next", "d_prev"):
-            x, y = getattr(a, name), getattr(b, name)
-            assert np.array_equal(x.toarray(), y.toarray())
+        for x, y in zip(a.blocks, b.blocks):
+            assert np.array_equal(csr_from_arrays(x).toarray(), csr_from_arrays(y).toarray())
 
     def test_different_seed_differs(self):
         a = make_random_sector_jacobian(4, 6, 0.4, seed=7)
         b = make_random_sector_jacobian(4, 6, 0.4, seed=8)
-        assert not np.array_equal(a.d_self.toarray(), b.d_self.toarray())
+        assert not np.array_equal(csr_from_arrays(a.blocks[0]).toarray(),
+                                  csr_from_arrays(b.blocks[0]).toarray())
 
     def test_full_density(self):
         J = make_random_sector_jacobian(3, 2, 1.0, seed=1)
-        assert J.d_self.nnz == 4 and J.d_next.nnz == 4 and J.d_prev.nnz == 4
+        assert [b.nnz for b in J.blocks] == [4, 4, 4]
 
     def test_similarity_invariance(self):
         for seed in (1, 2, 3):
@@ -140,7 +141,7 @@ class TestRandomModel:
 
     def test_degenerate_sector_counts(self):
         J1 = make_random_sector_jacobian(1, 4, 0.5, seed=0)
-        assert J1.d_next.nnz == 0 and J1.d_prev.nnz == 0
+        assert J1.blocks[1].nnz == 0 and J1.blocks[2].nnz == 0
         with pytest.raises(ValueError):
             make_random_sector_jacobian(3, 4, 0.0, seed=0)
         with pytest.raises(ValueError):
@@ -156,8 +157,8 @@ def test_generators_round_trip_on_disk(tmp_path, maker):
     J = maker()
     save_sector_jacobian(J, tmp_path / "m")
     K = load_sector_jacobian(tmp_path / "m")
-    for name in ("d_self", "d_next", "d_prev"):
-        assert np.array_equal(getattr(J, name).toarray(), getattr(K, name).toarray())
+    for a, b in zip(J.blocks, K.blocks):
+        assert np.array_equal(csr_from_arrays(a).toarray(), csr_from_arrays(b).toarray())
     assert K.rotation == J.rotation
 
 

@@ -31,7 +31,7 @@ from sectoreig.sector import (
     save_sector_jacobian,
     without_rotation,
 )
-from sectoreig.sparsecore import canonical_csr
+from sectoreig.sparsecore import canonical_csr, csr_from_arrays
 
 
 def empty_csr(n):
@@ -103,7 +103,7 @@ class TestSectorJacobian:
         J = make_rotating_vector_model(5, 2, 0.4)
         B = materialize(J).toarray()
         N = J.N
-        offsets = {0: J.d_self, 1: J.d_next, 4: J.d_prev}
+        offsets = dict(zip((0, 1, 4), map(csr_from_arrays, J.blocks)))
         for i in range(5):
             for j in range(5):
                 seg = B[N * i:N * (i + 1), N * j:N * (j + 1)]
@@ -129,8 +129,9 @@ class TestSectorJacobian:
         J = SectorJacobian.from_unrotated(d_self, c_next, c_prev, spec)
         t_fwd = rotation_matrix(spec, 1).toarray()
         t_bwd = rotation_matrix(spec, -1).toarray()
-        assert np.max(np.abs(J.d_next.toarray() - c_next.toarray() @ t_fwd)) <= 1e-15
-        assert np.max(np.abs(J.d_prev.toarray() - c_prev.toarray() @ t_bwd)) <= 1e-15
+        _, d_next, d_prev = (csr_from_arrays(b).toarray() for b in J.blocks)
+        assert np.max(np.abs(d_next - c_next.toarray() @ t_fwd)) <= 1e-15
+        assert np.max(np.abs(d_prev - c_prev.toarray() @ t_bwd)) <= 1e-15
 
     def test_without_rotation_recovers_unrotated_blocks(self):
         spec = vector_spec(6, points=1)
@@ -141,8 +142,9 @@ class TestSectorJacobian:
         J = SectorJacobian.from_unrotated(d_self, c_next, c_prev, spec)
         stripped = without_rotation(J)
         assert not stripped.rotation.layout.rotating_pairs
-        assert np.max(np.abs(stripped.d_next.toarray() - c_next.toarray())) <= 1e-14
-        assert np.max(np.abs(stripped.d_prev.toarray() - c_prev.toarray())) <= 1e-14
+        _, d_next, d_prev = (csr_from_arrays(b).toarray() for b in stripped.blocks)
+        assert np.max(np.abs(d_next - c_next.toarray())) <= 1e-14
+        assert np.max(np.abs(d_prev - c_prev.toarray())) <= 1e-14
 
 
 class TestMaterializeFull:
@@ -163,7 +165,7 @@ class TestMaterializeFull:
             t1 = rotation_matrix(J.rotation, m1).toarray()
             for m2 in range(3):
                 t2inv = rotation_matrix(J.rotation, -m2).toarray()
-                blk = (J.d_self, J.d_next, J.d_prev)[(m2 - m1) % 3].toarray()
+                blk = csr_from_arrays(J.blocks[(m2 - m1) % 3]).toarray()
                 expected = t1 @ blk @ t2inv
                 seg = A[N * m1:N * (m1 + 1), N * m2:N * (m2 + 1)]
                 assert np.max(np.abs(seg - expected)) <= 1e-12
@@ -252,9 +254,10 @@ class TestConjugateHarmonic:
 
     def test_one_complex_block_is_not_real(self):
         J = make_rotating_vector_model(5, 3, 0.3)
-        d_next = J.d_next.copy()
+        d_self, d_next, d_prev = J.blocks
+        d_next = csr_from_arrays(d_next).copy()
         d_next.data[0] += 1e-3j
-        assert not SectorJacobian(J.d_self, d_next, J.d_prev, J.rotation).is_real
+        assert not SectorJacobian(d_self, d_next, d_prev, J.rotation).is_real
 
 
 def model_at(model, M):
@@ -269,7 +272,7 @@ def model_at(model, M):
     if M >= 3 or model == "random":
         return make(M)
     J = make(3)
-    return SectorJacobian(J.d_self, empty_csr(J.N), empty_csr(J.N),
+    return SectorJacobian(J.blocks[0], empty_csr(J.N), empty_csr(J.N),
                           RotationSpec(M, J.rotation.layout))
 
 
@@ -334,9 +337,8 @@ class TestDiskFormat:
         K = load_sector_jacobian(tmp_path / "model")
         assert K.M == J.M
         assert K.rotation.layout == J.rotation.layout
-        for name in ("d_self", "d_next", "d_prev"):
-            a, b = getattr(J, name), getattr(K, name)
-            assert np.array_equal(a.toarray(), b.toarray())
+        for a, b in zip(J.blocks, K.blocks):
+            assert np.array_equal(csr_from_arrays(a).toarray(), csr_from_arrays(b).toarray())
 
     def test_layout_file_contents(self, tmp_path):
         J = make_rotating_vector_model(6, 3, 0.35)
@@ -377,10 +379,11 @@ class TestDiskFormat:
 
     def test_empty_neighbor_blocks_load_without_warnings(self, tmp_path):
         J = make_random_sector_jacobian(1, 5, 0.5, 0)
-        assert J.d_next.nnz == 0 and J.d_prev.nnz == 0
+        assert J.blocks[1].nnz == 0 and J.blocks[2].nnz == 0
         save_sector_jacobian(J, tmp_path / "model")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             K = load_sector_jacobian(tmp_path / "model")
-        assert K.M == 1 and K.d_next.nnz == 0 and K.d_prev.nnz == 0
-        assert np.array_equal(K.d_self.toarray(), J.d_self.toarray())
+        assert K.M == 1 and K.blocks[1].nnz == 0 and K.blocks[2].nnz == 0
+        assert np.array_equal(csr_from_arrays(K.blocks[0]).toarray(),
+                              csr_from_arrays(J.blocks[0]).toarray())
