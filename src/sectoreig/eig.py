@@ -8,18 +8,12 @@ machine precision.  The first factorization of a solve call is SuperLU;
 when its factor fills DENSE_LU_MIN_FILL of n**2 or more, every later one
 in the call is dense LAPACK LU (SparseLU(..., dense=True)).
 
-Each block's route is chosen once, from its dimension n, where the block
-is built: a block with MIN_SUBSPACE_DIM < n <= DENSE_ROUTE_MAX_DIM is
-assembled as an array (sector.dense_block, or the whole operator's
-toarray()) and takes the dense route.  Other blocks go to Arnoldi; on
-one with n <= DENSE_EIG_BUDGET, Arnoldi may apply the inverse n + 1
-times, one pass over the whole space, and when that runs out (or
-k > n - 2) the block takes the dense route after all.  The dense route
-computes all eigenvalues once, by real LAPACK when the block is real (on
-real sector blocks, harmonics 0 and M/2), and answers the remaining shifts
-in one pass: each distinct eigenvalue chosen by any of them gets its
-vector from one step of inverse iteration, a single dense solve, which
-from a backward-stable eigenvalue leaves a residual near eps ||B||.
+Each block is stored at unit norm (Block), and its route is chosen once
+from its dimension n: a block with n in DENSE_ROUTE_DIMS is built as an
+array and takes the dense route; others go to Arnoldi, and end dense when
+it spends its budget.  The dense route computes all eigenvalues once and
+answers the remaining shifts in one pass, one inverse-iteration solve per
+distinct chosen eigenvalue.
 
 On real sector blocks, harmonic M - m takes conj(B_m) and the conjugates
 of harmonic m's dense eigenvalues.  Blocks on the Arnoldi route solve
@@ -89,11 +83,10 @@ DENSE_ROUTE_DIMS = range(MIN_SUBSPACE_DIM + 1, DENSE_ROUTE_MAX_DIM + 1)
 # inverse applications normally ends Arnoldi first.
 MAX_RESTARTS = 300
 # Relative distance below which two eigenvalues of one harmonic are merged,
-# relative to |lambda| but at least to DEDUP_FLOOR * ||B||_1, so the rule
-# does not change with the scale of B: near 0 it merges within 1e-10 ||B||_1,
-# the default backward-error tol.  On the benchmark models and the README
-# ring, merged copies lie within 1e-15 ||B||_1, distinct eigenvalues at
-# least 5e-7 ||B||_1 apart (ring-full).
+# relative to |lambda| but at least to DEDUP_FLOOR * ||B||_1: near 0 it
+# merges within 1e-10 ||B||_1, the default backward-error tol.  On the
+# benchmark models and the README ring, merged copies lie within
+# 1e-15 ||B||_1, distinct eigenvalues at least 5e-7 ||B||_1 apart (ring-full).
 DEDUP_BASE_TOL = 1e-6
 DEDUP_FLOOR = 1e-4
 
@@ -194,15 +187,20 @@ def _start_vector(n: int) -> np.ndarray:
 
 
 class Block:
-    """One square operator solved at several shifts.
+    """One square operator solved at several shifts, stored at unit scale.
 
-    Holds the CSR matrix (canonicalized, unless A is an array the dense
-    route assembled), its 1-norm (the scale of the acceptance test) and,
-    on the dense route, the dense matrix and all its eigenvalues, which
-    answer every remaining shift with no LU factorization and no Arnoldi.
+    Block(A, scale) canonicalizes A (unless it is an array the dense route
+    assembled) and stores A / (scale unit), one factor, with unit = 4**j
+    within a factor 4 of ||A||_1 / scale (1 for a zero block).  Every later
+    step runs on this matrix of 1-norm norm1 in [1, 4), at shifts
+    sigma / unit; values, residuals and shifts are multiplied back by unit
+    where they leave the block.  Scaling by a power of four leaves LAPACK's
+    results the same up to that power, bit for bit (by an odd power of two
+    it does not).  On the dense route the block also holds the dense
+    matrix and all its eigenvalues.
     """
 
-    def __init__(self, A):
+    def __init__(self, A, scale: float = 1.0):
         if isinstance(A, np.ndarray):
             self.dense = np.asarray(A, dtype=np.complex128)
             # the CSR sp.csr_matrix would build, read off without its COO pass
@@ -217,9 +215,19 @@ class Block:
         if self.matrix.shape[0] != self.matrix.shape[1]:
             raise ValueError(f"matrix must be square, got {self.matrix.shape}")
         self.n = self.matrix.shape[0]
-        # ||B||_1, the largest column sum of |b_ij|
-        self.norm1 = float(np.bincount(self.matrix.indices, np.abs(self.matrix.data),
-                                       minlength=self.n).max(initial=0.0))
+        # ||A||_1, the largest column sum of |a_ij|
+        norm = float(np.bincount(self.matrix.indices, np.abs(self.matrix.data),
+                                 minlength=self.n).max(initial=0.0))
+        # norm / scale, which may overflow, lies in [2**(e-1), 2**e); the factor
+        # is fl(1 / scale) / 4**j exactly, as fl(1 / scale) = fl(1 / ms) 2**-es
+        (ms, es), (mn, en) = math.frexp(scale), math.frexp(norm)
+        j = (en - es + math.frexp(mn / ms)[1] - 1) // 2 if norm else 0
+        if not (norm < math.inf and -1022 <= 2 * j <= 1022):
+            raise ValueError(f"||A||_1 / scale = {norm / scale:.3e} leaves the normal range")
+        self.unit, factor = math.ldexp(1.0, 2 * j), math.ldexp(1.0 / ms, -es - 2 * j)
+        self.norm1 = norm * factor
+        self.matrix.data *= factor
+        self.dense = None if self.dense is None else self.dense * factor
         self.values = None
 
     def decompose(self) -> None:
@@ -227,6 +235,11 @@ class Block:
         if self.values is None:
             self.dense = self.matrix.toarray() if self.dense is None else self.dense
             self.values = dense_eigs(self.dense, vectors=False)
+
+
+def _times(z, f: float) -> complex:
+    """z * f, part by part: exact for a power of two f, signed zeros kept."""
+    return complex(z.real * f, z.imag * f)
 
 
 class _BudgetSpent(Exception):
@@ -240,24 +253,24 @@ def _arnoldi(block: Block, sigma: complex, k: int, tol: float, info: SolveInfo,
     ARPACK stops at tol / 100 rather than at machine precision.  At ARPACK
     tolerance t, its test ||OP w - mu w|| <= t |mu|, OP = (B - sigma I)^-1,
     bounds the residual ||(B - lambda I) w|| by t ||B - sigma I||_2, which
-    may exceed the ||B||_1 + |lambda| that scales the acceptance test: two
-    digits of margin keep converged pairs within tol.  Every pair is
-    re-verified anyway.
+    may exceed the ||B||_1 + |lambda| of the acceptance test: two digits of
+    margin keep converged pairs within tol.
 
     On a block within DENSE_EIG_BUDGET, Arnoldi may apply the inverse at
     most n + 1 times, the cost of one pass over the whole space.  Past that
     the block's eigenvalues are computed densely and no candidates are
     returned.  Any other ARPACK error is recorded in info.warnings and
-    returns no candidates.
+    returns no candidates.  sigma is given in the block's input units, the
+    candidates come in those of its stored matrix.
     """
     n = block.n
     eye = sp.identity(n, dtype=np.complex128, format="csr")
-    sigma_used = sigma
+    sigma_used = _times(sigma, 1.0 / block.unit)
     try:
         lu = SparseLU(block.matrix - sigma_used * eye, dense=dense_lu)
     except SingularMatrixError:
-        sigma_used = sigma + 1e-8 * (1.0 + abs(sigma))
-        info.perturbed_shift = sigma_used
+        sigma_used += 1e-8 * (1.0 + abs(sigma_used))
+        info.perturbed_shift = _times(sigma_used, block.unit)
         lu = SparseLU(block.matrix - sigma_used * eye, dense=dense_lu)
     info.factor_nnz = lu.factor_nnz
     budget = n + 1 if n <= DENSE_EIG_BUDGET else math.inf
@@ -282,7 +295,7 @@ def _arnoldi(block: Block, sigma: complex, k: int, tol: float, info: SolveInfo,
             f"shift {sigma}: only {len(mu)}/{k} eigenvalues converged "
             f"after {MAX_RESTARTS} restarts"
         )
-    except ArpackError as exc:  # e.g. an inverse that underflows to a zero vector
+    except ArpackError as exc:
         info.warnings.append(f"shift {sigma}: {exc}")
         return []
     return [(sigma_used + 1.0 / mu[i], W[:, i]) for i in range(len(mu))]
@@ -290,45 +303,39 @@ def _arnoldi(block: Block, sigma: complex, k: int, tol: float, info: SolveInfo,
 
 def _inverse_iteration(block: Block, lam: complex) -> np.ndarray:
     """Eigenvector of the eigenvalue lam of the dense block by one step of
-    inverse iteration: the solution of 2**-e (B - lam I) x = v0, with 2**e
-    within a factor 2 of ||B||_1.  The scaling is exact and leaves the
-    matrix near unit norm, so ||x|| is near 1/eps and neither x nor the
-    factors underflow or overflow at any scale of B.  An exactly singular
-    B - lam I is retried once with lam moved by eps 2**e."""
-    scale = math.ldexp(1.0, -math.frexp(block.norm1)[1])
-    shifted = block.dense * scale
+    inverse iteration: the solution of (B - lam I) x = v0.  An exactly
+    singular B - lam I is retried once with lam moved by eps 2**e, 2**e
+    within a factor 2 of ||B||_1."""
+    shifted = block.dense.copy()
     diagonal = shifted.reshape(-1)[::block.n + 1]
-    diagonal -= lam * scale
+    diagonal -= lam
     try:
         return np.linalg.solve(shifted, _start_vector(block.n))
     except np.linalg.LinAlgError:
-        diagonal -= np.finfo(float).eps
+        diagonal -= math.ldexp(np.finfo(float).eps, math.frexp(block.norm1)[1])
         return np.linalg.solve(shifted, _start_vector(block.n))
 
 
 def _verify(block: Block, lam: complex, x: np.ndarray):
-    """(lam, v, ||Bv - lam v||) for v = x / ||x||, by sparse application.  The
-    norm is taken of the difference times 2**-e, with 2**e near
-    ||B||_1 + |lam|, and scaled back: exact, and safe at any scale of B."""
+    """(lam, v, ||Bv - lam v||) for v = x / ||x||, by sparse application."""
     v = x / np.linalg.norm(x)
-    e = math.frexp(block.norm1 + abs(lam))[1]
-    r = (spmv(block.matrix, v) - lam * v) * math.ldexp(1.0, -e)
-    return lam, v, float(np.ldexp(np.linalg.norm(r), e))
+    return lam, v, float(np.linalg.norm(spmv(block.matrix, v) - lam * v))
 
 
 def _accepted(block: Block, checked, sigma: complex, harmonic, cfg: ShiftInvertConfig,
               info: SolveInfo) -> list:
-    """EigenPairs of the verified (lam, v, residual) candidates whose normwise
-    backward error ||Bv - lam v|| / ((||B||_1 + |lam|) ||v||) is within
-    cfg.tol, nearest sigma first; each drop is recorded in info.warnings."""
+    """EigenPairs, in input units, of the verified (lam, v, residual)
+    candidates whose backward error ||Bv - lam v|| / ((||B||_1 + |lam|) ||v||)
+    is within cfg.tol, nearest sigma first; each drop goes to info.warnings."""
     pairs = []
     for lam, v, res in checked:
         scale = block.norm1 + abs(lam)
+        lam, given = _times(lam, block.unit), res * block.unit  # in input units
         if res <= cfg.tol * scale:
-            pairs.append(EigenPair(complex(lam), v, harmonic, res, sigma))
+            pairs.append(EigenPair(lam, v, harmonic, given, sigma))
         else:  # a NaN residual is dropped too
             info.warnings.append(f"dropped pair near {lam:.6g}: re-verified residual "
-                                 f"{res:.3e}, backward error {res / scale:.3e} > {cfg.tol:.1e}")
+                                 f"{given:.3e}, backward error {res / scale:.3e} > {cfg.tol:.1e}")
     pairs.sort(key=lambda p: (abs(p.value - sigma), p.value.real, p.value.imag))
     return pairs
 
@@ -339,7 +346,7 @@ def _dense_pairs(block: Block, shifts, k: int, cfg: ShiftInvertConfig, harmonic,
     pass: the k eigenvalues nearest each shift are picked together (stable
     order), and each distinct one gets one solve and one residual check."""
     w = block.values
-    orders = np.argsort(np.abs(w - np.array(shifts)[:, None]), axis=1, kind="stable")
+    orders = np.argsort(np.abs(w - np.array(shifts)[:, None] / block.unit), axis=1, kind="stable")
     orders = orders[:, :k].tolist()
     checked = {j: _verify(block, w[j], _inverse_iteration(block, w[j]))
                for j in dict.fromkeys(sum(orders, []))}
@@ -351,27 +358,27 @@ def shift_invert_eigs(A, sigma: complex, k: int, cfg: ShiftInvertConfig,
                       harmonic: int | None = None, dense_lu: bool = False):
     """Up to k eigenpairs of A nearest sigma, ordered by |lambda - sigma|.
 
-    A is a sparse matrix or a :class:`Block`; passing the same Block for
-    every shift lets one dense eigenvalue computation answer all of them.
-    The dense route is taken when the block's eigenvalues are already
-    known, when k > n - 2 (too small for ARPACK) or when Arnoldi spends its
-    budget of n + 1 inverse applications; it needs no sparse LU, and each
-    chosen eigenvalue's vector costs one dense solve.  On the Arnoldi route
-    A - sigma I is factored by SuperLU, or by dense LAPACK LU when dense_lu.
+    A is a sparse matrix, solved as A / cfg.scale at shift sigma in those
+    units, or a :class:`Block`, which holds its own scale; one Block passed
+    for every shift lets one dense eigenvalue computation answer them all.
+    The dense route is taken when the eigenvalues are already known, the
+    block is zero, k > n - 2 (too small for ARPACK) or Arnoldi spends its
+    budget.  On the Arnoldi route B - sigma I is factored by SuperLU, or by
+    dense LAPACK LU when dense_lu.
 
-    Returns (pairs, info).  A singular (A - sigma I) is retried once with
-    sigma perturbed by 1e-8 * (1 + |sigma|) and the perturbation flagged;
+    Returns (pairs, info).  A singular (B - sigma I) is retried once with
+    sigma moved by 1e-8 (1 + |sigma| / unit) unit, flagged in info;
     non-convergence returns the converged subset with a warning.  Every
-    pair, from either route, is re-verified by direct sparse application
-    and dropped (with a warning) when its backward error exceeds cfg.tol.
+    pair is re-verified by direct sparse application and dropped (with a
+    warning) when its backward error exceeds cfg.tol.
     """
-    block = A if isinstance(A, Block) else Block(A)
+    block = A if isinstance(A, Block) else Block(A, cfg.scale)
     if k < 1:
         raise ValueError("k must be >= 1")
     sigma = complex(sigma)
     info = SolveInfo()
 
-    if block.values is None and k > block.n - 2:
+    if block.values is None and (k > block.n - 2 or not block.norm1):
         block.decompose()
     if block.values is None:
         candidates = _arnoldi(block, sigma, k, cfg.tol, info, dense_lu)
@@ -413,14 +420,8 @@ def deduplicate_pairs(pairs, unit: float = 1.0):
     kept: list = []
     ordered = sorted(pairs, key=lambda p: (p.residual, p.value.real, p.value.imag))
     for cand in ordered:
-        dup = False
-        for prev in kept:
-            if prev.harmonic != cand.harmonic:
-                continue
-            if abs(prev.value - cand.value) <= DEDUP_BASE_TOL * max(unit, abs(prev.value)):
-                dup = True
-                break
-        if not dup:
+        if not any(prev.harmonic == cand.harmonic and abs(prev.value - cand.value)
+                   <= DEDUP_BASE_TOL * max(unit, abs(prev.value)) for prev in kept):
             kept.append(cand)
     kept.sort(key=lambda p: (
         -1 if p.harmonic is None else p.harmonic,
@@ -472,7 +473,7 @@ def _solve_block(block: Block, cfg: ShiftInvertConfig, report: SpectrumReport,
     # a mirrored block's route, conj(c), is already set by its caller
     report.routes.setdefault(key, "dense" if dense else "arnoldi")
     report.raw_count += len(collected)
-    return deduplicate_pairs(collected, unit=DEDUP_FLOOR * block.norm1)
+    return deduplicate_pairs(collected, unit=DEDUP_FLOOR * block.norm1 * block.unit)
 
 
 def solve_annulus_spectrum(J: SectorJacobian, harmonics=None,
@@ -509,7 +510,7 @@ def solve_annulus_spectrum(J: SectorJacobian, harmonics=None,
                         source.matrix.conj(), source.dense.conj(), source.values.conj())
                     report.routes[m] = f"conj({c})"
                 else:
-                    block = Block(build(J, m) * (1.0 / cfg.scale))
+                    block = Block(build(J, m), cfg.scale)
                 report.pairs.extend(_solve_block(block, cfg, report, m))
                 source = block
             except ValueError as exc:
@@ -526,10 +527,10 @@ def solve_full_annulus(J: SectorJacobian, cfg: ShiftInvertConfig | None = None) 
     harmonic = None.
     """
     cfg = cfg or ShiftInvertConfig()
-    A = materialize_full(J) * (1.0 / cfg.scale)
+    A = materialize_full(J)
     report = SpectrumReport(pairs=[], M=J.M, N=J.N)
     t0 = time.perf_counter()
-    block = Block(A.toarray() if J.M * J.N in DENSE_ROUTE_DIMS else A)
+    block = Block(A.toarray() if J.M * J.N in DENSE_ROUTE_DIMS else A, cfg.scale)
     report.pairs = _solve_block(block, cfg, report, "full")
     report.wall_times["full"] = time.perf_counter() - t0
     return report
@@ -558,8 +559,7 @@ def greedy_match(a, b):
         i, j = divmod(int(flat), n)
         if used_a[i] or used_b[j]:
             continue
-        used_a[i] = True
-        used_b[j] = True
+        used_a[i] = used_b[j] = True
         out.append(dist[i, j])
         if len(out) == n:
             break

@@ -6,11 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackError
 
 import sectoreig.cli as cli
 import sectoreig.eig as eig_module
 import sectoreig.sector as sector_module
-from sectoreig.cli import main, parse_shift
+from sectoreig.cli import CSV_HEADER, main, parse_shift
 from sectoreig.eig import ShiftInvertConfig, dense_eigs, greedy_match
 from sectoreig.models import ring_first_row
 from sectoreig.sector import circulant_eigenvalues
@@ -277,7 +278,8 @@ class TestEig:
 
     def test_summary_reports_perturbed_shift(self, tmp_path):
         # 0 is an exact eigenvalue of harmonic 0 of the pure-diffusion ring,
-        # so the factorization at shift 0 is singular and the shift is moved.
+        # so the factorization at shift 0 is singular and the shift is moved
+        # by 1e-8 (1 + |sigma| / unit) unit, with unit = 4**3 near ||B_0||_1 = 91.2.
         model = tmp_path / "diffusion"
         assert main(["gen", "ring", "--sectors", "3", "--points", "10",
                      "--peclet", "0", "--out", str(model)]) == 0
@@ -286,7 +288,7 @@ class TestEig:
                      "--out", str(out)]) == 0
         lines = open(str(out) + ".summary.txt").read().splitlines()
         assert [line for line in lines if line.startswith("perturbed_shift")] == [
-            "perturbed_shift[0] = 0j -> (1e-08+0j)"]
+            "perturbed_shift[0] = 0j -> (6.4e-07+0j)"]
         _, rows = read_csv(out)
         assert min(abs(complex(float(r["lambda_re"]), float(r["lambda_im"])))
                    for r in rows) <= 1e-10
@@ -345,9 +347,28 @@ class TestEig:
         assert capsys.readouterr().err == "error: harmonic index 4 out of range [0, 4)\n"
         assert not out.exists()
 
-    def test_arpack_error_is_a_warning(self, tmp_path, capsys):
-        # B_0 = 2e308 I overflows; B_1 and B_3 = 1e308 (1 +- i) I, whose inverse
-        # underflows, so ARPACK finds its start vector zero
+    def test_arpack_error_is_a_warning(self, tmp_path, capsys, monkeypatch):
+        def failing_eigs(*args, **kwargs):
+            raise ArpackError(-9, {-9: "Starting vector is zero."})
+
+        monkeypatch.setattr(eig_module, "eigs", failing_eigs)
+        model = tmp_path / "ring"
+        assert main(["gen", "ring", "--sectors", "4", "--points", "200", "--peclet", "1",
+                     "--out", str(model)]) == 0
+        out = tmp_path / "x.csv"
+        assert main(["eig", str(model), "--harmonics", "1,2", "--out", str(out)]) == 0
+        warnings = [line for line in (tmp_path / "x.csv.summary.txt").read_text().splitlines()
+                    if line.startswith("warning: ")]
+        assert warnings == [f"warning: harmonic {m}: shift {shift}: "
+                            "ARPACK error -9: Starting vector is zero."
+                            for m in (1, 2) for shift in ("1j", "2j", "3j")]
+        assert out.read_text() == CSV_HEADER + "\n"
+        assert "(6 warnings)" in capsys.readouterr().out
+
+    def test_model_near_overflow(self, tmp_path):
+        # B_0 = 2e308 I overflows; B_1 and B_3 = 1e308 (1 +- i) I are stored
+        # at unit scale, so neither their LU nor ARPACK underflows, and
+        # B_2 = 0 is answered exactly
         model = tmp_path / "huge"
         big = 1e308 * sp.identity(8, format="csr")
         spec = sector_module.RotationSpec(4, sector_module.DofLayout(8, 1))
@@ -357,12 +378,13 @@ class TestEig:
         assert main(["eig", str(model), "--out", str(out)]) == 0
         warnings = [line for line in (tmp_path / "x.csv.summary.txt").read_text().splitlines()
                     if line.startswith("warning: ")]
-        assert "warning: harmonic 0 failed: matrix contains non-finite entries" in warnings
-        for m in (1, 3):
-            for shift in ("1j", "2j", "3j"):
-                assert (f"warning: harmonic {m}: shift {shift}: "
-                        "ARPACK error -9: Starting vector is zero.") in warnings
-        assert f"({len(warnings)} warnings)" in capsys.readouterr().out
+        assert warnings == ["warning: harmonic 0 failed: matrix contains non-finite entries"]
+        _, rows = read_csv(out)
+        assert [r["harmonic"] for r in rows] == ["1", "2", "3"]
+        got = [complex(float(r["lambda_re"]), float(r["lambda_im"])) for r in rows]
+        assert abs(got[0] - 1e308 * (1 + 1j)) <= 1e-15 * abs(got[0])
+        assert got[1] == 0 and float(rows[1]["residual"]) == 0.0
+        assert got[2] == got[0].conjugate()
 
     def test_missing_directory_fails(self, tmp_path):
         rc = main(["eig", str(tmp_path / "nope"), "--out", str(tmp_path / "x.csv")])

@@ -1,3 +1,5 @@
+import functools
+import math
 import warnings
 
 import numpy as np
@@ -333,10 +335,10 @@ class TestInverseIterationVectors:
             assert residual / (norm1 + abs(lam)) <= 1e-12
 
     def test_acceptance_at_extreme_scales(self):
-        # At 2**600 (about 4e180) the squares in ||Bv - lambda v|| overflow,
-        # and at 2**-520 (about 3e-157) they underflow.  The residual is
-        # scaled by a power of two before its norm, so every pair is accepted
-        # at each scale, with a backward error near eps, neither inf nor 0.
+        # At 2**600 (about 4e180) the squares in ||Bv - lambda v|| would
+        # overflow, and at 2**-520 (about 3e-157) underflow.  The block is
+        # stored at unit scale, so every pair is accepted at each scale, with
+        # a backward error near eps, neither inf nor 0.
         # (LAPACK rescales such matrices by factors that are not powers of
         # two, so the last bits of lambda differ between scales.)
         A = np.random.default_rng(36).standard_normal((30, 30))
@@ -355,13 +357,15 @@ class TestInverseIterationVectors:
             assert greedy_match(values[exponent], values[0]).max() <= 1e-12 * norm1
 
     def test_no_nan_pair_accepted_near_underflow(self):
-        # at 2**-980 (about 1e-295) pivots of B - lambda I are subnormal and
-        # some solves return NaN: those pairs are dropped, not accepted
+        # at 2**-980 (about 1e-295) the pivots of B - lambda I would be
+        # subnormal and some solves NaN; the block is stored at unit scale,
+        # so every pair is accepted with finite vectors and no warning
         A = np.random.default_rng(36).standard_normal((30, 30))
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             pairs, info = shift_invert_eigs(canonical_csr(np.ldexp(A, -980)), 0.0, 29,
                                             ShiftInvertConfig())
-        assert len(pairs) + len(info.warnings) == 29
+        assert len(pairs) == 29 and info.warnings == []
         assert all(np.isfinite(p.residual) and np.isfinite(p.vector).all() for p in pairs)
 
     @pytest.mark.parametrize("J", [
@@ -657,7 +661,9 @@ class TestDenseFactorDecision:
         report, kinds, _ = counted(lambda: solve_annulus_spectrum(J, cfg=cfg))
         assert kinds == [False, True, True] and report.dense_lu is True
         [(key, sigma, used)] = report.perturbed_shifts
-        assert (key, sigma) == (0, 3.0) and used == 3.0 + 1e-8 * 4.0
+        # moved by 1e-8 (1 + |sigma| / unit) unit, relative to the block's scale
+        unit = Block(d_self).unit
+        assert (key, sigma) == (0, 3.0) and used == (3.0 / unit + 1e-8 * (1 + 3.0 / unit)) * unit
         assert min(abs(p.value - 3.0) for p in report.pairs) <= 1e-10
 
 
@@ -718,6 +724,85 @@ class TestScaleInvariantAcceptance:
         assert [p.harmonic for p in scaled.pairs] == [p.harmonic for p in plain.pairs]
         got, ref = scaled.values() * scale, plain.values()
         assert (greedy_match(got, ref) <= 1e-12 * np.abs(ref).min()).all()
+
+
+class TestScaleFree:
+    """Every block is stored as A / (scale 4**j) with ||.||_1 in [1, 4), so the
+    pairs found do not depend on the magnitude of the model or on --scale."""
+
+    # (solver, model, pairs at scale 1): the dense route, and three models
+    # whose Arnoldi route once lost every pair at extreme scales
+    CASES = {
+        "rotvec-4x15-method-2": (solve_annulus_spectrum, make_rotating_vector_model(4, 15, 0.3), 9),
+        "rotvec-4x15-method-1": (solve_full_annulus, make_rotating_vector_model(4, 15, 0.3), 3),
+        "rotvec-4x5-method-2": (solve_annulus_spectrum, make_rotating_vector_model(4, 5, 0.3), 8),
+        "random-4x800-harmonic-0": (functools.partial(solve_annulus_spectrum, harmonics=[0]),
+                                    make_random_sector_jacobian(4, 800, 0.005, 0), 2),
+    }
+
+    @staticmethod
+    def solve(name, scale):
+        solve, J, _ = TestScaleFree.CASES[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            cfg = ShiftInvertConfig(shifts=[s / scale for s in (1j, 2j, 3j)], scale=scale)
+            report = solve(J, cfg=cfg)
+        assert report.warnings == [] and report.perturbed_shifts == []
+        return report
+
+    @pytest.fixture(scope="class")
+    def plain(self):
+        return {name: self.solve(name, 1.0) for name in self.CASES}
+
+    @pytest.mark.parametrize("scale", [2.0 ** 20, 2.0 ** -20, 1e305, 1e-300, 2.0 ** -300])
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_same_pairs_at_any_scale(self, plain, name, scale):
+        ref = plain[name]
+        assert len(ref.pairs) == self.CASES[name][2]
+        scaled = self.solve(name, scale)
+        assert [p.harmonic for p in scaled.pairs] == [p.harmonic for p in ref.pairs]
+        for m in {p.harmonic for p in ref.pairs}:
+            want = np.array([p.value for p in ref.pairs if p.harmonic == m])
+            got = np.array([p.value for p in scaled.pairs if p.harmonic == m]) * scale
+            assert greedy_match(got, want).max() <= 1e-12 * np.abs(want).min()
+
+    @pytest.mark.parametrize("j", [10, -10, -150])
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_powers_of_four_are_exact(self, plain, name, j):
+        scaled = self.solve(name, 4.0 ** j)
+        assert [(p.harmonic, p.value * 4.0 ** j, p.residual * 4.0 ** j)
+                for p in scaled.pairs] == [(p.harmonic, p.value, p.residual)
+                                           for p in plain[name].pairs]
+
+    @pytest.mark.parametrize("scale", [1680.0, 1e305, 1e-300])
+    def test_shift_invert_eigs_divides_by_cfg_scale(self, scale):
+        A = random_shifted_sparse(np.random.default_rng(37), 60, density=0.3)
+        ref, _ = shift_invert_eigs(A, 0.5j, 4, ShiftInvertConfig())
+        pairs, info = shift_invert_eigs(A, 0.5j / scale, 4, ShiftInvertConfig(scale=scale))
+        assert info.warnings == [] and len(pairs) == len(ref) == 4
+        for p, q in zip(pairs, ref):
+            assert abs(p.value - q.value / scale) <= 1e-12 * abs(q.value / scale)
+
+    def test_zero_block_answers_zero(self):
+        # B_2 = I + rho_2 I = 0: its eigenvalue 0 (8-fold) is found exactly
+        eye = sp.identity(8, dtype=complex, format="csr")
+        J = SectorJacobian(eye, eye, sp.csr_matrix((8, 8), dtype=complex),
+                           RotationSpec(4, DofLayout(8, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = solve_annulus_spectrum(J, harmonics=[2])
+        assert report.warnings == [] and report.routes == {2: "dense"}
+        assert [(p.harmonic, p.value, p.residual) for p in report.pairs] == [(2, 0j, 0.0)]
+
+    @pytest.mark.parametrize("scale", [0.5, 2.0, 1e300])
+    def test_block_is_stored_at_unit_norm(self, scale):
+        A = random_shifted_sparse(np.random.default_rng(38), 40)
+        block = Block(A, scale)
+        norm1 = abs(A).sum(axis=0).max()
+        assert 1.0 <= block.norm1 < 4.0
+        mantissa, exponent = math.frexp(block.unit)  # unit = 0.5 * 2**exponent = 4**j
+        assert mantissa == 0.5 and (exponent - 1) % 2 == 0
+        assert abs(block.norm1 * block.unit * scale - norm1) <= 1e-15 * norm1
 
 
 class TestDenseEigs:
@@ -786,8 +871,9 @@ class TestRealArithmetic:
         assert block.values.dtype == w.dtype == V.dtype == np.complex128
         assert dtypes == [np.float64, np.float64]
         assert np.all(block.values.imag == 0.0) and np.all(w.imag == 0.0)
-        # eigvals' values are bitwise among eig's, as the golden tests assume
-        assert set(block.values) <= set(w)
+        # eigvals' values are bitwise among eig's, as the golden tests assume,
+        # and scaling the block by a power of four scales them exactly
+        assert set(block.values * block.unit) <= set(w)
 
     @pytest.mark.parametrize("J,m", [
         (make_rotating_vector_model(8, 50, 0.3), 0),
@@ -800,13 +886,13 @@ class TestRealArithmetic:
         B = dense_block(J, m)
         block = Block(B)
         block.decompose()
-        w = block.values
+        w = block.values * block.unit
         assert dtypes == [np.float64] and w.dtype == np.complex128
         nonreal = w[w.imag != 0]
         assert len(nonreal) > 0
         assert np.array_equal(np.sort_complex(nonreal), np.sort_complex(nonreal.conj()))
         assert set(w) <= set(dense_eigs(B)[0])
-        assert greedy_match(w, np.linalg.eigvals(B)).max() <= 1e-12 * block.norm1
+        assert greedy_match(w, np.linalg.eigvals(B)).max() <= 1e-12 * block.norm1 * block.unit
 
     def test_any_imaginary_entry_takes_complex_lapack(self, monkeypatch):
         rng = np.random.default_rng(36)
@@ -817,7 +903,7 @@ class TestRealArithmetic:
         block = Block(B)
         block.decompose()
         assert dtypes == [np.complex128]
-        assert np.array_equal(block.values, want)
+        assert np.array_equal(block.values * block.unit, want)
 
     def test_mirrored_harmonics_keep_complex_lapack_bytes(self):
         # harmonics 0 and M/2 are real; 1..3 are complex and 5..7 mirror them
