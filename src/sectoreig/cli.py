@@ -10,6 +10,7 @@ rename).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -33,11 +34,11 @@ from .models import (
 )
 from .sector import (
     check_harmonic,
-    dense_block,
     lift_to_annulus,
     load_sector_jacobian,
     materialize_full,
     nodal_diameter,
+    reduced_block,
     save_sector_jacobian,
     without_rotation,
 )
@@ -55,6 +56,14 @@ def parse_shift(text: str) -> complex:
         return complex(cleaned)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"cannot parse shift {text!r}") from exc
+
+
+def parse_tol(text: str) -> float:
+    """Parse a finite, positive tolerance."""
+    tol = float(text)  # argparse reports a ValueError as an invalid value
+    if not 0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(f"tol must be finite and positive, got {text!r}")
+    return tol
 
 
 def parse_harmonics(text: str, M: int):
@@ -175,9 +184,9 @@ def cmd_verify(args) -> int:
     max_lift_residual = 0.0
     for m in range(J.M):
         if args.no_rotation:
-            reduced_vals.extend(dense_eigs(dense_block(reduced_source, m), vectors=False))
+            reduced_vals.extend(dense_eigs(reduced_block(reduced_source, m), vectors=False))
             continue
-        w, V = dense_eigs(dense_block(reduced_source, m))
+        w, V = dense_eigs(reduced_block(reduced_source, m))
         reduced_vals.extend(w)
         lifted = lift_to_annulus(V, m, J)
         res = np.linalg.norm(spmv(A, lifted) - lifted * w, axis=0)
@@ -232,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="check the reduction against the dense oracle")
     verify.add_argument("in_dir")
-    verify.add_argument("--tol", type=float, default=1e-8, help="relative to ||A||_1")
+    verify.add_argument("--tol", type=parse_tol, default=1e-8, help="relative to ||A||_1")
     verify.add_argument("--no-rotation", action="store_true",
                         help="test-only: skip the frame rotation on the reduced side")
     verify.set_defaults(func=cmd_verify)

@@ -8,12 +8,12 @@ machine precision.  The first factorization of a solve call is SuperLU;
 when its factor fills DENSE_LU_MIN_FILL of n**2 or more, every later one
 in the call is dense LAPACK LU (SparseLU(..., dense=True)).
 
-Each block is stored at unit norm (Block), and its route is chosen once
-from its dimension n: a block with n in DENSE_ROUTE_DIMS is built as an
-array and takes the dense route; others go to Arnoldi, and end dense when
-it spends its budget.  The dense route computes all eigenvalues once and
-answers the remaining shifts in one pass, one inverse-iteration solve per
-distinct chosen eigenvalue.
+Each block is stored once, as canonical CSR at unit norm (Block), and its
+route is chosen once from its dimension n: a block with n in
+DENSE_ROUTE_DIMS takes the dense route, where Block.decompose forms its
+array; others go to Arnoldi, and end dense when it spends its budget.  The
+dense route computes all eigenvalues once and answers the remaining shifts
+in one pass, one inverse-iteration solve per distinct chosen eigenvalue.
 
 On real sector blocks, harmonic M - m takes conj(B_m) and the conjugates
 of harmonic m's dense eigenvalues.  Blocks on the Arnoldi route solve
@@ -36,12 +36,14 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigs
 
-from .sector import SectorJacobian, dense_block, materialize_full, reduced_block
+from .sector import SectorJacobian, materialize_full, reduced_arrays, reduced_block
 from .sparsecore import (
     BudgetExceededError,
+    CsrArrays,
     SingularMatrixError,
     SparseLU,
     canonical_csr,
+    csr_from_arrays,
     spmv,
 )
 
@@ -77,7 +79,7 @@ DENSE_LU_MIN_FILL = 0.25
 
 # Arnoldi subspace dimension is max(MIN_SUBSPACE_DIM, 2k + 1), capped at n.
 MIN_SUBSPACE_DIM = 20
-# Dimensions of the blocks that are built as arrays and take the dense route.
+# Dimensions of the blocks that take the dense route.
 DENSE_ROUTE_DIMS = range(MIN_SUBSPACE_DIM + 1, DENSE_ROUTE_MAX_DIM + 1)
 # ARPACK restart cap; on blocks within DENSE_EIG_BUDGET the budget of n + 1
 # inverse applications normally ends Arnoldi first.
@@ -189,35 +191,26 @@ def _start_vector(n: int) -> np.ndarray:
 class Block:
     """One square operator solved at several shifts, stored at unit scale.
 
-    Block(A, scale) canonicalizes A (unless it is an array the dense route
-    assembled) and stores A / (scale unit), one factor, with unit = 4**j
-    within a factor 4 of ||A||_1 / scale (1 for a zero block).  Every later
-    step runs on this matrix of 1-norm norm1 in [1, 4), at shifts
-    sigma / unit; values, residuals and shifts are multiplied back by unit
-    where they leave the block.  Scaling by a power of four leaves LAPACK's
-    results the same up to that power, bit for bit (by an odd power of two
-    it does not).  On the dense route the block also holds the dense
-    matrix and all its eigenvalues.
+    Block(A, scale) takes A given as :class:`CsrArrays` as canonical, and
+    anything else through canonical_csr; it stores A / (scale unit), one
+    factor applied to a copy of the entries, with unit = 4**j within a
+    factor 4 of ||A||_1 / scale (1 for a zero block).  Every later step runs
+    on this matrix of 1-norm norm1 in [1, 4), at shifts sigma / unit;
+    values, residuals and shifts are multiplied back by unit where they
+    leave the block.  Scaling by a power of four leaves LAPACK's results the
+    same up to that power, bit for bit (by an odd power of two it does
+    not).  Once decomposed, the block also holds the dense matrix and all
+    its eigenvalues.
     """
 
     def __init__(self, A, scale: float = 1.0):
-        if isinstance(A, np.ndarray):
-            self.dense = np.asarray(A, dtype=np.complex128)
-            # the CSR sp.csr_matrix would build, read off without its COO pass
-            rows, cols = self.dense.shape
-            at = np.flatnonzero(self.dense)
-            indptr = np.concatenate(([0], np.cumsum(np.bincount(at // cols, minlength=rows))))
-            self.matrix = sp.csr_matrix((self.dense.ravel()[at], at % cols, indptr),
-                                        shape=(rows, cols))
-        else:
-            self.dense = None
-            self.matrix = canonical_csr(A)
-        if self.matrix.shape[0] != self.matrix.shape[1]:
-            raise ValueError(f"matrix must be square, got {self.matrix.shape}")
-        self.n = self.matrix.shape[0]
+        if not isinstance(A, CsrArrays):
+            A = canonical_csr(A)
+        if A.shape[0] != A.shape[1]:
+            raise ValueError(f"matrix must be square, got {A.shape}")
+        self.n = A.shape[0]
         # ||A||_1, the largest column sum of |a_ij|
-        norm = float(np.bincount(self.matrix.indices, np.abs(self.matrix.data),
-                                 minlength=self.n).max(initial=0.0))
+        norm = float(np.bincount(A.indices, np.abs(A.data), minlength=self.n).max(initial=0.0))
         # norm / scale, which may overflow, lies in [2**(e-1), 2**e); the factor
         # is fl(1 / scale) / 4**j exactly, as fl(1 / scale) = fl(1 / ms) 2**-es
         (ms, es), (mn, en) = math.frexp(scale), math.frexp(norm)
@@ -226,14 +219,13 @@ class Block:
             raise ValueError(f"||A||_1 / scale = {norm / scale:.3e} leaves the normal range")
         self.unit, factor = math.ldexp(1.0, 2 * j), math.ldexp(1.0 / ms, -es - 2 * j)
         self.norm1 = norm * factor
-        self.matrix.data *= factor
-        self.dense = None if self.dense is None else self.dense * factor
-        self.values = None
+        self.matrix = csr_from_arrays(CsrArrays(A.indptr, A.indices, A.data * factor, A.shape))
+        self.dense = self.values = None
 
     def decompose(self) -> None:
         """Store the dense matrix and all its eigenvalues, once."""
         if self.values is None:
-            self.dense = self.matrix.toarray() if self.dense is None else self.dense
+            self.dense = self.matrix.toarray()
             self.values = dense_eigs(self.dense, vectors=False)
 
 
@@ -437,8 +429,8 @@ def _solve_block(block: Block, cfg: ShiftInvertConfig, report: SpectrumReport,
     """Solve one block at every configured shift, fold the bookkeeping into
     report (keyed by harmonic, or "full"), and return its deduplicated pairs.
 
-    The eigenvalues of a block built as an array (the dense route) are
-    computed up front.  Shifts run shift_invert_eigs until the
+    The eigenvalues of a block with n in DENSE_ROUTE_DIMS (the dense route)
+    are computed up front.  Shifts run shift_invert_eigs until the
     eigenvalues are known; the remaining shifts are answered in one pass.
     The call's first SuperLU factorization, while report.dense_lu is None,
     decides from its fill whether every later one is dense.
@@ -446,7 +438,7 @@ def _solve_block(block: Block, cfg: ShiftInvertConfig, report: SpectrumReport,
     harmonic = None if key == "full" else key
     prefix = "" if harmonic is None else f"harmonic {harmonic}: "
     k = cfg.eigs_per_shift
-    if block.dense is not None:
+    if block.n in DENSE_ROUTE_DIMS:
         block.decompose()
     collected = []
     storage = 0
@@ -493,7 +485,7 @@ def solve_annulus_spectrum(J: SectorJacobian, harmonics=None,
     if harmonics is None:
         harmonics = range(J.M)
     report = SpectrumReport(pairs=[], M=J.M, N=J.N)
-    build = dense_block if J.N in DENSE_ROUTE_DIMS else reduced_block
+    build = reduced_arrays if J.N in DENSE_ROUTE_DIMS else reduced_block
     mirror = J.is_real
     by_source: dict = {}
     for m in sorted(set(harmonics)):
@@ -530,7 +522,7 @@ def solve_full_annulus(J: SectorJacobian, cfg: ShiftInvertConfig | None = None) 
     A = materialize_full(J)
     report = SpectrumReport(pairs=[], M=J.M, N=J.N)
     t0 = time.perf_counter()
-    block = Block(A.toarray() if J.M * J.N in DENSE_ROUTE_DIMS else A, cfg.scale)
+    block = Block(A, cfg.scale)
     report.pairs = _solve_block(block, cfg, report, "full")
     report.wall_times["full"] = time.perf_counter() - t0
     return report

@@ -5,8 +5,8 @@ sector blocks (self, next-neighbor, previous-neighbor coupling, all in
 rotated per-sector variables) and the per-sector frame rotation.  The full
 operator A is similar to a block circulant B via the block-diagonal
 rotation stack.  B has three nonzero block offsets, so harmonic m sees the
-N x N block d_self + rho_m d_next + conj(rho_m) d_prev (:func:`reduced_block`;
-:func:`dense_block` as an array), the spectrum splits into M per-harmonic
+N x N block d_self + rho_m d_next + conj(rho_m) d_prev (:func:`reduced_arrays`;
+:func:`reduced_block` as a scipy matrix), the spectrum splits into M per-harmonic
 problems, and eigenvectors lift back to the full annulus segment by segment,
 segment s scaled by rho_m^s, where rho_m = exp(2 pi i m/M) (:func:`root_of_unity`).
 With 1 x 1 blocks the same rule gives a scalar circulant's spectrum.
@@ -229,28 +229,19 @@ def _sum_of_terms(terms, shape) -> CsrArrays:
     return a
 
 
-def _reduced_arrays(J: SectorJacobian, m: int) -> CsrArrays:
+def reduced_arrays(J: SectorJacobian, m: int) -> CsrArrays:
+    """Per-harmonic N x N reduction d_self + rho_m d_next + conj(rho_m) d_prev,
+    as canonical arrays.  The offsets 0, 1 and M-1 collide below three
+    sectors, but the neighbor blocks are then empty (enforced by
+    SectorJacobian) and add nothing."""
     check_harmonic(m, J.M)
     return _sum_of_terms([(_rows(b), b.indices, b.data * unity_power(m, k, J.M))
                           for k, b in zip((0, 1, J.M - 1), J.blocks)], (J.N, J.N))
 
 
 def reduced_block(J: SectorJacobian, m: int) -> sp.csr_matrix:
-    """Per-harmonic N x N reduction: d_self + rho_m d_next + conj(rho_m) d_prev.
-
-    The offsets are 0, 1 and M-1; below three sectors they collide, but the
-    neighbor blocks are then empty (enforced by SectorJacobian) and add nothing.
-    """
-    return csr_from_arrays(_reduced_arrays(J, m))
-
-
-def dense_block(J: SectorJacobian, m: int) -> np.ndarray:
-    """reduced_block(J, m) as an array, bit for bit: its canonical arrays
-    scattered into zeros."""
-    a = _reduced_arrays(J, m)
-    out = np.zeros((J.N, J.N), dtype=np.complex128)
-    out[_rows(a), a.indices] = a.data
-    return out
+    """The scipy matrix of :func:`reduced_arrays`, sharing its memory."""
+    return csr_from_arrays(reduced_arrays(J, m))
 
 
 def circulant_eigenvalues(first_row) -> np.ndarray:
@@ -394,11 +385,14 @@ def load_sector_jacobian(in_dir) -> SectorJacobian:
     missing = [key for key in LAYOUT_KEYS if key not in entries]
     if missing:
         raise ValueError(f"{layout_path}: missing key {', '.join(missing)}")
-    layout = DofLayout(
-        points_per_sector=int(entries["points_per_sector"]),
-        vars_per_point=int(entries["vars_per_point"]),
-        rotating_pairs=_parse_pairs(entries.get("rotating_pairs", "")),
-    )
-    spec = RotationSpec(int(entries["M"]), layout)
+    try:
+        layout = DofLayout(
+            points_per_sector=int(entries["points_per_sector"]),
+            vars_per_point=int(entries["vars_per_point"]),
+            rotating_pairs=_parse_pairs(entries.get("rotating_pairs", "")),
+        )
+        spec = RotationSpec(int(entries["M"]), layout)
+    except ValueError as exc:
+        raise ValueError(f"{layout_path}: {exc}") from exc
     blocks = [parse_matrix_market(os.path.join(in_dir, name)) for name in BLOCK_FILES]
     return SectorJacobian(blocks[0], blocks[1], blocks[2], spec)

@@ -224,6 +224,25 @@ class TestEig:
             lam = complex(float(r["lambda_re"]), float(r["lambda_im"]))
             assert lam in set(full[m] if m <= 4 else full[8 - m].conj())
 
+    def test_rotvec_full_spectrum_unchanged(self, tmp_path):
+        # The whole annulus (method 1, n = 4 * 10 = 40) takes the dense route,
+        # so this recording pins the array Block forms from materialize_full's
+        # canonical CSR; every lambda is bitwise one that the full dense
+        # eigendecomposition of the operator gives.
+        model = tmp_path / "rv4"
+        assert main(["gen", "rotvec", "--sectors", "4", "--points", "5",
+                     "--out", str(model)]) == 0
+        out = tmp_path / "spectrum.csv"
+        assert main(["eig", str(model), "--method", "1", "--k", "2", "--shifts",
+                     "0+1i", "0+2i", "0+3i", "--out", str(out)]) == 0
+        golden = DATA / "rotvec_full_spectrum.csv"
+        assert out.read_bytes() == golden.read_bytes()
+        assert "route[full] = dense" in summary_without_timings(out)
+        J = sector_module.load_sector_jacobian(model)
+        assert J.rotation.layout.rotating_pairs
+        full = set(dense_eigs(sector_module.materialize_full(J))[0])
+        assert set(csv_values(golden)) <= full
+
     def test_summary_lists_dense_blocks(self, tmp_path):
         model = tmp_path / "rv"
         assert main(["gen", "rotvec", "--sectors", "8", "--points", "50",
@@ -425,6 +444,21 @@ class TestEig:
         assert "points_per_sector" in errors[0]
         assert "PASS" not in captured.out
 
+    @pytest.mark.parametrize("line", ["M = six", "M = 0", "vars_per_point = 0",
+                                      "rotating_pairs = 0:1,2"])
+    def test_layout_error_names_the_file(self, tmp_path, capsys, line):
+        model = tmp_path / "rv"
+        assert main(["gen", "rotvec", "--sectors", "4", "--points", "3",
+                     "--out", str(model)]) == 0
+        layout = model / "layout.txt"
+        key = line.split("=")[0].strip()
+        kept = [row for row in layout.read_text().splitlines() if not row.startswith(key)]
+        layout.write_text("\n".join(kept + [line]) + "\n")
+        capsys.readouterr()
+        assert main(["eig", str(model), "--out", str(tmp_path / "x.csv")]) == 2
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith(f"error: {layout}: ")
+
 
 class TestVerify:
     def test_ring_passes_tight_tolerance(self, tmp_path, capsys):
@@ -452,6 +486,19 @@ class TestVerify:
         printed = capsys.readouterr().out
         assert "FAIL" in printed
         assert "max lift residual:    skipped\n" in printed
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0"])
+    def test_tol_must_be_finite_and_positive(self, tmp_path, capsys, tol):
+        # at --tol inf the negative control would PASS
+        out = tmp_path / "rv"
+        assert main(["gen", "rotvec", "--sectors", "6", "--points", "4", "--out", str(out)]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", str(out), "--no-rotation", "--tol", tol])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "tol must be finite and positive" in captured.err
+        assert "PASS" not in captured.out and "FAIL" not in captured.out
 
     def test_wrong_lift_fails(self, tmp_path, capsys, monkeypatch):
         # eigenvalues lifted at the next harmonic still match the dense

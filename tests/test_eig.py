@@ -33,10 +33,10 @@ from sectoreig.sector import (
     RotationSpec,
     SectorJacobian,
     circulant_eigenvalues,
-    dense_block,
     lift_to_annulus,
     load_sector_jacobian,
     materialize_full,
+    reduced_arrays,
     reduced_block,
     save_sector_jacobian,
 )
@@ -165,7 +165,7 @@ class TestDenseRoute:
         cfg = ShiftInvertConfig()
         chosen = 0
         for m in range(7):
-            w = np.linalg.eigvals(dense_block(J, min(m, 7 - m)))
+            w = np.linalg.eigvals(reduced_block(J, min(m, 7 - m)).toarray())
             w = w if m <= 3 else w.conj()
             chosen += len({i for s in cfg.shifts
                            for i in np.argsort(np.abs(w - s), kind="stable")[:2]})
@@ -448,11 +448,11 @@ class TestConjugateMirror:
             (p.value, p.residual, p.shift) for p in direct]
 
     def test_lone_mirror_harmonic_builds_only_its_own_block(self, monkeypatch):
-        # n = 60: dense-route blocks are assembled by dense_block
+        # n = 60: dense-route blocks are assembled by reduced_arrays
         J = make_rotating_vector_model(8, 30, 0.3)
         built = []
-        monkeypatch.setattr(eig_module, "dense_block",
-                            lambda J, m: built.append(m) or dense_block(J, m))
+        monkeypatch.setattr(eig_module, "reduced_arrays",
+                            lambda J, m: built.append(m) or reduced_arrays(J, m))
         report = solve_annulus_spectrum(J, harmonics=[5])
         assert built == [5]
         assert report.routes == {5: "dense"} and report.pairs
@@ -860,7 +860,7 @@ class TestRealArithmetic:
 
     @pytest.mark.parametrize("B", [
         # symmetric: every eigenvalue real, so numpy's dgeev returns float64
-        dense_block(make_ring_advection_diffusion(6, 30, 0.0), 0),
+        reduced_block(make_ring_advection_diffusion(6, 30, 0.0), 0).toarray(),
         np.diag(np.arange(1.0, 31.0)) + np.diag(np.ones(29), 1) + np.diag(np.ones(29), -1),
     ], ids=["ring-peclet-0-harmonic-0", "symmetric-tridiagonal"])
     def test_all_real_eigenvalues_come_back_complex(self, B, monkeypatch):
@@ -883,7 +883,7 @@ class TestRealArithmetic:
     ], ids=["rotvec-0", "rotvec-half", "ring-half", "random-half"])
     def test_real_block_gives_exact_conjugate_pairs(self, J, m, monkeypatch):
         dtypes = self.lapack_inputs(monkeypatch)
-        B = dense_block(J, m)
+        B = reduced_block(J, m).toarray()
         block = Block(B)
         block.decompose()
         w = block.values * block.unit
@@ -910,7 +910,7 @@ class TestRealArithmetic:
         J = make_rotating_vector_model(8, 50, 0.3)
         report = solve_annulus_spectrum(J)
         for m in range(J.M):
-            B = dense_block(J, min(m, J.M - m))
+            B = reduced_block(J, min(m, J.M - m)).toarray()
             if m in (0, 4):
                 assert report.routes[m] == "dense" and not B.imag.any()
                 w = np.linalg.eigvals(B.real)

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 import sectoreig.sector as sector_module
 import sectoreig.sparsecore as sparsecore
 
-from sectoreig.eig import greedy_match
+from sectoreig.eig import Block, greedy_match
 from sectoreig.models import (
     make_random_sector_jacobian,
     make_ring_advection_diffusion,
@@ -19,13 +19,13 @@ from sectoreig.sector import (
     DofLayout,
     RotationSpec,
     SectorJacobian,
-    dense_block,
     lift_block_eigenvector,
     lift_to_annulus,
     load_sector_jacobian,
     materialize,
     materialize_full,
     nodal_diameter,
+    reduced_arrays,
     reduced_block,
     rotation_matrix,
     save_sector_jacobian,
@@ -281,19 +281,28 @@ def same_bits(a, b):
 
 
 class TestDenseBlock:
-    """dense_block(J, m) is reduced_block(J, m) as an array, bit for bit."""
+    """The dense route's array, which Block.decompose forms from
+    reduced_arrays(J, m), is reduced_block(J, m) / unit, bit for bit."""
 
     @pytest.mark.parametrize("M", [1, 2, 3, 7])
     @pytest.mark.parametrize("model", ["ring", "rotvec", "random"])
     def test_equals_reduced_block_bitwise(self, model, M):
         J = model_at(model, M)
+        dense = []
         for m in range(M):
-            a = dense_block(J, m)
+            arrays = reduced_arrays(J, m)
+            given = arrays.data.copy()
+            block = Block(arrays)
+            block.decompose()
+            assert same_bits(arrays.data, given)  # scaled by a copy
+            a = block.dense
             assert a.dtype == np.complex128
-            assert same_bits(a, reduced_block(J, m).toarray())
-            if J.is_real:
+            assert same_bits(a, reduced_block(J, m).toarray() / block.unit)
+            dense.append(a)
+        if J.is_real:
+            for m in range(M):
                 # equal as values; the sign of a zero imaginary part may differ
-                assert np.array_equal(dense_block(J, (M - m) % M), a.conj())
+                assert np.array_equal(dense[(M - m) % M], dense[m].conj())
 
     def test_cancelled_sums_are_zero(self):
         # rho_2 = -1 at M = 4: 2I - I - I cancels exactly, and 3e-300 -
@@ -305,14 +314,14 @@ class TestDenseBlock:
         for d_self, d_next in ((2 * eye, eye), (3 * tiny + eye, 2.5 * tiny)):
             J = SectorJacobian(canonical_csr(d_self), canonical_csr(d_next),
                                canonical_csr(eye), spec)
-            a = dense_block(J, 2)
-            assert same_bits(a, reduced_block(J, 2).toarray())
-            assert a[0, 1] == 0
+            # the diagonal cancels too: no entry is stored
+            assert reduced_arrays(J, 2).nnz == reduced_block(J, 2).nnz == 0
 
     def test_harmonic_out_of_range(self):
         J = model_at("ring", 3)
-        with pytest.raises(ValueError):
-            dense_block(J, 3)
+        for build in (reduced_arrays, reduced_block):
+            with pytest.raises(ValueError):
+                build(J, 3)
 
 
 class TestNodalDiameter:
