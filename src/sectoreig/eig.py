@@ -14,6 +14,13 @@ DENSE_ROUTE_DIMS takes the dense route, where Block.decompose forms its
 array; others go to Arnoldi, and end dense when it spends its budget.  The
 dense route computes all eigenvalues once and answers the remaining shifts
 in one pass, one inverse-iteration solve per distinct chosen eigenvalue.
+On that route the harmonics are shared out among processes forked for the
+call, one per CPU the process may run on, when their estimated work pays
+for the forks (FORK_WORK) and the process runs one thread; each worker
+sends its partial reports back through a pipe, and they are merged in the
+same order as in one process, so the output does not depend on the count.
+The Arnoldi route stays in one process: its first SuperLU factorization
+decides the dense LU for the rest of the call.
 
 On real sector blocks, harmonic M - m takes conj(B_m) and the conjugates
 of harmonic m's dense eigenvalues.  Blocks on the Arnoldi route solve
@@ -29,6 +36,9 @@ from __future__ import annotations
 import copy
 import functools
 import math
+import os
+import pickle
+import signal
 import time
 from dataclasses import dataclass, field
 
@@ -76,6 +86,16 @@ DENSE_ROUTE_MAX_DIM = 100
 # follows n = 800, the size of random-fill.  Ring and rotvec blocks fill to
 # under 0.01.
 DENSE_LU_MIN_FILL = 0.25
+
+# Estimated work, sum n**3 over a call's dense-route source blocks, that
+# pays for one forked worker.  Measured on 2 cores, BLAS at 1 thread
+# (medians of 41, alternated): forking a worker and collecting its reports
+# cost 8-14 ms beyond half the one-process time, median 12 ms, on ring and
+# rotvec models with n = 30-100 (a bare fork and wait of the 66 MB process
+# alone: 5 ms); the dense route does 3.4e4-6.9e4 n**3 per ms, so 12 ms is
+# about 5.4e5 n**3.  Two workers need twice this: the README ring 22 x 40
+# (7.7e5) stays in one process, where two read x1.02-1.44 of its time.
+FORK_WORK = 600_000
 
 # Arnoldi subspace dimension is max(MIN_SUBSPACE_DIM, 2k + 1), capped at n.
 MIN_SUBSPACE_DIM = 20
@@ -468,6 +488,114 @@ def _solve_block(block: Block, cfg: ShiftInvertConfig, report: SpectrumReport,
     return deduplicate_pairs(collected, unit=DEDUP_FLOOR * block.norm1 * block.unit)
 
 
+def _solve_group(J: SectorJacobian, c: int, members, cfg: ShiftInvertConfig,
+                 dense_lu: bool | None) -> SpectrumReport:
+    """The partial report of one source group: harmonic c, then the members
+    mirrored from it, in order.  dense_lu is the call's decision so far."""
+    report = SpectrumReport(pairs=[], M=J.M, N=J.N, dense_lu=dense_lu)
+    build = reduced_arrays if J.N in DENSE_ROUTE_DIMS else reduced_block
+    source = None
+    for m in members:
+        t0 = time.perf_counter()
+        try:
+            if source is not None and source.values is not None:
+                # B_m = conj(B_c) entry for entry, and so are its eigenvalues
+                block = copy.copy(source)
+                block.matrix, block.dense, block.values = (
+                    source.matrix.conj(), source.dense.conj(), source.values.conj())
+                report.routes[m] = f"conj({c})"
+            else:
+                block = Block(build(J, m), cfg.scale)
+            report.pairs.extend(_solve_block(block, cfg, report, m))
+            source = block
+        except ValueError as exc:
+            report.warnings.append(f"harmonic {m} failed: {exc}")
+        report.wall_times[m] = time.perf_counter() - t0
+    return report
+
+
+def _merge(report: SpectrumReport, part: SpectrumReport) -> None:
+    """Append a later group's partial report to report."""
+    report.pairs.extend(part.pairs)
+    report.warnings.extend(part.warnings)
+    report.perturbed_shifts.extend(part.perturbed_shifts)
+    report.storage.update(part.storage)
+    report.routes.update(part.routes)
+    report.wall_times.update(part.wall_times)
+    report.raw_count += part.raw_count
+    report.dense_lu = part.dense_lu
+
+
+def _worker_count(n: int, groups: int) -> int:
+    """How many processes solve groups dense-route source blocks of
+    dimension n: the least of the CPUs this process may run on, the groups,
+    and the estimated work, groups n**3, over FORK_WORK.  1 where os.fork is
+    missing or unsafe: in a process with a second thread, as under a
+    threaded BLAS, which already uses the cores, a child may deadlock."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    try:
+        if len(os.listdir("/proc/self/task")) != 1:
+            return 1
+    except OSError:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), groups, groups * n ** 3 // FORK_WORK))
+
+
+def _send_share(J: SectorJacobian, share, cfg: ShiftInvertConfig, fd: int):
+    """In a forked worker: solve share, write (True, partial reports) or
+    (False, exception) pickled to fd, and leave by os._exit.  Never returns."""
+    status = 1
+    try:
+        try:
+            result = (True, [_solve_group(J, c, members, cfg, None) for c, members in share])
+        except BaseException as exc:
+            result = (False, exc)
+        payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+        with open(fd, "wb") as fh:
+            fh.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _solve_forked(J: SectorJacobian, groups, cfg: ShiftInvertConfig, workers: int) -> list:
+    """Partial reports of groups, in order, from workers processes: worker w
+    solves groups w, w + workers, ..., worker 0 in this process, the others
+    in children forked here, which send their reports through a pipe.  An
+    exception in a child is raised here; no child outlives the call."""
+    shares = [groups[w::workers] for w in range(workers)]
+    pids, fds = [], []
+    try:
+        for share in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            fds.append(read_fd)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _send_share(J, share, cfg, write_fd)
+                pids.append(pid)
+            finally:
+                os.close(write_fd)
+        done = [[_solve_group(J, c, members, cfg, None) for c, members in shares[0]]]
+        for pid, fd in zip(pids, fds):
+            with open(fd, "rb", closefd=False) as fh:
+                try:
+                    ok, result = pickle.load(fh)
+                except EOFError:
+                    raise RuntimeError(f"worker process {pid} ended without a result") from None
+            if not ok:
+                raise result
+            done.append(result)
+    finally:
+        for fd in fds:
+            os.close(fd)
+        for pid in pids:  # not yet reaped, so the pid is still this child's
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [done[i % workers][i // workers] for i in range(len(groups))]
+
+
 def solve_annulus_spectrum(J: SectorJacobian, harmonics=None,
                            cfg: ShiftInvertConfig | None = None) -> SpectrumReport:
     """Per-harmonic (single-sector) spectrum of the full annulus operator.
@@ -475,9 +603,12 @@ def solve_annulus_spectrum(J: SectorJacobian, harmonics=None,
     Each distinct harmonic m is solved on its own block, divided by
     cfg.scale, near every configured shift; duplicates across shifts are
     merged per harmonic.  When the sector blocks are real, harmonics c and
-    M - c are solved one after the other, and once B_c's eigenvalues are
-    computed densely, B_{M-c} is conj(B_c) and its eigenvalues are their
-    conjugates (route "conj(c)"); its vectors are solved on B_{M-c}.
+    M - c form one source group, solved one after the other, and once B_c's
+    eigenvalues are computed densely, B_{M-c} is conj(B_c) and its
+    eigenvalues are their conjugates (route "conj(c)"); its vectors are
+    solved on B_{M-c}.  On the dense route the groups may be shared out
+    among forked processes (_worker_count); the partial reports are merged
+    in group order either way, so the report does not depend on the count.
     Failures in one harmonic are recorded as warnings without aborting the
     others.  Pairs come out in ascending harmonic order.
     """
@@ -485,29 +616,19 @@ def solve_annulus_spectrum(J: SectorJacobian, harmonics=None,
     if harmonics is None:
         harmonics = range(J.M)
     report = SpectrumReport(pairs=[], M=J.M, N=J.N)
-    build = reduced_arrays if J.N in DENSE_ROUTE_DIMS else reduced_block
     mirror = J.is_real
     by_source: dict = {}
     for m in sorted(set(harmonics)):
         by_source.setdefault(min(m, J.M - m) if mirror else m, []).append(m)
-    for c, members in by_source.items():
-        source = None
-        for m in members:
-            t0 = time.perf_counter()
-            try:
-                if source is not None and source.values is not None:
-                    # B_m = conj(B_c) entry for entry, and so are its eigenvalues
-                    block = copy.copy(source)
-                    block.matrix, block.dense, block.values = (
-                        source.matrix.conj(), source.dense.conj(), source.values.conj())
-                    report.routes[m] = f"conj({c})"
-                else:
-                    block = Block(build(J, m), cfg.scale)
-                report.pairs.extend(_solve_block(block, cfg, report, m))
-                source = block
-            except ValueError as exc:
-                report.warnings.append(f"harmonic {m} failed: {exc}")
-            report.wall_times[m] = time.perf_counter() - t0
+    groups = list(by_source.items())
+    workers = _worker_count(J.N, len(groups)) if J.N in DENSE_ROUTE_DIMS else 1
+    if workers > 1:
+        parts = _solve_forked(J, groups, cfg, workers)
+    else:
+        # lazily, so each group starts from the dense_lu merged before it
+        parts = (_solve_group(J, c, members, cfg, report.dense_lu) for c, members in groups)
+    for part in parts:
+        _merge(report, part)
     report.pairs.sort(key=lambda p: p.harmonic)
     return report
 

@@ -156,7 +156,9 @@ class SectorJacobian:
     The blocks are kept once, as canonical CSR arrays in ``blocks`` (self,
     next, prev); ``csr_from_arrays(J.blocks[i])`` is the scipy matrix of one,
     sharing its memory.  A block given as :class:`CsrArrays` is taken as
-    canonical; anything else goes through ``canonical_csr``.
+    canonical; anything else goes through ``canonical_csr``.  ``rows`` holds
+    the row index of each block's stored entries, built once for every
+    harmonic's reduction.
     """
 
     def __init__(self, d_self, d_next, d_prev, rotation: RotationSpec):
@@ -171,6 +173,7 @@ class SectorJacobian:
                 raise ValueError(f"{name} must be {N}x{N}, got {blk.shape}")
             blocks.append(blk)
         self.blocks = tuple(blocks)
+        self.rows = tuple(np.repeat(np.arange(N), np.diff(b.indptr)) for b in blocks)
         if rotation.M < 3 and (blocks[1].nnz or blocks[2].nnz):
             raise ValueError(
                 "neighbor blocks address distinct sectors only for M >= 3; "
@@ -215,11 +218,6 @@ class SectorJacobian:
         )
 
 
-def _rows(b: CsrArrays) -> np.ndarray:
-    """The row index of each stored entry of a CSR block, in storage order."""
-    return np.repeat(np.arange(b.shape[0]), np.diff(b.indptr))
-
-
 def _sum_of_terms(terms, shape) -> CsrArrays:
     """Canonical arrays of the sum of (rows, cols, values) terms in the order
     given, then + 0.0, which makes a -0.0 part +0.0 as a scipy sum does."""
@@ -235,8 +233,8 @@ def reduced_arrays(J: SectorJacobian, m: int) -> CsrArrays:
     sectors, but the neighbor blocks are then empty (enforced by
     SectorJacobian) and add nothing."""
     check_harmonic(m, J.M)
-    return _sum_of_terms([(_rows(b), b.indices, b.data * unity_power(m, k, J.M))
-                          for k, b in zip((0, 1, J.M - 1), J.blocks)], (J.N, J.N))
+    return _sum_of_terms([(rows, b.indices, b.data * unity_power(m, k, J.M))
+                          for k, b, rows in zip((0, 1, J.M - 1), J.blocks, J.rows)], (J.N, J.N))
 
 
 def reduced_block(J: SectorJacobian, m: int) -> sp.csr_matrix:
@@ -274,8 +272,8 @@ def materialize(J: SectorJacobian, budget: int = ASSEMBLY_BUDGET) -> sp.csr_matr
             required=full,
         )
     i = np.arange(J.M)[:, None]  # block row i holds b_k in block column (i + k) mod M
-    terms = [((i * J.N + _rows(b)).ravel(), ((i + k) % J.M * J.N + b.indices).ravel(),
-              np.tile(b.data, J.M)) for k, b in zip((0, 1, J.M - 1), J.blocks)]
+    terms = [((i * J.N + rows).ravel(), ((i + k) % J.M * J.N + b.indices).ravel(),
+              np.tile(b.data, J.M)) for k, b, rows in zip((0, 1, J.M - 1), J.blocks, J.rows)]
     return csr_from_arrays(_sum_of_terms(terms, (full, full)))
 
 
@@ -353,8 +351,11 @@ def _parse_pairs(text: str):
         return ()
     pairs = []
     for chunk in text.split(","):
-        a, b = chunk.strip().split(":")
-        pairs.append((int(a), int(b)))
+        try:
+            a, b = chunk.split(":")
+            pairs.append((int(a), int(b)))
+        except ValueError:
+            raise ValueError(f"rotating_pairs: cannot read {chunk.strip()!r} as a pair a:b") from None
     return tuple(pairs)
 
 

@@ -1,5 +1,8 @@
+import contextlib
 import functools
+import hashlib
 import math
+import os
 import warnings
 
 import numpy as np
@@ -11,6 +14,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, splu
 import sectoreig.eig as eig_module
 import sectoreig.sector as sector_module
 import sectoreig.sparsecore as sparsecore
+from sectoreig.cli import main as cli_main
 from sectoreig.eig import (
     Block,
     EigenPair,
@@ -41,6 +45,24 @@ from sectoreig.sector import (
     save_sector_jacobian,
 )
 from sectoreig.sparsecore import BudgetExceededError, SparseLU, canonical_csr, csr_from_arrays
+
+
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+@contextlib.contextmanager
+def one_cpu():
+    """This process pinned to one CPU, so that the dense route solves every
+    harmonic in it; the affinity is restored afterwards."""
+    if CPUS < 2:
+        yield
+        return
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, cpus)
 
 
 def random_shifted_sparse(rng, n, density=0.2):
@@ -148,7 +170,9 @@ class TestDenseRoute:
         monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
         monkeypatch.setattr(eig_module, "SparseLU", CountingLU)
-        report = solve_annulus_spectrum(J, cfg=cfg)
+        # counted in this process; TestForkedHarmonics counts across workers
+        with one_cpu():
+            report = solve_annulus_spectrum(J, cfg=cfg)
         # n = 100 takes the dense route before any LU, and harmonics 5, 6
         # and 7 are mirrored from 3, 2 and 1: one eigenvalue computation per
         # pair, and one dense solve per distinct chosen eigenvalue
@@ -944,6 +968,103 @@ class TestDeduplication:
         once = deduplicate_pairs(pairs)
         twice = deduplicate_pairs(once)
         assert [(p.value, p.residual) for p in once] == [(p.value, p.residual) for p in twice]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The os.fork calls made while the test runs, one entry each."""
+    calls, real_fork = [], os.fork
+
+    def counting_fork():
+        calls.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return calls
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(CPUS < 2, reason="harmonics are solved in forked workers only "
+                                     "when this process may run on 2 or more CPUs")
+class TestForkedHarmonics:
+    """Dense-route source groups shared out among forked workers give the
+    report one process gives, and leave no process behind."""
+
+    @pytest.mark.parametrize("gen", [
+        ["rotvec", "--sectors", "8", "--points", "50", "--coupling", "0.3"],
+        ["ring", "--sectors", "128", "--points", "50", "--peclet", "1"]])
+    def test_output_bytes_do_not_depend_on_cpu_count(self, tmp_path, gen, forks):
+        model = tmp_path / "model"
+        assert cli_main(["gen", *gen, "--out", str(model)]) == 0
+        outputs = []
+        for pinned in (True, False):
+            out = tmp_path / f"spectrum{pinned}.csv"
+            with one_cpu() if pinned else contextlib.nullcontext():
+                assert cli_main(["eig", str(model), "--method", "2", "--out", str(out)]) == 0
+            summary = out.with_name(out.name + ".summary.txt").read_text().splitlines()
+            outputs.append((out.read_bytes(), [x for x in summary if "wall_time" not in x]))
+        assert len(forks) >= 1
+        assert outputs[0] == outputs[1]
+
+    def test_dropped_pair_records_do_not_depend_on_cpu_count(self):
+        J = make_rotating_vector_model(8, 50, 0.3)
+        cfg = ShiftInvertConfig(tol=1e-300)
+        with one_cpu():
+            one = solve_annulus_spectrum(J, cfg=cfg)
+        every = solve_annulus_spectrum(J, cfg=cfg)
+        # every harmonic drops every pair
+        assert one.pairs == [] and one.raw_count == 0
+        assert {w.split(":")[0] for w in one.warnings} == {f"harmonic {m}" for m in range(8)}
+        assert every.warnings == one.warnings
+        assert every.perturbed_shifts == one.perturbed_shifts
+        assert list(every.routes.items()) == list(one.routes.items())
+
+    def test_each_source_block_decomposed_once(self, tmp_path, monkeypatch):
+        log = tmp_path / "decompositions.txt"
+        real = eig_module.dense_eigs
+
+        def logging_dense_eigs(A, vectors=True):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {hashlib.sha256(A.tobytes()).hexdigest()}\n")
+            return real(A, vectors)
+
+        monkeypatch.setattr(eig_module, "dense_eigs", logging_dense_eigs)
+        report = solve_annulus_spectrum(make_rotating_vector_model(8, 50, 0.3))
+        assert set(report.routes.values()) == {"dense", "conj(1)", "conj(2)", "conj(3)"}
+        lines = [line.split() for line in log.read_text().splitlines()]
+        # harmonics 0 to 4, each decomposed by one process
+        assert len(lines) == len({digest for _, digest in lines}) == 5
+        assert len({pid for pid, _ in lines}) >= 2
+
+    def test_call_below_the_work_floor_forks_nothing(self, forks):
+        # the README ring: 12 source blocks of n = 40
+        solve_annulus_spectrum(make_ring_advection_diffusion(22, 40, 1.0))
+        assert forks == []
+        solve_annulus_spectrum(make_rotating_vector_model(8, 50, 0.3))
+        assert len(forks) >= 1
+
+    @pytest.mark.parametrize("where, error", [
+        (None, None), ("child", RuntimeError), ("parent", RuntimeError),
+        ("parent", KeyboardInterrupt)])
+    def test_no_worker_outlives_the_call(self, monkeypatch, forks, where, error):
+        assert_no_child()
+        parent, real = os.getpid(), eig_module._solve_group
+
+        def solve_group(*args):
+            if where == ("parent" if os.getpid() == parent else "child"):
+                raise error("group failed")
+            return real(*args)
+
+        monkeypatch.setattr(eig_module, "_solve_group", solve_group)
+        J = make_rotating_vector_model(8, 50, 0.3)
+        with pytest.raises(error, match="group failed") if error else contextlib.nullcontext():
+            solve_annulus_spectrum(J)
+        assert len(forks) >= 1
+        assert_no_child()
 
 
 class TestAnnulusSolvers:

@@ -304,6 +304,15 @@ class TestDenseBlock:
                 # equal as values; the sign of a zero imaginary part may differ
                 assert np.array_equal(dense[(M - m) % M], dense[m].conj())
 
+    def test_row_index_kept_once_per_jacobian(self):
+        J = model_at("rotvec", 7)
+        for b, rows in zip(J.blocks, J.rows):
+            assert np.array_equal(rows, csr_from_arrays(b).tocoo().row)
+        kept = [rows.copy() for rows in J.rows]
+        for m in range(J.M):
+            reduced_arrays(J, m)
+        assert all(same_bits(a, b) for a, b in zip(J.rows, kept))
+
     def test_cancelled_sums_are_zero(self):
         # rho_2 = -1 at M = 4: 2I - I - I cancels exactly, and 3e-300 -
         # 2.5e-300 falls below the cancellation tolerance
@@ -355,6 +364,16 @@ class TestDiskFormat:
         text = (tmp_path / "model" / "layout.txt").read_text()
         assert "M = 6" in text
         assert "rotating_pairs = 0:1" in text
+
+    @pytest.mark.parametrize("text, chunk", [("0:1,2", "2"), ("0;1", "0;1"), ("a:b", "a:b"),
+                                             ("0:1:2", "0:1:2")])
+    def test_malformed_rotating_pairs_named_on_load(self, tmp_path, text, chunk):
+        save_sector_jacobian(make_rotating_vector_model(6, 3, 0.35), tmp_path / "model")
+        path = tmp_path / "model" / "layout.txt"
+        path.write_text(path.read_text().replace("rotating_pairs = 0:1", f"rotating_pairs = {text}"))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: rotating_pairs: ")
+                           + ".*" + re.escape(repr(chunk))):
+            load_sector_jacobian(tmp_path / "model")
 
     def test_load_canonicalizes_each_block_once(self, tmp_path, monkeypatch):
         J = make_rotating_vector_model(6, 3, 0.35)
