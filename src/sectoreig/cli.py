@@ -122,6 +122,9 @@ def _csv_line(harmonic, nd, lam, residual, shift) -> str:
 
 
 def cmd_eig(args) -> int:
+    if args.method == 1 and args.harmonics.strip().lower() != "all":
+        raise ValueError("--harmonics selects harmonics of --method 2 only; "
+                         "--method 1 solves the whole annulus")
     J = load_sector_jacobian(args.in_dir)
     cfg = ShiftInvertConfig(shifts=tuple(args.shifts), eigs_per_shift=args.k,
                             scale=args.scale)

@@ -14,13 +14,13 @@ DENSE_ROUTE_DIMS takes the dense route, where Block.decompose forms its
 array; others go to Arnoldi, and end dense when it spends its budget.  The
 dense route computes all eigenvalues once and answers the remaining shifts
 in one pass, one inverse-iteration solve per distinct chosen eigenvalue.
-On that route the harmonics are shared out among processes forked for the
-call, one per CPU the process may run on, when their estimated work pays
-for the forks (FORK_WORK) and the process runs one thread; each worker
-sends its partial reports back through a pipe, and they are merged in the
-same order as in one process, so the output does not depend on the count.
-The Arnoldi route stays in one process: its first SuperLU factorization
-decides the dense LU for the rest of the call.
+One driver shares the harmonics out among workers; with one worker it is
+the serial solve.  On the dense route it runs one per CPU the process may
+run on, when their estimated work pays for the forks (FORK_WORK) and the
+process runs one thread; workers forked for the call send their partial
+reports back through a pipe, merged in the order one worker gives, so the
+output does not depend on the count.  The Arnoldi route has one worker: its
+first SuperLU factorization decides the dense LU for the rest of the call.
 
 On real sector blocks, harmonic M - m takes conj(B_m) and the conjugates
 of harmonic m's dense eigenvalues.  Blocks on the Arnoldi route solve
@@ -488,30 +488,34 @@ def _solve_block(block: Block, cfg: ShiftInvertConfig, report: SpectrumReport,
     return deduplicate_pairs(collected, unit=DEDUP_FLOOR * block.norm1 * block.unit)
 
 
-def _solve_group(J: SectorJacobian, c: int, members, cfg: ShiftInvertConfig,
-                 dense_lu: bool | None) -> SpectrumReport:
-    """The partial report of one source group: harmonic c, then the members
-    mirrored from it, in order.  dense_lu is the call's decision so far."""
-    report = SpectrumReport(pairs=[], M=J.M, N=J.N, dense_lu=dense_lu)
+def _solve_share(J: SectorJacobian, share, cfg: ShiftInvertConfig) -> list:
+    """The partial reports of share's source groups (c, members), in order:
+    harmonic c, then the members mirrored from it.  Each group starts from
+    the dense-LU decision its predecessor's report ends with."""
     build = reduced_arrays if J.N in DENSE_ROUTE_DIMS else reduced_block
-    source = None
-    for m in members:
-        t0 = time.perf_counter()
-        try:
-            if source is not None and source.values is not None:
-                # B_m = conj(B_c) entry for entry, and so are its eigenvalues
-                block = copy.copy(source)
-                block.matrix, block.dense, block.values = (
-                    source.matrix.conj(), source.dense.conj(), source.values.conj())
-                report.routes[m] = f"conj({c})"
-            else:
-                block = Block(build(J, m), cfg.scale)
-            report.pairs.extend(_solve_block(block, cfg, report, m))
-            source = block
-        except ValueError as exc:
-            report.warnings.append(f"harmonic {m} failed: {exc}")
-        report.wall_times[m] = time.perf_counter() - t0
-    return report
+    parts, dense_lu = [], None
+    for c, members in share:
+        report = SpectrumReport(pairs=[], M=J.M, N=J.N, dense_lu=dense_lu)
+        source = None
+        for m in members:
+            t0 = time.perf_counter()
+            try:
+                if source is not None and source.values is not None:
+                    # B_m = conj(B_c) entry for entry, and so are its eigenvalues
+                    block = copy.copy(source)
+                    block.matrix, block.dense, block.values = (
+                        source.matrix.conj(), source.dense.conj(), source.values.conj())
+                    report.routes[m] = f"conj({c})"
+                else:
+                    block = Block(build(J, m), cfg.scale)
+                report.pairs.extend(_solve_block(block, cfg, report, m))
+                source = block
+            except ValueError as exc:
+                report.warnings.append(f"harmonic {m} failed: {exc}")
+            report.wall_times[m] = time.perf_counter() - t0
+        parts.append(report)
+        dense_lu = report.dense_lu
+    return parts
 
 
 def _merge(report: SpectrumReport, part: SpectrumReport) -> None:
@@ -526,44 +530,31 @@ def _merge(report: SpectrumReport, part: SpectrumReport) -> None:
     report.dense_lu = part.dense_lu
 
 
-def _worker_count(n: int, groups: int) -> int:
-    """How many processes solve groups dense-route source blocks of
-    dimension n: the least of the CPUs this process may run on, the groups,
-    and the estimated work, groups n**3, over FORK_WORK.  1 where os.fork is
-    missing or unsafe: in a process with a second thread, as under a
-    threaded BLAS, which already uses the cores, a child may deadlock."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+def _worker_count(J: SectorJacobian, groups: int) -> int:
+    """How many processes solve groups source blocks of J: the least of the
+    CPUs this process may run on, the groups, and the estimated work, groups
+    N**3, over FORK_WORK.  1 off the dense route, as the Arnoldi route's first
+    SuperLU factorization decides the dense LU for the rest of the call, and
+    where os.fork is missing or unsafe: in a process with a second thread, as
+    under a threaded BLAS, which already uses the cores, a child may deadlock."""
+    if J.N not in DENSE_ROUTE_DIMS or not (hasattr(os, "fork")
+                                            and hasattr(os, "sched_getaffinity")):
         return 1
     try:
         if len(os.listdir("/proc/self/task")) != 1:
             return 1
     except OSError:
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), groups, groups * n ** 3 // FORK_WORK))
+    return max(1, min(len(os.sched_getaffinity(0)), groups, groups * J.N ** 3 // FORK_WORK))
 
 
-def _send_share(J: SectorJacobian, share, cfg: ShiftInvertConfig, fd: int):
-    """In a forked worker: solve share, write (True, partial reports) or
-    (False, exception) pickled to fd, and leave by os._exit.  Never returns."""
-    status = 1
-    try:
-        try:
-            result = (True, [_solve_group(J, c, members, cfg, None) for c, members in share])
-        except BaseException as exc:
-            result = (False, exc)
-        payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        with open(fd, "wb") as fh:
-            fh.write(payload)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _solve_forked(J: SectorJacobian, groups, cfg: ShiftInvertConfig, workers: int) -> list:
-    """Partial reports of groups, in order, from workers processes: worker w
-    solves groups w, w + workers, ..., worker 0 in this process, the others
-    in children forked here, which send their reports through a pipe.  An
-    exception in a child is raised here; no child outlives the call."""
+def _solve_groups(J: SectorJacobian, groups, cfg: ShiftInvertConfig) -> list:
+    """Partial reports of groups, in order, from _worker_count processes:
+    worker w solves groups w, w + workers, ..., worker 0 in this process (all
+    of them with one worker), the others in children forked here, which send
+    their reports through a pipe.  An exception in a child is raised here; no
+    child outlives the call."""
+    workers = _worker_count(J, len(groups))
     shares = [groups[w::workers] for w in range(workers)]
     pids, fds = [], []
     try:
@@ -572,12 +563,23 @@ def _solve_forked(J: SectorJacobian, groups, cfg: ShiftInvertConfig, workers: in
             fds.append(read_fd)
             try:
                 pid = os.fork()
-                if pid == 0:
-                    _send_share(J, share, cfg, write_fd)
+                if pid == 0:  # the child: send (True, reports) or (False, exception)
+                    status = 1
+                    try:
+                        try:
+                            result = (True, _solve_share(J, share, cfg))
+                        except BaseException as exc:
+                            result = (False, exc)
+                        payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+                        with open(write_fd, "wb") as fh:
+                            fh.write(payload)
+                        status = 0
+                    finally:
+                        os._exit(status)
                 pids.append(pid)
             finally:
                 os.close(write_fd)
-        done = [[_solve_group(J, c, members, cfg, None) for c, members in shares[0]]]
+        done = [_solve_share(J, shares[0], cfg)]
         for pid, fd in zip(pids, fds):
             with open(fd, "rb", closefd=False) as fh:
                 try:
@@ -606,9 +608,9 @@ def solve_annulus_spectrum(J: SectorJacobian, harmonics=None,
     M - c form one source group, solved one after the other, and once B_c's
     eigenvalues are computed densely, B_{M-c} is conj(B_c) and its
     eigenvalues are their conjugates (route "conj(c)"); its vectors are
-    solved on B_{M-c}.  On the dense route the groups may be shared out
-    among forked processes (_worker_count); the partial reports are merged
-    in group order either way, so the report does not depend on the count.
+    solved on B_{M-c}.  The groups are shared out among workers
+    (_solve_groups), whose partial reports are merged in group order, so
+    the report does not depend on their count.
     Failures in one harmonic are recorded as warnings without aborting the
     others.  Pairs come out in ascending harmonic order.
     """
@@ -620,14 +622,7 @@ def solve_annulus_spectrum(J: SectorJacobian, harmonics=None,
     by_source: dict = {}
     for m in sorted(set(harmonics)):
         by_source.setdefault(min(m, J.M - m) if mirror else m, []).append(m)
-    groups = list(by_source.items())
-    workers = _worker_count(J.N, len(groups)) if J.N in DENSE_ROUTE_DIMS else 1
-    if workers > 1:
-        parts = _solve_forked(J, groups, cfg, workers)
-    else:
-        # lazily, so each group starts from the dense_lu merged before it
-        parts = (_solve_group(J, c, members, cfg, report.dense_lu) for c, members in groups)
-    for part in parts:
+    for part in _solve_groups(J, list(by_source.items()), cfg):
         _merge(report, part)
     report.pairs.sort(key=lambda p: p.harmonic)
     return report

@@ -7,6 +7,7 @@ criteria that reuse them.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,7 +243,7 @@ def test_criterion_6_dimension_reduction(ring22, tmp_path):
         csv = tmp_path / f"method{method}.csv"
         assert cli_main(["eig", str(model_dir), "--method", method, "--k", "2",
                          "--out", str(csv)]) == 0
-        lines = open(str(csv) + ".summary.txt").read().splitlines()
+        lines = Path(str(csv) + ".summary.txt").read_text().splitlines()
         summaries[method] = dict(line.split(" = ", 1) for line in lines if " = " in line)
     # full dimension 176 = 22 sectors x block dimension 8, on both routes
     cli_ratio_ok = all((s["sectors"], s["block_dimension"]) == ("22", "8")

@@ -33,7 +33,7 @@ def csv_values(path):
 
 
 def summary_without_timings(csv_path):
-    lines = open(str(csv_path) + ".summary.txt").read().splitlines()
+    lines = Path(str(csv_path) + ".summary.txt").read_text().splitlines()
     return [line for line in lines
             if not line.startswith(("total_wall_time_s", "wall_time["))]
 
@@ -128,7 +128,7 @@ class TestEig:
                           "residual", "shift_re", "shift_im"]
         assert len(rows) <= 132
         summary = (str(out) + ".summary.txt")
-        text = open(summary).read()
+        text = Path(summary).read_text()
         assert "eigenvalues_before_dedup = 132" in text
 
     def test_method1_has_empty_harmonic_column(self, ring_dir, tmp_path):
@@ -196,7 +196,7 @@ class TestEig:
             assert lam in set(full[m] if m <= 11 else full[22 - m].conj())
             norm1 = abs(sector_module.reduced_block(J, m)).sum(axis=0).max()
             assert np.abs(exact[m::22] - lam).min() <= 1e-14 * norm1
-        lines = open(str(out) + ".summary.txt").read().splitlines()
+        lines = Path(str(out) + ".summary.txt").read_text().splitlines()
         routes = {m: "dense" if m <= 11 else f"conj({22 - m})" for m in range(22)}
         assert [line for line in lines if line.startswith("route[")] == [
             f"route[{m}] = {routes[m]}" for m in sorted(routes, key=str)]
@@ -249,7 +249,7 @@ class TestEig:
                      "--coupling", "0.3", "--out", str(model)]) == 0
         out = tmp_path / "rv.csv"
         assert main(["eig", str(model), "--out", str(out)]) == 0
-        lines = open(str(out) + ".summary.txt").read().splitlines()
+        lines = Path(str(out) + ".summary.txt").read_text().splitlines()
         assert [line for line in lines if line.startswith("route[")] == [
             "route[0] = dense", "route[1] = dense", "route[2] = dense",
             "route[3] = dense", "route[4] = dense", "route[5] = conj(3)",
@@ -264,7 +264,7 @@ class TestEig:
                      "--coupling", "0.3", "--out", str(model)]) == 0
         out = tmp_path / "rv.csv"
         assert main(["eig", str(model), "--harmonics", "1", "--out", str(out)]) == 0
-        lines = open(str(out) + ".summary.txt").read().splitlines()
+        lines = Path(str(out) + ".summary.txt").read_text().splitlines()
         assert "route[1] = dense" in lines
         assert "storage[1] = 25600" in lines
 
@@ -305,7 +305,7 @@ class TestEig:
         out = tmp_path / "h0.csv"
         assert main(["eig", str(model), "--harmonics", "0", "--shifts", "0+0i",
                      "--out", str(out)]) == 0
-        lines = open(str(out) + ".summary.txt").read().splitlines()
+        lines = Path(str(out) + ".summary.txt").read_text().splitlines()
         assert [line for line in lines if line.startswith("perturbed_shift")] == [
             "perturbed_shift[0] = 0j -> (6.4e-07+0j)"]
         _, rows = read_csv(out)
@@ -319,7 +319,7 @@ class TestEig:
                             functools.partial(ShiftInvertConfig, tol=1e-300))
         out = tmp_path / "dropped.csv"
         assert main(["eig", str(ring_dir), "--harmonics", "1,2", "--out", str(out)]) == 0
-        lines = open(str(out) + ".summary.txt").read().splitlines()
+        lines = Path(str(out) + ".summary.txt").read_text().splitlines()
         warnings = [line for line in lines if line.startswith("warning:")]
         one_drop = re.compile(r"warning: harmonic [12]: dropped pair near \S+: "
                               r"re-verified residual \S+, backward error \S+ > 1\.0e-300")
@@ -365,6 +365,20 @@ class TestEig:
         assert main(["eig", str(model), "--harmonics", "4", "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: harmonic index 4 out of range [0, 4)\n"
         assert not out.exists()
+
+    def test_harmonics_refused_with_method_1(self, tmp_path, capsys):
+        model = tmp_path / "ring"
+        assert main(["gen", "ring", "--sectors", "4", "--points", "6",
+                     "--out", str(model)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "x.csv"
+        assert main(["eig", str(model), "--method", "1", "--harmonics", "3",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: --harmonics selects harmonics of "
+                                           "--method 2 only; --method 1 solves the whole annulus\n")
+        assert not out.exists()
+        assert main(["eig", str(model), "--method", "1", "--harmonics", "All",
+                     "--out", str(out)]) == 0
 
     def test_arpack_error_is_a_warning(self, tmp_path, capsys, monkeypatch):
         def failing_eigs(*args, **kwargs):

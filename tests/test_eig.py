@@ -1047,19 +1047,25 @@ class TestForkedHarmonics:
         solve_annulus_spectrum(make_rotating_vector_model(8, 50, 0.3))
         assert len(forks) >= 1
 
+    def test_arnoldi_route_forks_nothing(self, forks):
+        # 5 source blocks of n = 200, an estimated 5 * 200**3 >> FORK_WORK
+        report = solve_annulus_spectrum(make_ring_advection_diffusion(8, 200, 1.0))
+        assert set(report.routes.values()) == {"arnoldi"}
+        assert forks == []
+
     @pytest.mark.parametrize("where, error", [
         (None, None), ("child", RuntimeError), ("parent", RuntimeError),
         ("parent", KeyboardInterrupt)])
     def test_no_worker_outlives_the_call(self, monkeypatch, forks, where, error):
         assert_no_child()
-        parent, real = os.getpid(), eig_module._solve_group
+        parent, real = os.getpid(), eig_module._solve_share
 
-        def solve_group(*args):
+        def solve_share(*args):
             if where == ("parent" if os.getpid() == parent else "child"):
                 raise error("group failed")
             return real(*args)
 
-        monkeypatch.setattr(eig_module, "_solve_group", solve_group)
+        monkeypatch.setattr(eig_module, "_solve_share", solve_share)
         J = make_rotating_vector_model(8, 50, 0.3)
         with pytest.raises(error, match="group failed") if error else contextlib.nullcontext():
             solve_annulus_spectrum(J)
