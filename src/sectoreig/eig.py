@@ -14,13 +14,15 @@ DENSE_ROUTE_DIMS takes the dense route, where Block.decompose forms its
 array; others go to Arnoldi, and end dense when it spends its budget.  The
 dense route computes all eigenvalues once and answers the remaining shifts
 in one pass, one inverse-iteration solve per distinct chosen eigenvalue.
-One driver shares the harmonics out among workers; with one worker it is
-the serial solve.  On the dense route it runs one per CPU the process may
-run on, when their estimated work pays for the forks (FORK_WORK) and the
-process runs one thread; workers forked for the call send their partial
-reports back through a pipe, merged in the order one worker gives, so the
-output does not depend on the count.  The Arnoldi route has one worker: its
-first SuperLU factorization decides the dense LU for the rest of the call.
+One driver shares the harmonics out among workers, on either route; with
+one worker it is the serial solve.  Before any fork it builds the first
+block and makes the call's first factorization, which decides the dense LU
+once for every worker; the factor is kept for that block's first solve.
+It runs one worker per CPU the process may run on, when their estimated
+work pays for the forks (FORK_WORK) and the process runs one thread; each
+worker is confined to its own CPU for the call.  Workers forked for the
+call send their partial reports back through a pipe, merged in the order
+one worker gives, so the output does not depend on the count.
 
 On real sector blocks, harmonic M - m takes conj(B_m) and the conjugates
 of harmonic m's dense eigenvalues.  Blocks on the Arnoldi route solve
@@ -87,14 +89,15 @@ DENSE_ROUTE_MAX_DIM = 100
 # under 0.01.
 DENSE_LU_MIN_FILL = 0.25
 
-# Estimated work, sum n**3 over a call's dense-route source blocks, that
-# pays for one forked worker.  Measured on 2 cores, BLAS at 1 thread
-# (medians of 41, alternated): forking a worker and collecting its reports
-# cost 8-14 ms beyond half the one-process time, median 12 ms, on ring and
-# rotvec models with n = 30-100 (a bare fork and wait of the 66 MB process
-# alone: 5 ms); the dense route does 3.4e4-6.9e4 n**3 per ms, so 12 ms is
-# about 5.4e5 n**3.  Two workers need twice this: the README ring 22 x 40
-# (7.7e5) stays in one process, where two read x1.02-1.44 of its time.
+# Estimated work, sum n**3 over a call's source blocks, that pays for one
+# forked worker.  Measured on 2 cores, BLAS at 1 thread, workers pinned to
+# their own CPUs (medians of 41, alternated): forking a worker and
+# collecting its reports cost 9-13 ms beyond half the one-process solve
+# time on the README ring 22 x 40, rotvec 4 x 15 and 8 x 50 and ring
+# 4 x 200; the dense route does 3.2e4-7.4e4 n**3 per ms, so 12 ms is about
+# 6e5 n**3.  Two workers need twice this: the README ring (7.7e5) stays in
+# one process, where two take 24.5 against 23.7 ms.  n**3 overstates a
+# sparse Arnoldi block's work, yet ring 4 x 200 gains: 31.5 against 37.5 ms.
 FORK_WORK = 600_000
 
 # Arnoldi subspace dimension is max(MIN_SUBSPACE_DIM, 2k + 1), capped at n.
@@ -178,9 +181,9 @@ class SpectrumReport:
     storage: dict = field(default_factory=dict)
     # per block: "arnoldi", "dense", or "conj(c)" when mirrored from harmonic c
     routes: dict = field(default_factory=dict)
-    # whether Arnoldi factors by dense LU: None until the call's first
-    # SuperLU factorization decides it for every later one
-    dense_lu: bool | None = None
+    # whether Arnoldi factors by dense LU, decided once per call from its
+    # first factorization (_factor_first)
+    dense_lu: bool = False
     warnings: list = field(default_factory=list)
     perturbed_shifts: list = field(default_factory=list)
     raw_count: int = 0
@@ -220,7 +223,8 @@ class Block:
     leave the block.  Scaling by a power of four leaves LAPACK's results the
     same up to that power, bit for bit (by an odd power of two it does
     not).  Once decomposed, the block also holds the dense matrix and all
-    its eigenvalues.
+    its eigenvalues.  A block factored ahead of its solve (_factor_first)
+    holds that factor, as (sigma, lu, shift used), until Arnoldi takes it.
     """
 
     def __init__(self, A, scale: float = 1.0):
@@ -240,7 +244,7 @@ class Block:
         self.unit, factor = math.ldexp(1.0, 2 * j), math.ldexp(1.0 / ms, -es - 2 * j)
         self.norm1 = norm * factor
         self.matrix = csr_from_arrays(CsrArrays(A.indptr, A.indices, A.data * factor, A.shape))
-        self.dense = self.values = None
+        self.dense = self.values = self.factored = None
 
     def decompose(self) -> None:
         """Store the dense matrix and all its eigenvalues, once."""
@@ -258,6 +262,19 @@ class _BudgetSpent(Exception):
     """Arnoldi asked for more operator applications than its budget."""
 
 
+def _factor(block: Block, sigma: complex, dense_lu: bool):
+    """(lu, s): the LU of B - s I at s = sigma / unit, by SuperLU or, when
+    dense_lu, by dense LAPACK LU.  An exactly singular B - s I is factored
+    once more with s moved by 1e-8 (1 + |s|)."""
+    eye = sp.identity(block.n, dtype=np.complex128, format="csr")
+    s = _times(sigma, 1.0 / block.unit)
+    try:
+        return SparseLU(block.matrix - s * eye, dense=dense_lu), s
+    except SingularMatrixError:
+        s += 1e-8 * (1.0 + abs(s))
+        return SparseLU(block.matrix - s * eye, dense=dense_lu), s
+
+
 def _arnoldi(block: Block, sigma: complex, k: int, tol: float, info: SolveInfo,
              dense_lu: bool):
     """Shift-invert Arnoldi candidates [(lambda, v)] near sigma.
@@ -273,17 +290,16 @@ def _arnoldi(block: Block, sigma: complex, k: int, tol: float, info: SolveInfo,
     the block's eigenvalues are computed densely and no candidates are
     returned.  Any other ARPACK error is recorded in info.warnings and
     returns no candidates.  sigma is given in the block's input units, the
-    candidates come in those of its stored matrix.
+    candidates come in those of its stored matrix.  A factor the block holds
+    for sigma is taken from it and used.
     """
     n = block.n
-    eye = sp.identity(n, dtype=np.complex128, format="csr")
-    sigma_used = _times(sigma, 1.0 / block.unit)
-    try:
-        lu = SparseLU(block.matrix - sigma_used * eye, dense=dense_lu)
-    except SingularMatrixError:
-        sigma_used += 1e-8 * (1.0 + abs(sigma_used))
+    if block.factored is not None and block.factored[0] == sigma:
+        (_, lu, sigma_used), block.factored = block.factored, None
+    else:
+        lu, sigma_used = _factor(block, sigma, dense_lu)
+    if sigma_used != _times(sigma, 1.0 / block.unit):
         info.perturbed_shift = _times(sigma_used, block.unit)
-        lu = SparseLU(block.matrix - sigma_used * eye, dense=dense_lu)
     info.factor_nnz = lu.factor_nnz
     budget = n + 1 if n <= DENSE_EIG_BUDGET else math.inf
 
@@ -376,7 +392,7 @@ def shift_invert_eigs(A, sigma: complex, k: int, cfg: ShiftInvertConfig,
     The dense route is taken when the eigenvalues are already known, the
     block is zero, k > n - 2 (too small for ARPACK) or Arnoldi spends its
     budget.  On the Arnoldi route B - sigma I is factored by SuperLU, or by
-    dense LAPACK LU when dense_lu.
+    dense LAPACK LU when dense_lu, unless the block holds its factor.
 
     Returns (pairs, info).  A singular (B - sigma I) is retried once with
     sigma moved by 1e-8 (1 + |sigma| / unit) unit, flagged in info;
@@ -444,16 +460,29 @@ def deduplicate_pairs(pairs, unit: float = 1.0):
     return kept
 
 
+def _factor_first(block: Block, cfg: ShiftInvertConfig) -> bool:
+    """Factor block, a call's first, by SuperLU at the first shift, ahead of
+    its solve there, and return the call's dense-LU decision: whether the
+    factor fills DENSE_LU_MIN_FILL of n**2 or more, with n <= DENSE_EIG_BUDGET.
+    False, with no factor, for a block solved without one: on the dense
+    route, or a zero block or one too small for ARPACK (shift_invert_eigs)."""
+    n, sigma = block.n, cfg.shifts[0]
+    if n in DENSE_ROUTE_DIMS or cfg.eigs_per_shift > n - 2 or not block.norm1:
+        return False
+    lu, s = _factor(block, sigma, dense_lu=False)
+    block.factored = (sigma, lu, s)
+    return n <= DENSE_EIG_BUDGET and lu.factor_nnz >= DENSE_LU_MIN_FILL * n ** 2
+
+
 def _solve_block(block: Block, cfg: ShiftInvertConfig, report: SpectrumReport,
-                 key) -> list:
+                 key, dense_lu: bool) -> list:
     """Solve one block at every configured shift, fold the bookkeeping into
     report (keyed by harmonic, or "full"), and return its deduplicated pairs.
 
     The eigenvalues of a block with n in DENSE_ROUTE_DIMS (the dense route)
-    are computed up front.  Shifts run shift_invert_eigs until the
-    eigenvalues are known; the remaining shifts are answered in one pass.
-    The call's first SuperLU factorization, while report.dense_lu is None,
-    decides from its fill whether every later one is dense.
+    are computed up front.  Shifts run shift_invert_eigs, which factors by
+    dense LU when dense_lu, until the eigenvalues are known; the remaining
+    shifts are answered in one pass.
     """
     harmonic = None if key == "full" else key
     prefix = "" if harmonic is None else f"harmonic {harmonic}: "
@@ -469,10 +498,7 @@ def _solve_block(block: Block, cfg: ShiftInvertConfig, report: SpectrumReport,
             pairs = _dense_pairs(block, cfg.shifts[i:], k, cfg, harmonic, info)
         else:
             pairs, info = shift_invert_eigs(block, sigma, k, cfg, harmonic=harmonic,
-                                            dense_lu=bool(report.dense_lu))
-            if report.dense_lu is None and info.factor_nnz:
-                report.dense_lu = (block.n <= DENSE_EIG_BUDGET
-                                   and info.factor_nnz >= DENSE_LU_MIN_FILL * block.n ** 2)
+                                            dense_lu=dense_lu)
         collected.extend(pairs)
         storage = max(storage, info.factor_nnz)
         report.warnings.extend(prefix + w for w in info.warnings)
@@ -488,14 +514,20 @@ def _solve_block(block: Block, cfg: ShiftInvertConfig, report: SpectrumReport,
     return deduplicate_pairs(collected, unit=DEDUP_FLOOR * block.norm1 * block.unit)
 
 
-def _solve_share(J: SectorJacobian, share, cfg: ShiftInvertConfig) -> list:
+def _build(J: SectorJacobian, m: int, cfg: ShiftInvertConfig) -> Block:
+    """Harmonic m's block, as the route its dimension takes reads it."""
+    return Block((reduced_arrays if J.N in DENSE_ROUTE_DIMS else reduced_block)(J, m), cfg.scale)
+
+
+def _solve_share(J: SectorJacobian, share, cfg: ShiftInvertConfig, dense_lu: bool,
+                 head=None) -> list:
     """The partial reports of share's source groups (c, members), in order:
-    harmonic c, then the members mirrored from it.  Each group starts from
-    the dense-LU decision its predecessor's report ends with."""
-    build = reduced_arrays if J.N in DENSE_ROUTE_DIMS else reduced_block
-    parts, dense_lu = [], None
+    harmonic c, then the members mirrored from it.  Arnoldi factors by dense
+    LU when dense_lu.  head, when given, is (block, seconds spent on it) for
+    the share's first harmonic, built before the share started."""
+    parts = []
     for c, members in share:
-        report = SpectrumReport(pairs=[], M=J.M, N=J.N, dense_lu=dense_lu)
+        report = SpectrumReport(pairs=[], M=J.M, N=J.N)
         source = None
         for m in members:
             t0 = time.perf_counter()
@@ -506,15 +538,17 @@ def _solve_share(J: SectorJacobian, share, cfg: ShiftInvertConfig) -> list:
                     block.matrix, block.dense, block.values = (
                         source.matrix.conj(), source.dense.conj(), source.values.conj())
                     report.routes[m] = f"conj({c})"
+                elif head is not None:
+                    (block, spent), head = head, None
+                    t0 -= spent
                 else:
-                    block = Block(build(J, m), cfg.scale)
-                report.pairs.extend(_solve_block(block, cfg, report, m))
+                    block = _build(J, m, cfg)
+                report.pairs.extend(_solve_block(block, cfg, report, m, dense_lu))
                 source = block
             except ValueError as exc:
                 report.warnings.append(f"harmonic {m} failed: {exc}")
             report.wall_times[m] = time.perf_counter() - t0
         parts.append(report)
-        dense_lu = report.dense_lu
     return parts
 
 
@@ -527,18 +561,15 @@ def _merge(report: SpectrumReport, part: SpectrumReport) -> None:
     report.routes.update(part.routes)
     report.wall_times.update(part.wall_times)
     report.raw_count += part.raw_count
-    report.dense_lu = part.dense_lu
 
 
 def _worker_count(J: SectorJacobian, groups: int) -> int:
     """How many processes solve groups source blocks of J: the least of the
     CPUs this process may run on, the groups, and the estimated work, groups
-    N**3, over FORK_WORK.  1 off the dense route, as the Arnoldi route's first
-    SuperLU factorization decides the dense LU for the rest of the call, and
-    where os.fork is missing or unsafe: in a process with a second thread, as
-    under a threaded BLAS, which already uses the cores, a child may deadlock."""
-    if J.N not in DENSE_ROUTE_DIMS or not (hasattr(os, "fork")
-                                            and hasattr(os, "sched_getaffinity")):
+    N**3, over FORK_WORK.  1 where os.fork is missing or unsafe: in a process
+    with a second thread, as under a threaded BLAS, which already uses the
+    cores, a child may deadlock."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     try:
         if len(os.listdir("/proc/self/task")) != 1:
@@ -548,17 +579,40 @@ def _worker_count(J: SectorJacobian, groups: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), groups, groups * J.N ** 3 // FORK_WORK))
 
 
-def _solve_groups(J: SectorJacobian, groups, cfg: ShiftInvertConfig) -> list:
-    """Partial reports of groups, in order, from _worker_count processes:
-    worker w solves groups w, w + workers, ..., worker 0 in this process (all
-    of them with one worker), the others in children forked here, which send
-    their reports through a pipe.  An exception in a child is raised here; no
-    child outlives the call."""
+def _pin(cpus) -> None:
+    """Confine this process to cpus, where the system allows it."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
+
+
+def _solve_groups(J: SectorJacobian, groups, cfg: ShiftInvertConfig):
+    """(dense_lu, the partial reports of groups, in order) from _worker_count
+    processes, each confined to its own CPU for the call.  Before any fork
+    this process builds the first group's first block and makes the call's
+    dense-LU decision from it (_factor_first); a block that fails to build
+    is left to its group, and the call factors by SuperLU.  Worker w solves
+    groups w, w + workers, ..., worker 0 in this process (all of them with
+    one worker), the others in children forked here, which send their
+    reports through a pipe.  An exception in a child is raised here; no
+    child outlives the call, and this process gets its CPU mask back."""
+    head, dense_lu = None, False
+    if groups:
+        t0 = time.perf_counter()
+        try:
+            block = _build(J, groups[0][1][0], cfg)
+            dense_lu = _factor_first(block, cfg)
+            head = (block, time.perf_counter() - t0)
+        except ValueError:
+            pass
     workers = _worker_count(J, len(groups))
     shares = [groups[w::workers] for w in range(workers)]
+    mask = os.sched_getaffinity(0) if workers > 1 else set()
+    cpus = sorted(mask)
     pids, fds = [], []
     try:
-        for share in shares[1:]:
+        for cpu, share in zip(cpus[1:], shares[1:]):
             read_fd, write_fd = os.pipe()
             fds.append(read_fd)
             try:
@@ -567,7 +621,8 @@ def _solve_groups(J: SectorJacobian, groups, cfg: ShiftInvertConfig) -> list:
                     status = 1
                     try:
                         try:
-                            result = (True, _solve_share(J, share, cfg))
+                            _pin({cpu})
+                            result = (True, _solve_share(J, share, cfg, dense_lu))
                         except BaseException as exc:
                             result = (False, exc)
                         payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
@@ -579,7 +634,9 @@ def _solve_groups(J: SectorJacobian, groups, cfg: ShiftInvertConfig) -> list:
                 pids.append(pid)
             finally:
                 os.close(write_fd)
-        done = [_solve_share(J, shares[0], cfg)]
+        if mask:
+            _pin({cpus[0]})
+        done = [_solve_share(J, shares[0], cfg, dense_lu, head)]
         for pid, fd in zip(pids, fds):
             with open(fd, "rb", closefd=False) as fh:
                 try:
@@ -590,12 +647,14 @@ def _solve_groups(J: SectorJacobian, groups, cfg: ShiftInvertConfig) -> list:
                 raise result
             done.append(result)
     finally:
+        if mask:
+            _pin(mask)
         for fd in fds:
             os.close(fd)
         for pid in pids:  # not yet reaped, so the pid is still this child's
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return [done[i % workers][i // workers] for i in range(len(groups))]
+    return dense_lu, [done[i % workers][i // workers] for i in range(len(groups))]
 
 
 def solve_annulus_spectrum(J: SectorJacobian, harmonics=None,
@@ -622,7 +681,8 @@ def solve_annulus_spectrum(J: SectorJacobian, harmonics=None,
     by_source: dict = {}
     for m in sorted(set(harmonics)):
         by_source.setdefault(min(m, J.M - m) if mirror else m, []).append(m)
-    for part in _solve_groups(J, list(by_source.items()), cfg):
+    report.dense_lu, parts = _solve_groups(J, list(by_source.items()), cfg)
+    for part in parts:
         _merge(report, part)
     report.pairs.sort(key=lambda p: p.harmonic)
     return report
@@ -639,7 +699,8 @@ def solve_full_annulus(J: SectorJacobian, cfg: ShiftInvertConfig | None = None) 
     report = SpectrumReport(pairs=[], M=J.M, N=J.N)
     t0 = time.perf_counter()
     block = Block(A, cfg.scale)
-    report.pairs = _solve_block(block, cfg, report, "full")
+    report.dense_lu = _factor_first(block, cfg)
+    report.pairs = _solve_block(block, cfg, report, "full", report.dense_lu)
     report.wall_times["full"] = time.perf_counter() - t0
     return report
 

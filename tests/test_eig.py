@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import functools
 import hashlib
 import math
@@ -52,8 +53,8 @@ CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 @contextlib.contextmanager
 def one_cpu():
-    """This process pinned to one CPU, so that the dense route solves every
-    harmonic in it; the affinity is restored afterwards."""
+    """This process pinned to one CPU, so that every harmonic is solved in
+    it; the affinity is restored afterwards."""
     if CPUS < 2:
         yield
         return
@@ -561,20 +562,22 @@ class TestMinimumDegreeOrder:
 
     def test_every_factorization_uses_minimum_degree(self, splu_calls):
         # n = 200 is above DENSE_ROUTE_MAX_DIM, so every block is factored;
-        # ring blocks fill little, so all 4 x 3 factorizations are SuperLU
-        report = solve_annulus_spectrum(make_ring_advection_diffusion(4, 200, 1.0))
-        assert report.pairs and report.warnings == [] and report.dense_lu is False
-        specs = [spec for spec, _, _ in splu_calls]
-        assert len(specs) == 12 and set(specs) == {"MMD_AT_PLUS_A"}
-        # random blocks fill to 0.56: only the first, deciding factorization is SuperLU
-        splu_calls.clear()
-        report = solve_annulus_spectrum(make_random_sector_jacobian(4, 200, 0.02, 0))
-        assert report.pairs and report.warnings == [] and report.dense_lu is True
-        assert [spec for spec, _, _ in splu_calls] == ["MMD_AT_PLUS_A"]
-        splu_calls.clear()
-        solve_full_annulus(make_ring_advection_diffusion(4, 40, 1.0),
-                           cfg=ShiftInvertConfig(shifts=(1j,)))
-        assert [spec for spec, _, _ in splu_calls] == ["MMD_AT_PLUS_A"]
+        # ring blocks fill little, so all 4 x 3 factorizations are SuperLU.
+        # One CPU keeps every factorization in this process, where it is recorded.
+        with one_cpu():
+            report = solve_annulus_spectrum(make_ring_advection_diffusion(4, 200, 1.0))
+            assert report.pairs and report.warnings == [] and report.dense_lu is False
+            specs = [spec for spec, _, _ in splu_calls]
+            assert len(specs) == 12 and set(specs) == {"MMD_AT_PLUS_A"}
+            # random blocks fill to 0.56: only the first, deciding factorization is SuperLU
+            splu_calls.clear()
+            report = solve_annulus_spectrum(make_random_sector_jacobian(4, 200, 0.02, 0))
+            assert report.pairs and report.warnings == [] and report.dense_lu is True
+            assert [spec for spec, _, _ in splu_calls] == ["MMD_AT_PLUS_A"]
+            splu_calls.clear()
+            solve_full_annulus(make_ring_advection_diffusion(4, 40, 1.0),
+                               cfg=ShiftInvertConfig(shifts=(1j,)))
+            assert [spec for spec, _, _ in splu_calls] == ["MMD_AT_PLUS_A"]
 
     def test_pairs_are_eigenpairs_of_the_block_and_lift(self):
         J = make_random_sector_jacobian(4, 60, 0.08, 3)
@@ -635,9 +638,11 @@ def counted(fn, arpack_tol_zero=False):
 @pytest.fixture(scope="module")
 def random_fill():
     """The random-fill benchmark model (4 x 800, density 0.005, seed 0) and
-    counted() runs of its default solve at ARPACK's tolerance and at tol = 0."""
+    counted() runs of its default solve at ARPACK's tolerance and at tol = 0,
+    on one CPU, so that all the work is counted in this process."""
     J = make_random_sector_jacobian(4, 800, 0.005, 0)
-    return J, {zero: counted(lambda: solve_annulus_spectrum(J), zero) for zero in (False, True)}
+    with one_cpu():
+        return J, {zero: counted(lambda: solve_annulus_spectrum(J), zero) for zero in (False, True)}
 
 
 class TestDenseFactorDecision:
@@ -660,7 +665,8 @@ class TestDenseFactorDecision:
 
     def test_ring_block_stays_on_superlu(self):
         J = make_ring_advection_diffusion(22, 800, 1.0)
-        report, kinds, _ = counted(lambda: solve_annulus_spectrum(J, harmonics=[1, 2]))
+        with one_cpu():
+            report, kinds, _ = counted(lambda: solve_annulus_spectrum(J, harmonics=[1, 2]))
         assert kinds == [False] * 6 and report.dense_lu is False
         assert report.pairs and report.warnings == []
 
@@ -991,12 +997,14 @@ def assert_no_child():
 @pytest.mark.skipif(CPUS < 2, reason="harmonics are solved in forked workers only "
                                      "when this process may run on 2 or more CPUs")
 class TestForkedHarmonics:
-    """Dense-route source groups shared out among forked workers give the
+    """Source groups shared out among forked workers, one per CPU, give the
     report one process gives, and leave no process behind."""
 
     @pytest.mark.parametrize("gen", [
         ["rotvec", "--sectors", "8", "--points", "50", "--coupling", "0.3"],
-        ["ring", "--sectors", "128", "--points", "50", "--peclet", "1"]])
+        ["ring", "--sectors", "128", "--points", "50", "--peclet", "1"],
+        # the Arnoldi route, with dense LU after the first factorization
+        ["random", "--sectors", "4", "--points", "160", "--density", "0.03", "--seed", "1"]])
     def test_output_bytes_do_not_depend_on_cpu_count(self, tmp_path, gen, forks):
         model = tmp_path / "model"
         assert cli_main(["gen", *gen, "--out", str(model)]) == 0
@@ -1047,11 +1055,73 @@ class TestForkedHarmonics:
         solve_annulus_spectrum(make_rotating_vector_model(8, 50, 0.3))
         assert len(forks) >= 1
 
-    def test_arnoldi_route_forks_nothing(self, forks):
-        # 5 source blocks of n = 200, an estimated 5 * 200**3 >> FORK_WORK
-        report = solve_annulus_spectrum(make_ring_advection_diffusion(8, 200, 1.0))
-        assert set(report.routes.values()) == {"arnoldi"}
-        assert forks == []
+    def test_random_fill_factors_each_block_once(self, tmp_path, monkeypatch, forks):
+        log = tmp_path / "factorizations.txt"
+        real = eig_module.SparseLU
+
+        def logging_lu(A, dense=False):
+            with open(log, "a") as fh:
+                digest = hashlib.sha256(A.data.tobytes() + A.indices.tobytes()).hexdigest()
+                fh.write(f"{os.getpid()} {int(dense)} {digest}\n")
+            return real(A, dense=dense)
+
+        monkeypatch.setattr(eig_module, "SparseLU", logging_lu)
+        report = solve_annulus_spectrum(make_random_sector_jacobian(4, 800, 0.005, 0))
+        assert report.dense_lu is True and len(report.pairs) == 8
+        workers = min(CPUS, 3)  # 3 source groups: 0, 1 with 3, and 2
+        assert set(report.routes.values()) == {"arnoldi"} and len(forks) == workers - 1
+        lines = [line.split() for line in log.read_text().splitlines()]
+        # 4 harmonics x 3 shifts, each factored by one process: the first by
+        # SuperLU here, before the fork, which decides that the rest are dense
+        assert len(lines) == len({digest for _, _, digest in lines}) == 12
+        assert lines[0][:2] == [str(os.getpid()), "0"]
+        assert sorted(dense for _, dense, _ in lines) == ["0"] + ["1"] * 11
+        assert len({pid for pid, _, _ in lines}) == workers
+
+    @pytest.mark.parametrize("where, error", [
+        (None, None), ("child", RuntimeError), ("parent", KeyboardInterrupt)])
+    def test_each_worker_runs_on_its_own_cpu(self, tmp_path, monkeypatch, forks, where, error):
+        log = tmp_path / "cpus.txt"
+        mask, parent, real = os.sched_getaffinity(0), os.getpid(), eig_module._solve_share
+
+        def solve_share(*args):
+            with open(log, "a") as fh:
+                fh.write(" ".join(map(str, [os.getpid(), *os.sched_getaffinity(0)])) + "\n")
+            if where == ("parent" if os.getpid() == parent else "child"):
+                raise error("group failed")
+            return real(*args)
+
+        monkeypatch.setattr(eig_module, "_solve_share", solve_share)
+        with pytest.raises(error, match="group failed") if error else contextlib.nullcontext():
+            solve_annulus_spectrum(make_rotating_vector_model(8, 50, 0.3))
+        assert os.sched_getaffinity(0) == mask
+        assert_no_child()
+        lines = [line.split() for line in log.read_text().splitlines()]
+        if where != "parent":  # which may kill its child before the child writes
+            assert len(lines) == min(CPUS, 5)  # 5 source groups
+        assert all(len(cpus) == 1 for _, *cpus in lines)
+        assert len({pid for pid, *_ in lines}) == len({cpu for _, cpu in lines}) == len(lines)
+        assert {int(cpu) for _, cpu in lines} <= mask
+        assert len(forks) == min(CPUS, 5) - 1
+
+    def test_pinning_is_best_effort(self, monkeypatch, forks):
+        J = make_rotating_vector_model(8, 50, 0.3)
+        with one_cpu():
+            one = solve_annulus_spectrum(J)
+        mask, refused = os.sched_getaffinity(0), []
+
+        def refuse(pid, cpus):
+            refused.append(cpus)
+            raise OSError(errno.EINVAL, "affinity refused")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        every = solve_annulus_spectrum(J)
+        # here: the pin of this process and the restore of its mask
+        assert len(refused) == 2 and len(forks) >= 1
+        assert os.sched_getaffinity(0) == mask
+        assert_no_child()
+        assert [(p.harmonic, p.value, p.residual) for p in every.pairs] == [
+            (p.harmonic, p.value, p.residual) for p in one.pairs]
 
     @pytest.mark.parametrize("where, error", [
         (None, None), ("child", RuntimeError), ("parent", RuntimeError),
