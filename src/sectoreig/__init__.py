@@ -19,7 +19,7 @@ _EXPORTS = {
     " shift_invert_eigs solve_annulus_spectrum solve_full_annulus",
     "models": "make_random_sector_jacobian make_ring_advection_diffusion"
     " make_rotating_vector_model ring_first_row",
-    "sector": "DofLayout RotationSpec SectorJacobian circulant_eigenvalues lift_block_eigenvector"
+    "sector": "DofLayout SectorJacobian circulant_eigenvalues lift_block_eigenvector"
     " lift_to_annulus load_sector_jacobian materialize materialize_full nodal_diameter"
     " reduced_block root_of_unity rotation_matrix save_sector_jacobian unity_power"
     " without_rotation",

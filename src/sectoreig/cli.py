@@ -12,9 +12,19 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 import tempfile
 import time
+
+# BLAS runs one thread unless the caller sets a count: a threaded BLAS sums in
+# an order that depends on the thread count, and its threads keep eig from
+# forking.  All six or none, since OpenBLAS reads its own variable before
+# OMP_NUM_THREADS.  Set before numpy loads BLAS.
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+if not any(var in os.environ for var in BLAS_THREAD_VARS):
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
 
 import numpy as np
 
@@ -33,7 +43,6 @@ from .models import (
     make_rotating_vector_model,
 )
 from .sector import (
-    check_harmonic,
     lift_to_annulus,
     load_sector_jacobian,
     materialize_full,
@@ -67,12 +76,10 @@ def parse_tol(text: str) -> float:
 
 
 def parse_harmonics(text: str, M: int):
+    """'all' or a comma list; solve_annulus_spectrum checks the range."""
     if text.strip().lower() == "all":
         return list(range(M))
-    out = [int(chunk) for chunk in text.split(",")]
-    for m in out:
-        check_harmonic(m, M)
-    return out
+    return [int(chunk) for chunk in text.split(",")]
 
 
 def _atomic_write(path: str, content: str) -> None:
@@ -237,6 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma list of harmonic indices, or 'all' (method 2)")
     eig.add_argument("--shifts", type=parse_shift, nargs="+",
                      default=[1j, 2j, 3j], metavar="A+Bi")
+    # a value such as -1-1i or -.5+2i is a shift, not an option
+    eig._negative_number_matcher = re.compile(r"^-\.?\d")
     eig.add_argument("--k", type=int, default=2, help="eigenvalues per shift")
     eig.add_argument("--scale", type=float, default=1.0)
     eig.add_argument("--out", required=True)

@@ -48,7 +48,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigs
 
-from .sector import SectorJacobian, materialize_full, reduced_arrays, reduced_block
+from .sector import SectorJacobian, check_harmonic, materialize_full, reduced_arrays, reduced_block
 from .sparsecore import (
     BudgetExceededError,
     CsrArrays,
@@ -670,16 +670,18 @@ def solve_annulus_spectrum(J: SectorJacobian, harmonics=None,
     solved on B_{M-c}.  The groups are shared out among workers
     (_solve_groups), whose partial reports are merged in group order, so
     the report does not depend on their count.
-    Failures in one harmonic are recorded as warnings without aborting the
-    others.  Pairs come out in ascending harmonic order.
+    A harmonic outside [0, M) raises ValueError before any solve; failures
+    in one harmonic are recorded as warnings without aborting the others.
+    Pairs come out in ascending harmonic order.
     """
     cfg = cfg or ShiftInvertConfig()
-    if harmonics is None:
-        harmonics = range(J.M)
+    harmonics = sorted(set(range(J.M) if harmonics is None else harmonics))
+    for m in harmonics:
+        check_harmonic(m, J.M)
     report = SpectrumReport(pairs=[], M=J.M, N=J.N)
     mirror = J.is_real
     by_source: dict = {}
-    for m in sorted(set(harmonics)):
+    for m in harmonics:
         by_source.setdefault(min(m, J.M - m) if mirror else m, []).append(m)
     report.dense_lu, parts = _solve_groups(J, list(by_source.items()), cfg)
     for part in parts:

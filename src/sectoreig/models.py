@@ -14,7 +14,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from .sector import DofLayout, RotationSpec, SectorJacobian
+from .sector import DofLayout, SectorJacobian
 
 # Fixed stencils for the rotating-vector model.  The local dynamics are
 # stable with eigenvalues -2 +/- 1j; the neighbor couplings are deliberately
@@ -80,9 +80,7 @@ def make_ring_advection_diffusion(M: int, n: int, peclet: float,
     d_self = sp.diags([c_prev, c_self, c_next], [-1, 0, 1], shape=(n, n))
     d_next = c_next * sp.eye(n, k=1 - n)
     d_prev = c_prev * sp.eye(n, k=n - 1)
-    layout = DofLayout(points_per_sector=n, vars_per_point=1)
-    spec = RotationSpec(M, layout)
-    return SectorJacobian(d_self, d_next, d_prev, spec)
+    return SectorJacobian(d_self, d_next, d_prev, M, DofLayout(n, 1))
 
 
 def make_rotating_vector_model(M: int, n: int, coupling: float) -> SectorJacobian:
@@ -108,19 +106,18 @@ def make_rotating_vector_model(M: int, n: int, coupling: float) -> SectorJacobia
     next_unrot = sp.kron(corner, forward)
     prev_unrot = sp.kron(corner.T, backward)
     layout = DofLayout(points_per_sector=n, vars_per_point=2, rotating_pairs=((0, 1),))
-    spec = RotationSpec(M, layout)
-    return SectorJacobian.from_unrotated(d_self, next_unrot, prev_unrot, spec)
+    return SectorJacobian.from_unrotated(d_self, next_unrot, prev_unrot, M, layout)
 
 
-def make_random_sector_jacobian(M: int, N: int, density: float, seed: int,
-                                vars_per_point: int = 1,
-                                rotating_pairs: tuple = ()) -> SectorJacobian:
+def make_random_sector_jacobian(M: int, N: int, density: float, seed: int) -> SectorJacobian:
     """Seeded random sector blocks with the nearest-neighbor coupling pattern.
 
     Entries are uniform on [-1, 1] at seeded positions; the diagonal of the
     self block is shifted by -2 * (row degree) so spectra lean left, which
     mimics a stable operator.  Degenerate M in {1, 2} is allowed and forces
-    empty neighbor blocks (no inter-sector coupling to speak of).
+    empty neighbor blocks (no inter-sector coupling to speak of).  The layout
+    is N scalar points; for another, pass the blocks on:
+    ``SectorJacobian(*make_random_sector_jacobian(M, N, density, seed).blocks, M, layout)``.
     """
     if M < 1:
         raise ValueError(f"sector count must be >= 1, got {M}")
@@ -128,8 +125,6 @@ def make_random_sector_jacobian(M: int, N: int, density: float, seed: int,
         raise ValueError(f"block dimension must be >= 1, got {N}")
     if not 0.0 < density <= 1.0:
         raise ValueError(f"density must be in (0, 1], got {density}")
-    if vars_per_point < 1 or N % vars_per_point:
-        raise ValueError(f"vars_per_point {vars_per_point} must divide N = {N}")
     rng = np.random.default_rng(seed)
 
     def block() -> sp.csr_matrix:
@@ -145,8 +140,4 @@ def make_random_sector_jacobian(M: int, N: int, density: float, seed: int,
     d_next, d_prev = (block(), block()) if M >= 3 else (empty, empty)
     degree = sum(np.diff((b != 0).indptr) for b in (d_self, d_next, d_prev))
     d_self = d_self - sp.diags(2.0 * degree)
-    layout = DofLayout(points_per_sector=N // vars_per_point,
-                       vars_per_point=vars_per_point,
-                       rotating_pairs=rotating_pairs)
-    spec = RotationSpec(M, layout)
-    return SectorJacobian(d_self, d_next, d_prev, spec)
+    return SectorJacobian(d_self, d_next, d_prev, M, DofLayout(N, 1))

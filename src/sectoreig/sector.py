@@ -1,8 +1,9 @@
-"""Cyclic-symmetric Jacobians stored as one sector plus a rotation, and their reduction.
+"""Cyclic-symmetric Jacobians stored as one sector and a sector count, and their reduction.
 
 A rotationally periodic operator is fully described by the three nonzero
 sector blocks (self, next-neighbor, previous-neighbor coupling, all in
-rotated per-sector variables) and the per-sector frame rotation.  The full
+rotated per-sector variables), the sector count M and the per-sector layout,
+whose rotating pairs turn by 2 pi/M from sector to sector.  The full
 operator A is similar to a block circulant B via the block-diagonal
 rotation stack.  B has three nonzero block offsets, so harmonic m sees the
 N x N block d_self + rho_m d_next + conj(rho_m) d_prev (:func:`reduced_arrays`;
@@ -109,49 +110,33 @@ class DofLayout:
         return self.points_per_sector * self.vars_per_point
 
 
-@dataclass(frozen=True)
-class RotationSpec:
-    """Sector count plus layout; the pitch angle is 2*pi/M by construction."""
-
-    M: int
-    layout: DofLayout
-
-    def __post_init__(self):
-        if self.M < 1:
-            raise ValueError(f"sector count must be >= 1, got {self.M}")
-
-    @property
-    def theta(self) -> float:
-        return 2.0 * math.pi / self.M
-
-
-def rotation_matrix(spec: RotationSpec, power: int) -> sp.csr_matrix:
-    """Per-sector frame rotation T**power as an N x N sparse matrix.
+def rotation_matrix(layout: DofLayout, M: int, power: int) -> sp.csr_matrix:
+    """Per-sector frame rotation T**power of M sectors as an N x N sparse matrix.
 
     Block diagonal per grid point: identity on non-rotating variables, a
-    2x2 plane rotation by power * theta on each rotating pair.  The angle
+    2x2 plane rotation by power * 2 pi/M on each rotating pair.  The angle
     is formed directly from ``power`` (negative means inverse), so large
     powers do not accumulate roundoff.
     """
     import scipy.sparse as sp
-    lay = spec.layout
-    point = np.eye(lay.vars_per_point, dtype=np.complex128)
-    angle = power * spec.theta
+    point = np.eye(layout.vars_per_point, dtype=np.complex128)
+    angle = power * (2.0 * math.pi / M)
     c, s = math.cos(angle), math.sin(angle)
-    for a, b in lay.rotating_pairs:
+    for a, b in layout.rotating_pairs:
         point[a, a] = c
         point[a, b] = -s
         point[b, a] = s
         point[b, b] = c
-    return canonical_csr(sp.kron(sp.identity(lay.points_per_sector), point, format="csr"))
+    return canonical_csr(sp.kron(sp.identity(layout.points_per_sector), point, format="csr"))
 
 
 class SectorJacobian:
-    """One sector's Jacobian blocks in rotated variables, plus the rotation.
+    """One sector's Jacobian blocks in rotated variables, the sector count M
+    and the per-sector layout.
 
     ``d_self`` couples the sector to itself, ``d_next`` to the sector one
-    pitch ahead (positive theta), ``d_prev`` to the sector one pitch
-    behind.  All farther couplings are structurally zero.
+    pitch (2 pi/M) ahead, ``d_prev`` to the sector one pitch behind.  All
+    farther couplings are structurally zero.
 
     The blocks are kept once, as canonical CSR arrays in ``blocks`` (self,
     next, prev); ``csr_from_arrays(J.blocks[i])`` is the scipy matrix of one,
@@ -161,9 +146,11 @@ class SectorJacobian:
     harmonic's reduction.
     """
 
-    def __init__(self, d_self, d_next, d_prev, rotation: RotationSpec):
-        self.rotation = rotation
-        N = rotation.layout.N
+    def __init__(self, d_self, d_next, d_prev, M: int, layout: DofLayout):
+        if M < 1:
+            raise ValueError(f"sector count must be >= 1, got {M}")
+        self.M, self.layout = M, layout
+        self.N = N = layout.N
         blocks = []
         for name, blk in (("d_self", d_self), ("d_next", d_next), ("d_prev", d_prev)):
             if not isinstance(blk, CsrArrays):
@@ -174,19 +161,11 @@ class SectorJacobian:
             blocks.append(blk)
         self.blocks = tuple(blocks)
         self.rows = tuple(np.repeat(np.arange(N), np.diff(b.indptr)) for b in blocks)
-        if rotation.M < 3 and (blocks[1].nnz or blocks[2].nnz):
+        if M < 3 and (blocks[1].nnz or blocks[2].nnz):
             raise ValueError(
                 "neighbor blocks address distinct sectors only for M >= 3; "
-                f"got M = {rotation.M} with nonzero neighbor coupling"
+                f"got M = {M} with nonzero neighbor coupling"
             )
-
-    @property
-    def M(self) -> int:
-        return self.rotation.M
-
-    @property
-    def N(self) -> int:
-        return self.rotation.layout.N
 
     @property
     def is_real(self) -> bool:
@@ -198,24 +177,18 @@ class SectorJacobian:
     def rotation_stack(self) -> sp.csr_matrix:
         """Block-diagonal stack diag(T^0, T^1, ..., T^{M-1}); its transpose is its inverse."""
         import scipy.sparse as sp
-        parts = [rotation_matrix(self.rotation, s) for s in range(self.M)]
+        parts = [rotation_matrix(self.layout, self.M, s) for s in range(self.M)]
         return sp.block_diag(parts, format="csr")
 
     @classmethod
-    def from_unrotated(cls, d_self, d_next, d_prev, rotation: RotationSpec) -> "SectorJacobian":
+    def from_unrotated(cls, d_self, d_next, d_prev, M: int, layout: DofLayout) -> "SectorJacobian":
         """Build from neighbor blocks taken with respect to unrotated variables.
 
         Applies the change of variables internally: the stored next/prev
         blocks are the unrotated ones right-multiplied by T / T^{-1}.
         """
-        t_fwd = rotation_matrix(rotation, 1)
-        t_bwd = rotation_matrix(rotation, -1)
-        return cls(
-            d_self=d_self,
-            d_next=canonical_csr(d_next) @ t_fwd,
-            d_prev=canonical_csr(d_prev) @ t_bwd,
-            rotation=rotation,
-        )
+        return cls(d_self, canonical_csr(d_next) @ rotation_matrix(layout, M, 1),
+                   canonical_csr(d_prev) @ rotation_matrix(layout, M, -1), M, layout)
 
 
 def _sum_of_terms(terms, shape) -> CsrArrays:
@@ -285,7 +258,7 @@ def materialize_full(J: SectorJacobian, budget: int = ASSEMBLY_BUDGET) -> sp.csr
     of :func:`materialize`.  Refuses instances above the size budget.
     """
     B = materialize(J, budget=budget)
-    if not J.rotation.layout.rotating_pairs:
+    if not J.layout.rotating_pairs:
         return B
     stack = J.rotation_stack
     return canonical_csr(stack @ B @ stack.T)
@@ -308,7 +281,7 @@ def lift_to_annulus(v, m: int, J: SectorJacobian) -> np.ndarray:
     if v.shape[0] != J.N:
         raise ValueError(f"vector length {v.shape[0]} != block dimension {J.N}")
     lifted = lift_block_eigenvector(v, m, J.M)
-    if not J.rotation.layout.rotating_pairs:
+    if not J.layout.rotating_pairs:
         return lifted
     return J.rotation_stack @ lifted
 
@@ -327,18 +300,13 @@ def without_rotation(J: SectorJacobian) -> SectorJacobian:
     makes the operator block circulant.  For genuinely rotating layouts
     the reduced spectra of the result disagree with the true operator.
     """
-    lay = J.rotation.layout
+    lay = J.layout
     if not lay.rotating_pairs:
         return J
-    stripped = DofLayout(lay.points_per_sector, lay.vars_per_point, ())
-    spec = RotationSpec(J.M, stripped)
     d_self, d_next, d_prev = J.blocks
-    return SectorJacobian(
-        d_self=d_self,
-        d_next=csr_from_arrays(d_next) @ rotation_matrix(J.rotation, -1),
-        d_prev=csr_from_arrays(d_prev) @ rotation_matrix(J.rotation, 1),
-        rotation=spec,
-    )
+    return SectorJacobian(d_self, csr_from_arrays(d_next) @ rotation_matrix(lay, J.M, -1),
+                          csr_from_arrays(d_prev) @ rotation_matrix(lay, J.M, 1),
+                          J.M, DofLayout(lay.points_per_sector, lay.vars_per_point))
 
 
 def _format_pairs(pairs) -> str:
@@ -362,7 +330,7 @@ def _parse_pairs(text: str):
 def save_sector_jacobian(J: SectorJacobian, out_dir) -> None:
     """Write the on-disk form: three Matrix Market blocks plus layout.txt."""
     os.makedirs(out_dir, exist_ok=True)
-    lay = J.rotation.layout
+    lay = J.layout
     with open(os.path.join(out_dir, LAYOUT_FILE), "w", encoding="ascii") as fh:
         fh.write(f"M = {J.M}\n")
         fh.write(f"points_per_sector = {lay.points_per_sector}\n")
@@ -387,13 +355,15 @@ def load_sector_jacobian(in_dir) -> SectorJacobian:
     if missing:
         raise ValueError(f"{layout_path}: missing key {', '.join(missing)}")
     try:
+        M = int(entries["M"])
+        if M < 1:
+            raise ValueError(f"sector count must be >= 1, got {M}")
         layout = DofLayout(
             points_per_sector=int(entries["points_per_sector"]),
             vars_per_point=int(entries["vars_per_point"]),
             rotating_pairs=_parse_pairs(entries.get("rotating_pairs", "")),
         )
-        spec = RotationSpec(int(entries["M"]), layout)
     except ValueError as exc:
         raise ValueError(f"{layout_path}: {exc}") from exc
     blocks = [parse_matrix_market(os.path.join(in_dir, name)) for name in BLOCK_FILES]
-    return SectorJacobian(blocks[0], blocks[1], blocks[2], spec)
+    return SectorJacobian(*blocks, M, layout)

@@ -28,7 +28,6 @@ from sectoreig.models import (
 )
 from sectoreig.sector import (
     DofLayout,
-    RotationSpec,
     SectorJacobian,
     circulant_eigenvalues,
     lift_to_annulus,
@@ -79,8 +78,8 @@ def random_sector_instances():
             if not real:
                 b = b + 1j * rng.uniform(-1, 1, (N, N))
             blocks.append(b)
-        spec = RotationSpec(M, DofLayout(points_per_sector=N, vars_per_point=1))
-        out.append((SectorJacobian(*blocks, spec), real))
+        layout = DofLayout(points_per_sector=N, vars_per_point=1)
+        out.append((SectorJacobian(*blocks, M, layout), real))
     return out
 
 

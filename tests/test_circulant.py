@@ -6,7 +6,6 @@ import scipy.sparse as sp
 from sectoreig.eig import greedy_match
 from sectoreig.sector import (
     DofLayout,
-    RotationSpec,
     SectorJacobian,
     circulant_eigenvalues,
     lift_block_eigenvector,
@@ -25,7 +24,7 @@ def empty_csr(n):
 def scalar_jacobian(M, d_self, d_next, d_prev):
     """Sector Jacobian with one non-rotating variable per point."""
     N = d_self.shape[0]
-    return SectorJacobian(d_self, d_next, d_prev, RotationSpec(M, DofLayout(N, 1)))
+    return SectorJacobian(d_self, d_next, d_prev, M, DofLayout(N, 1))
 
 
 def random_jacobian(rng, M, N, real=False):
@@ -182,6 +181,6 @@ def test_block_shape_validation():
         scalar_jacobian(3, eye2, canonical_csr(np.eye(3)), eye2)
     with pytest.raises(ValueError):
         SectorJacobian(sp.csr_matrix((2, 3), dtype=complex), empty_csr(2), empty_csr(2),
-                       RotationSpec(3, DofLayout(2, 1)))
+                       3, DofLayout(2, 1))
     with pytest.raises(ValueError):
         scalar_jacobian(0, eye2, empty_csr(2), empty_csr(2))

@@ -1,6 +1,8 @@
 import functools
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ from sectoreig.sector import circulant_eigenvalues
 from sectoreig.sparsecore import csr_from_arrays
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(cli.__file__).resolve().parents[1]
 
 
 def read_csv(path):
@@ -215,7 +218,7 @@ class TestEig:
         golden = DATA / "rotvec_spectrum.csv"
         assert out.read_bytes() == golden.read_bytes()
         J = sector_module.load_sector_jacobian(model)
-        assert J.rotation.layout.rotating_pairs
+        assert J.layout.rotating_pairs
         _, rows = read_csv(golden)
         assert {int(r["harmonic"]) for r in rows} == set(range(8))
         full = {c: dense_eigs(sector_module.reduced_block(J, c))[0] for c in range(5)}
@@ -239,7 +242,7 @@ class TestEig:
         assert out.read_bytes() == golden.read_bytes()
         assert "route[full] = dense" in summary_without_timings(out)
         J = sector_module.load_sector_jacobian(model)
-        assert J.rotation.layout.rotating_pairs
+        assert J.layout.rotating_pairs
         full = set(dense_eigs(sector_module.materialize_full(J))[0])
         assert set(csv_values(golden)) <= full
 
@@ -366,6 +369,16 @@ class TestEig:
         assert capsys.readouterr().err == "error: harmonic index 4 out of range [0, 4)\n"
         assert not out.exists()
 
+    def test_negative_real_part_shifts(self, tmp_path):
+        model = tmp_path / "rv"
+        assert main(["gen", "rotvec", "--sectors", "6", "--points", "4", "--out", str(model)]) == 0
+        out = tmp_path / "x.csv"
+        assert main(["eig", str(model), "--shifts", "-1-1i", "-0.5+2i", "0+3i", "--k", "1",
+                     "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        shifts = {complex(float(r["shift_re"]), float(r["shift_im"])) for r in rows}
+        assert shifts == {-1 - 1j, -0.5 + 2j, 3j}
+
     def test_harmonics_refused_with_method_1(self, tmp_path, capsys):
         model = tmp_path / "ring"
         assert main(["gen", "ring", "--sectors", "4", "--points", "6",
@@ -404,8 +417,8 @@ class TestEig:
         # B_2 = 0 is answered exactly
         model = tmp_path / "huge"
         big = 1e308 * sp.identity(8, format="csr")
-        spec = sector_module.RotationSpec(4, sector_module.DofLayout(8, 1))
-        J = sector_module.SectorJacobian(big, big, sp.csr_matrix((8, 8)), spec)
+        J = sector_module.SectorJacobian(big, big, sp.csr_matrix((8, 8)), 4,
+                                         sector_module.DofLayout(8, 1))
         sector_module.save_sector_jacobian(J, model)
         out = tmp_path / "x.csv"
         assert main(["eig", str(model), "--out", str(out)]) == 0
@@ -537,7 +550,8 @@ class TestVerify:
         J = sector_module.load_sector_jacobian(out)
         scale = 2.0 ** exponent  # exact: the spectrum scales with it
         blocks = (scale * csr_from_arrays(b) for b in J.blocks)
-        sector_module.save_sector_jacobian(sector_module.SectorJacobian(*blocks, J.rotation), out)
+        J = sector_module.SectorJacobian(*blocks, J.M, J.layout)
+        sector_module.save_sector_jacobian(J, out)
         capsys.readouterr()
         assert main(["verify", str(out), "--tol", "1e-8", *flags]) == rc
         assert f"{verdict} (tol 1.0e-08 * ||A||_1)" in capsys.readouterr().out
@@ -580,11 +594,39 @@ class TestVerify:
         calls = []
         rotation_matrix = sector_module.rotation_matrix
 
-        def counting_rotation_matrix(spec, power):
+        def counting_rotation_matrix(layout, M, power):
             calls.append(power)
-            return rotation_matrix(spec, power)
+            return rotation_matrix(layout, M, power)
 
         monkeypatch.setattr(sector_module, "rotation_matrix", counting_rotation_matrix)
         assert main(["verify", str(out)]) == 0
         assert "PASS" in capsys.readouterr().out
         assert sorted(calls) == list(range(8))
+
+
+class TestBlasThreads:
+    """The CLI runs BLAS on one thread unless the caller sets a thread count."""
+
+    @staticmethod
+    def run(args, cwd=None, **env):
+        """Run python args with no BLAS thread count in the environment but env's."""
+        base = {k: v for k, v in os.environ.items() if k not in cli.BLAS_THREAD_VARS}
+        return subprocess.run([sys.executable, *args], cwd=cwd, check=True, text=True,
+                              env=dict(base, PYTHONPATH=str(SRC), **env), capture_output=True)
+
+    def test_default_environment_writes_one_thread_bytes(self, tmp_path):
+        self.run(["-m", "sectoreig.cli", "gen", "rotvec", "--sectors", "8", "--points", "50",
+                  "--coupling", "0.3", "--out", "rv8"], tmp_path)
+        self.run(["-m", "sectoreig.cli", "eig", "rv8", "--out", "default.csv"], tmp_path)
+        self.run(["-m", "sectoreig.cli", "eig", "rv8", "--out", "one.csv"], tmp_path,
+                 **dict.fromkeys(cli.BLAS_THREAD_VARS, "1"))
+        assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+        assert (summary_without_timings(tmp_path / "default.csv")
+                == summary_without_timings(tmp_path / "one.csv"))
+
+    @pytest.mark.parametrize("env, expected", [({}, "1 1 1 1 1 1"),
+                                               ({"OMP_NUM_THREADS": "4"}, "4 - - - - -")])
+    def test_a_count_the_caller_sets_is_kept(self, env, expected):
+        code = ("import os, sectoreig.cli as c\n"
+                "print(*(os.environ.get(v, '-') for v in c.BLAS_THREAD_VARS))")
+        assert self.run(["-c", code], **env).stdout.split() == expected.split()

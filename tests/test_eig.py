@@ -35,7 +35,6 @@ from sectoreig.models import (
 )
 from sectoreig.sector import (
     DofLayout,
-    RotationSpec,
     SectorJacobian,
     circulant_eigenvalues,
     lift_to_annulus,
@@ -314,10 +313,9 @@ class TestInverseIterationVectors:
     def test_exactly_singular_solve_is_retried(self, monkeypatch):
         # with empty neighbour blocks every B_m is diagonal, so
         # B - lambda I has an exactly zero pivot for each computed lambda
-        from sectoreig.sector import DofLayout, RotationSpec
         d = np.arange(1.0, 31.0) * -0.5
         zero = sp.csr_matrix((30, 30), dtype=complex)
-        J = SectorJacobian(canonical_csr(np.diag(d)), zero, zero, RotationSpec(4, DofLayout(30, 1)))
+        J = SectorJacobian(canonical_csr(np.diag(d)), zero, zero, 4, DofLayout(30, 1))
         outcomes = []
         real_solve = np.linalg.solve
 
@@ -524,7 +522,7 @@ class TestConjugateMirror:
         d_self, d_next, d_prev = J.blocks
         d_next = csr_from_arrays(d_next).copy()
         d_next.data[:3] += 0.05j
-        save_sector_jacobian(SectorJacobian(d_self, d_next, d_prev, J.rotation),
+        save_sector_jacobian(SectorJacobian(d_self, d_next, d_prev, J.M, J.layout),
                              tmp_path / "complex")
         J = load_sector_jacobian(tmp_path / "complex")
         assert not J.is_real
@@ -686,7 +684,7 @@ class TestDenseFactorDecision:
         d_self[:, 7] = 0.0
         d_self[7, 7] = 3.0
         zero = sp.csr_matrix((n, n), dtype=complex)
-        J = SectorJacobian(d_self, zero, zero, RotationSpec(1, DofLayout(n, 1)))
+        J = SectorJacobian(d_self, zero, zero, 1, DofLayout(n, 1))
         cfg = ShiftInvertConfig(shifts=(1j, 3.0))
         report, kinds, _ = counted(lambda: solve_annulus_spectrum(J, cfg=cfg))
         assert kinds == [False, True, True] and report.dense_lu is True
@@ -816,8 +814,7 @@ class TestScaleFree:
     def test_zero_block_answers_zero(self):
         # B_2 = I + rho_2 I = 0: its eigenvalue 0 (8-fold) is found exactly
         eye = sp.identity(8, dtype=complex, format="csr")
-        J = SectorJacobian(eye, eye, sp.csr_matrix((8, 8), dtype=complex),
-                           RotationSpec(4, DofLayout(8, 1)))
+        J = SectorJacobian(eye, eye, sp.csr_matrix((8, 8), dtype=complex), 4, DofLayout(8, 1))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             report = solve_annulus_spectrum(J, harmonics=[2])
@@ -1147,10 +1144,8 @@ class TestAnnulusSolvers:
     def test_decoupled_sectors_same_spectrum_every_harmonic(self):
         J = make_random_sector_jacobian(1, 8, 0.6, seed=41)
         # re-wrap as a 5-sector operator with no coupling
-        from sectoreig.sector import DofLayout, RotationSpec
-        spec = RotationSpec(5, DofLayout(8, 1))
         zero = sp.csr_matrix((8, 8), dtype=complex)
-        J = SectorJacobian(J.blocks[0], zero, zero, spec)
+        J = SectorJacobian(J.blocks[0], zero, zero, 5, DofLayout(8, 1))
         cfg = ShiftInvertConfig(shifts=(-2.0 + 0j,), eigs_per_shift=2)
         report = solve_annulus_spectrum(J, cfg=cfg)
         by_harmonic = {}
@@ -1230,6 +1225,15 @@ class TestAnnulusSolvers:
         assert report.raw_count >= len(report.pairs)
         assert set(report.wall_times) == {0, 1, 2, 3}
         assert report.peak_storage > 0
+
+    @pytest.mark.parametrize("harmonics, bad", [([6], 6), ([7, 1], 7), ([2, -1], -1)])
+    def test_harmonic_out_of_range_raises_before_any_solve(self, monkeypatch, harmonics, bad):
+        def refuse(*args):
+            raise AssertionError("a harmonic was solved")
+
+        monkeypatch.setattr(eig_module, "_solve_groups", refuse)
+        with pytest.raises(ValueError, match=rf"harmonic index {bad} out of range \[0, 6\)"):
+            solve_annulus_spectrum(make_rotating_vector_model(6, 4, 0.3), harmonics=harmonics)
 
 
 class TestConfigValidation:

@@ -18,7 +18,7 @@ SRC = Path(sectoreig.__file__).resolve().parents[1]
 ROTVEC = Path(__file__).parent / "data" / "models" / "rotvec"
 
 PUBLIC_NAMES = [
-    "BudgetExceededError", "DimensionMismatchError", "DofLayout", "EigenPair", "RotationSpec",
+    "BudgetExceededError", "DimensionMismatchError", "DofLayout", "EigenPair",
     "SectorJacobian", "ShiftInvertConfig", "SingularMatrixError", "SparseLU", "SpectrumReport",
     "circulant_eigenvalues", "deduplicate_pairs", "dense_eigs", "eig",
     "greedy_match", "lift_block_eigenvector", "lift_to_annulus", "load_sector_jacobian",

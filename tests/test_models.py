@@ -12,6 +12,8 @@ from sectoreig.models import (
     ring_first_row,
 )
 from sectoreig.sector import (
+    DofLayout,
+    SectorJacobian,
     circulant_eigenvalues,
     load_sector_jacobian,
     materialize_full,
@@ -144,8 +146,6 @@ class TestRandomModel:
         assert J1.blocks[1].nnz == 0 and J1.blocks[2].nnz == 0
         with pytest.raises(ValueError):
             make_random_sector_jacobian(3, 4, 0.0, seed=0)
-        with pytest.raises(ValueError):
-            make_random_sector_jacobian(3, 5, 0.5, seed=0, vars_per_point=2)
 
 
 @pytest.mark.parametrize("maker", [
@@ -159,7 +159,7 @@ def test_generators_round_trip_on_disk(tmp_path, maker):
     K = load_sector_jacobian(tmp_path / "m")
     for a, b in zip(J.blocks, K.blocks):
         assert np.array_equal(csr_from_arrays(a).toarray(), csr_from_arrays(b).toarray())
-    assert K.rotation == J.rotation
+    assert (K.M, K.layout) == (J.M, J.layout)
 
 
 # SHA-256 of d_self.mtx, d_next.mtx, d_prev.mtx and layout.txt as saved, recorded
@@ -178,8 +178,8 @@ MODEL_DIGESTS = [
     pytest.param(lambda: make_ring_advection_diffusion(512, 10, 1.0),
                  "c616f19ea7c7b963e2fc33337e77971a1a29ce4231563cd47fc621980a19d54f",
                  id="ring-full"),
-    pytest.param(lambda: make_random_sector_jacobian(5, 12, 0.3, 7, vars_per_point=2,
-                                                     rotating_pairs=((0, 1),)),
+    pytest.param(lambda: SectorJacobian(*make_random_sector_jacobian(5, 12, 0.3, 7).blocks, 5,
+                                        DofLayout(6, 2, ((0, 1),))),
                  "53760e36e7765ad299052e49f808e18359f53198dcd1c79fc80b4672ed08eaed",
                  id="random-pair"),
 ]

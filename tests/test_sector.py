@@ -17,7 +17,6 @@ from sectoreig.models import (
 )
 from sectoreig.sector import (
     DofLayout,
-    RotationSpec,
     SectorJacobian,
     lift_block_eigenvector,
     lift_to_annulus,
@@ -39,56 +38,46 @@ def empty_csr(n):
     return sp.csr_matrix((n, n), dtype=complex)
 
 
-def vector_spec(M, points=2):
-    layout = DofLayout(points_per_sector=points, vars_per_point=2,
-                       rotating_pairs=((0, 1),))
-    return RotationSpec(M, layout)
+def vector_layout(points=2):
+    return DofLayout(points_per_sector=points, vars_per_point=2, rotating_pairs=((0, 1),))
 
 
-def scalar_spec(M, points=3):
-    return RotationSpec(M, DofLayout(points_per_sector=points, vars_per_point=1))
+def scalar_layout(points=3):
+    return DofLayout(points_per_sector=points, vars_per_point=1)
 
 
 class TestRotationMatrix:
     def test_power_zero_is_identity(self):
-        spec = vector_spec(6)
-        assert np.array_equal(rotation_matrix(spec, 0).toarray(), np.eye(4))
+        assert np.array_equal(rotation_matrix(vector_layout(), 6, 0).toarray(), np.eye(4))
 
     def test_scalar_layout_always_identity(self):
-        spec = scalar_spec(6)
         for p in (-3, 0, 1, 7):
-            assert np.array_equal(rotation_matrix(spec, p).toarray(), np.eye(3))
+            assert np.array_equal(rotation_matrix(scalar_layout(), 6, p).toarray(), np.eye(3))
 
     def test_full_turn_is_identity(self):
-        spec = vector_spec(7)
-        T_M = rotation_matrix(spec, 7).toarray()
-        assert np.max(np.abs(T_M - np.eye(4))) <= 1e-12
+        for M in (3, 7, 22, 61):
+            T_M = rotation_matrix(vector_layout(), M, M).toarray()
+            assert np.max(np.abs(T_M - np.eye(4))) <= 1e-12
 
     def test_orthogonality(self):
-        spec = vector_spec(9)
+        lay = vector_layout()
         for p in range(-9, 10):
-            prod = (rotation_matrix(spec, p) @ rotation_matrix(spec, -p)).toarray()
+            prod = (rotation_matrix(lay, 9, p) @ rotation_matrix(lay, 9, -p)).toarray()
             assert np.max(np.abs(prod - np.eye(4))) <= 1e-13
 
     def test_group_property(self):
-        spec = vector_spec(5)
+        lay = vector_layout()
         for p in (-2, 1, 3):
             for q in (-1, 2, 4):
-                lhs = rotation_matrix(spec, p + q).toarray()
-                rhs = (rotation_matrix(spec, p) @ rotation_matrix(spec, q)).toarray()
+                lhs = rotation_matrix(lay, 5, p + q).toarray()
+                rhs = (rotation_matrix(lay, 5, p) @ rotation_matrix(lay, 5, q)).toarray()
                 assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     def test_real_entries(self):
-        spec = vector_spec(6)
-        assert np.max(np.abs(rotation_matrix(spec, 2).toarray().imag)) == 0.0
+        assert np.max(np.abs(rotation_matrix(vector_layout(), 6, 2).toarray().imag)) == 0.0
 
 
-class TestRotationSpec:
-    def test_theta_times_m_is_full_turn(self):
-        for M in (3, 22, 61):
-            spec = scalar_spec(M)
-            assert abs(spec.theta * M - 2 * np.pi) <= 1e-12
-
+class TestDofLayout:
     def test_layout_validation(self):
         with pytest.raises(ValueError):
             DofLayout(2, 2, ((0, 0),))
@@ -112,36 +101,41 @@ class TestSectorJacobian:
                 assert np.array_equal(seg, expected)
 
     def test_neighbor_coupling_needs_three_sectors(self):
-        spec = scalar_spec(2, points=1)
+        lay = scalar_layout(points=1)
         eye = canonical_csr(np.eye(1))
         with pytest.raises(ValueError):
-            SectorJacobian(eye, eye, eye, spec)
+            SectorJacobian(eye, eye, eye, 2, lay)
         # zero neighbors are fine for degenerate M
-        J = SectorJacobian(eye, empty_csr(1), empty_csr(1), spec)
+        J = SectorJacobian(eye, empty_csr(1), empty_csr(1), 2, lay)
         assert J.M == 2
 
+    @pytest.mark.parametrize("M", [0, -1])
+    def test_sector_count_must_be_positive(self, M):
+        eye = canonical_csr(np.eye(1))
+        with pytest.raises(ValueError, match=f"sector count must be >= 1, got {M}"):
+            SectorJacobian(eye, empty_csr(1), empty_csr(1), M, scalar_layout(points=1))
+
     def test_from_unrotated_applies_change_of_variables(self):
-        spec = vector_spec(6, points=1)
+        lay = vector_layout(points=1)
         rng = np.random.default_rng(21)
         d_self = canonical_csr(rng.uniform(-1, 1, (2, 2)))
         c_next = canonical_csr(rng.uniform(-1, 1, (2, 2)))
         c_prev = canonical_csr(rng.uniform(-1, 1, (2, 2)))
-        J = SectorJacobian.from_unrotated(d_self, c_next, c_prev, spec)
-        t_fwd = rotation_matrix(spec, 1).toarray()
-        t_bwd = rotation_matrix(spec, -1).toarray()
+        J = SectorJacobian.from_unrotated(d_self, c_next, c_prev, 6, lay)
+        t_fwd = rotation_matrix(lay, 6, 1).toarray()
+        t_bwd = rotation_matrix(lay, 6, -1).toarray()
         _, d_next, d_prev = (csr_from_arrays(b).toarray() for b in J.blocks)
         assert np.max(np.abs(d_next - c_next.toarray() @ t_fwd)) <= 1e-15
         assert np.max(np.abs(d_prev - c_prev.toarray() @ t_bwd)) <= 1e-15
 
     def test_without_rotation_recovers_unrotated_blocks(self):
-        spec = vector_spec(6, points=1)
         rng = np.random.default_rng(22)
         c_next = canonical_csr(rng.uniform(-1, 1, (2, 2)))
         c_prev = canonical_csr(rng.uniform(-1, 1, (2, 2)))
         d_self = canonical_csr(rng.uniform(-1, 1, (2, 2)))
-        J = SectorJacobian.from_unrotated(d_self, c_next, c_prev, spec)
+        J = SectorJacobian.from_unrotated(d_self, c_next, c_prev, 6, vector_layout(points=1))
         stripped = without_rotation(J)
-        assert not stripped.rotation.layout.rotating_pairs
+        assert not stripped.layout.rotating_pairs
         _, d_next, d_prev = (csr_from_arrays(b).toarray() for b in stripped.blocks)
         assert np.max(np.abs(d_next - c_next.toarray())) <= 1e-14
         assert np.max(np.abs(d_prev - c_prev.toarray())) <= 1e-14
@@ -149,10 +143,9 @@ class TestSectorJacobian:
 
 class TestMaterializeFull:
     def test_identity_rotation_zero_neighbors_is_blockdiag(self):
-        spec = scalar_spec(4, points=2)
         rng = np.random.default_rng(23)
         d_self = canonical_csr(rng.uniform(-1, 1, (2, 2)))
-        J = SectorJacobian(d_self, empty_csr(2), empty_csr(2), spec)
+        J = SectorJacobian(d_self, empty_csr(2), empty_csr(2), 4, scalar_layout(points=2))
         full = materialize_full(J).toarray()
         expected = np.kron(np.eye(4), d_self.toarray())
         assert np.array_equal(full, expected)
@@ -162,9 +155,9 @@ class TestMaterializeFull:
         A = materialize_full(J).toarray()
         N = J.N
         for m1 in range(3):
-            t1 = rotation_matrix(J.rotation, m1).toarray()
+            t1 = rotation_matrix(J.layout, J.M, m1).toarray()
             for m2 in range(3):
-                t2inv = rotation_matrix(J.rotation, -m2).toarray()
+                t2inv = rotation_matrix(J.layout, J.M, -m2).toarray()
                 blk = csr_from_arrays(J.blocks[(m2 - m1) % 3]).toarray()
                 expected = t1 @ blk @ t2inv
                 seg = A[N * m1:N * (m1 + 1), N * m2:N * (m2 + 1)]
@@ -180,8 +173,8 @@ class TestMaterializeFull:
     def test_equivariance_under_pitch_shift(self):
         J = make_rotating_vector_model(5, 2, 0.6)
         A = materialize_full(J).toarray()
-        T = rotation_matrix(J.rotation, 1).toarray()
-        Tinv = rotation_matrix(J.rotation, -1).toarray()
+        T = rotation_matrix(J.layout, J.M, 1).toarray()
+        Tinv = rotation_matrix(J.layout, J.M, -1).toarray()
         N, M = J.N, J.M
         for m1 in range(M):
             for m2 in range(M):
@@ -193,18 +186,17 @@ class TestMaterializeFull:
 
 class TestLiftToAnnulus:
     def test_identity_rotation_reduces_to_block_lift(self):
-        spec = scalar_spec(5, points=2)
         rng = np.random.default_rng(25)
         d_self = canonical_csr(rng.uniform(-1, 1, (2, 2)))
-        J = SectorJacobian(d_self, empty_csr(2), empty_csr(2), spec)
+        J = SectorJacobian(d_self, empty_csr(2), empty_csr(2), 5, scalar_layout(points=2))
         v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         for m in range(5):
             assert np.array_equal(lift_to_annulus(v, m, J),
                                   lift_block_eigenvector(v, m, 5))
 
     def test_harmonic_zero_scalar_copies(self):
-        spec = scalar_spec(4, points=2)
-        J = SectorJacobian(canonical_csr(np.eye(2)), empty_csr(2), empty_csr(2), spec)
+        J = SectorJacobian(canonical_csr(np.eye(2)), empty_csr(2), empty_csr(2), 4,
+                           scalar_layout(points=2))
         v = np.array([1.0, -2.0])
         assert np.array_equal(lift_to_annulus(v, 0, J), np.tile(v, 4))
 
@@ -257,7 +249,7 @@ class TestConjugateHarmonic:
         d_self, d_next, d_prev = J.blocks
         d_next = csr_from_arrays(d_next).copy()
         d_next.data[0] += 1e-3j
-        assert not SectorJacobian(d_self, d_next, d_prev, J.rotation).is_real
+        assert not SectorJacobian(d_self, d_next, d_prev, J.M, J.layout).is_real
 
 
 def model_at(model, M):
@@ -272,8 +264,7 @@ def model_at(model, M):
     if M >= 3 or model == "random":
         return make(M)
     J = make(3)
-    return SectorJacobian(J.blocks[0], empty_csr(J.N), empty_csr(J.N),
-                          RotationSpec(M, J.rotation.layout))
+    return SectorJacobian(J.blocks[0], empty_csr(J.N), empty_csr(J.N), M, J.layout)
 
 
 def same_bits(a, b):
@@ -319,10 +310,9 @@ class TestDenseBlock:
         eye = np.eye(3)
         tiny = np.zeros((3, 3))
         tiny[0, 1] = 1e-300
-        spec = RotationSpec(4, DofLayout(3, 1))
         for d_self, d_next in ((2 * eye, eye), (3 * tiny + eye, 2.5 * tiny)):
             J = SectorJacobian(canonical_csr(d_self), canonical_csr(d_next),
-                               canonical_csr(eye), spec)
+                               canonical_csr(eye), 4, DofLayout(3, 1))
             # the diagonal cancels too: no entry is stored
             assert reduced_arrays(J, 2).nnz == reduced_block(J, 2).nnz == 0
 
@@ -354,7 +344,7 @@ class TestDiskFormat:
         save_sector_jacobian(J, tmp_path / "model")
         K = load_sector_jacobian(tmp_path / "model")
         assert K.M == J.M
-        assert K.rotation.layout == J.rotation.layout
+        assert K.layout == J.layout
         for a, b in zip(J.blocks, K.blocks):
             assert np.array_equal(csr_from_arrays(a).toarray(), csr_from_arrays(b).toarray())
 
@@ -395,6 +385,13 @@ class TestDiskFormat:
         assert parsed == ["d_self.mtx", "d_next.mtx", "d_prev.mtx"]
         for b, c in zip(J.blocks, K.blocks):
             assert all(np.array_equal(x, y) for x, y in zip(b, c))
+
+    def test_bad_sector_count_named_on_load(self, tmp_path):
+        save_sector_jacobian(make_rotating_vector_model(6, 3, 0.35), tmp_path / "model")
+        path = tmp_path / "model" / "layout.txt"
+        path.write_text(path.read_text().replace("M = 6", "M = 0"))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: sector count must be >= 1")):
+            load_sector_jacobian(tmp_path / "model")
 
     def test_bad_block_file_named_on_load(self, tmp_path):
         save_sector_jacobian(make_rotating_vector_model(6, 3, 0.35), tmp_path / "model")
