@@ -51,9 +51,12 @@ from .sector import (
     save_sector_jacobian,
     without_rotation,
 )
-from .sparsecore import BudgetExceededError, spmv
+from .sparsecore import BudgetExceededError, csr_from_arrays, spmv
 
 CSV_HEADER = "harmonic,nodal_diameter,lambda_re,lambda_im,residual,shift_re,shift_im"
+# gen's models; each one's own options are keyword arguments of its generator
+GEN_MODELS = {"ring": make_ring_advection_diffusion, "rotvec": make_rotating_vector_model,
+              "random": make_random_sector_jacobian}
 
 
 def parse_shift(text: str) -> complex:
@@ -75,11 +78,14 @@ def parse_tol(text: str) -> float:
     return tol
 
 
-def parse_harmonics(text: str, M: int):
-    """'all' or a comma list; solve_annulus_spectrum checks the range."""
+def parse_harmonics(text: str):
+    """None for 'all', else a comma list of ints; solve_annulus_spectrum checks the range."""
     if text.strip().lower() == "all":
-        return list(range(M))
-    return [int(chunk) for chunk in text.split(",")]
+        return None
+    try:
+        return [int(chunk) for chunk in text.split(",")]
+    except ValueError as exc:  # int() names the chunk
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _atomic_write(path: str, content: str) -> None:
@@ -100,19 +106,12 @@ def _fmt(x: float) -> str:
 
 
 def cmd_gen(args) -> int:
-    params = {"model": args.model, "sectors": args.sectors, "points": args.points}
-    if args.model == "ring":
-        J = make_ring_advection_diffusion(args.sectors, args.points, args.peclet,
-                                          diffusion=args.diffusion, scheme=args.scheme)
-        params.update(peclet=args.peclet, diffusion=args.diffusion, scheme=args.scheme)
-    elif args.model == "rotvec":
-        J = make_rotating_vector_model(args.sectors, args.points, args.coupling)
-        params.update(coupling=args.coupling)
-    else:  # "random", the last of the parser's model choices
-        J = make_random_sector_jacobian(args.sectors, args.points, args.density,
-                                        args.seed)
-        params.update(density=args.density, seed=args.seed)
+    # the model's own options: its subcommand parses no other model's
+    options = {key: value for key, value in vars(args).items()
+               if key not in ("command", "func", "model", "sectors", "points", "out")}
+    J = GEN_MODELS[args.model](args.sectors, args.points, **options)
     save_sector_jacobian(J, args.out)
+    params = dict(options, model=args.model, sectors=args.sectors, points=args.points)
     lines = [f"{key} = {value}" for key, value in sorted(params.items())]
     lines.append(f"version = {__version__}")
     _atomic_write(os.path.join(args.out, "manifest.txt"),
@@ -129,7 +128,7 @@ def _csv_line(harmonic, nd, lam, residual, shift) -> str:
 
 
 def cmd_eig(args) -> int:
-    if args.method == 1 and args.harmonics.strip().lower() != "all":
+    if args.method == 1 and args.harmonics is not None:
         raise ValueError("--harmonics selects harmonics of --method 2 only; "
                          "--method 1 solves the whole annulus")
     J = load_sector_jacobian(args.in_dir)
@@ -137,8 +136,7 @@ def cmd_eig(args) -> int:
                             scale=args.scale)
     t0 = time.perf_counter()
     if args.method == 2:
-        harmonics = parse_harmonics(args.harmonics, J.M)
-        report = solve_annulus_spectrum(J, harmonics=harmonics, cfg=cfg)
+        report = solve_annulus_spectrum(J, harmonics=args.harmonics, cfg=cfg)
     else:
         report = solve_full_annulus(J, cfg=cfg)
     elapsed = time.perf_counter() - t0
@@ -193,10 +191,11 @@ def cmd_verify(args) -> int:
     reduced_vals = []
     max_lift_residual = 0.0
     for m in range(J.M):
+        B = csr_from_arrays(reduced_block(reduced_source, m))
         if args.no_rotation:
-            reduced_vals.extend(dense_eigs(reduced_block(reduced_source, m), vectors=False))
+            reduced_vals.extend(dense_eigs(B, vectors=False))
             continue
-        w, V = dense_eigs(reduced_block(reduced_source, m))
+        w, V = dense_eigs(B)
         reduced_vals.extend(w)
         lifted = lift_to_annulus(V, m, J)
         res = np.linalg.norm(spmv(A, lifted) - lifted * w, axis=0)
@@ -224,23 +223,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a surrogate sector Jacobian")
-    gen.add_argument("model", choices=("ring", "rotvec", "random"))
-    gen.add_argument("--sectors", type=int, required=True)
-    gen.add_argument("--points", type=int, required=True,
-                     help="grid points per sector (block dimension for 'random')")
-    gen.add_argument("--peclet", type=float, default=0.0)
-    gen.add_argument("--diffusion", type=float, default=1.0)
-    gen.add_argument("--scheme", choices=("upwind", "central"), default="upwind")
-    gen.add_argument("--coupling", type=float, default=0.3)
-    gen.add_argument("--density", type=float, default=0.2)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_gen)
+    # each model takes the shared options and its own, and refuses the others'
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--sectors", type=int, required=True)
+    shared.add_argument("--points", type=int, required=True,
+                        help="grid points per sector (block dimension for 'random')")
+    shared.add_argument("--out", required=True)
+    models = gen.add_subparsers(dest="model", required=True)
+    ring, rotvec, random = (models.add_parser(name, parents=[shared]) for name in GEN_MODELS)
+    ring.add_argument("--peclet", type=float, default=0.0)
+    ring.add_argument("--diffusion", type=float, default=1.0)
+    ring.add_argument("--scheme", choices=("upwind", "central"), default="upwind")
+    rotvec.add_argument("--coupling", type=float, default=0.3)
+    random.add_argument("--density", type=float, default=0.2)
+    random.add_argument("--seed", type=int, default=0)
 
     eig = sub.add_parser("eig", help="compute interior eigenvalues near shifts")
     eig.add_argument("in_dir")
     eig.add_argument("--method", type=int, choices=(1, 2), default=2)
-    eig.add_argument("--harmonics", default="all",
+    eig.add_argument("--harmonics", type=parse_harmonics, default="all",
                      help="comma list of harmonic indices, or 'all' (method 2)")
     eig.add_argument("--shifts", type=parse_shift, nargs="+",
                      default=[1j, 2j, 3j], metavar="A+Bi")

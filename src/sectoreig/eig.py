@@ -8,7 +8,7 @@ machine precision.  The first factorization of a solve call is SuperLU;
 when its factor fills DENSE_LU_MIN_FILL of n**2 or more, every later one
 in the call is dense LAPACK LU (SparseLU(..., dense=True)).
 
-Each block is stored once, as canonical CSR at unit norm (Block), and its
+Each block is built once and stored once, at unit norm (Block), and its
 route is chosen once from its dimension n: a block with n in
 DENSE_ROUTE_DIMS takes the dense route, where Block.decompose forms its
 array; others go to Arnoldi, and end dense when it spends its budget.  The
@@ -48,7 +48,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigs
 
-from .sector import SectorJacobian, check_harmonic, materialize_full, reduced_arrays, reduced_block
+from .sector import SectorJacobian, check_harmonic, materialize_full, reduced_block
 from .sparsecore import (
     BudgetExceededError,
     CsrArrays,
@@ -514,11 +514,6 @@ def _solve_block(block: Block, cfg: ShiftInvertConfig, report: SpectrumReport,
     return deduplicate_pairs(collected, unit=DEDUP_FLOOR * block.norm1 * block.unit)
 
 
-def _build(J: SectorJacobian, m: int, cfg: ShiftInvertConfig) -> Block:
-    """Harmonic m's block, as the route its dimension takes reads it."""
-    return Block((reduced_arrays if J.N in DENSE_ROUTE_DIMS else reduced_block)(J, m), cfg.scale)
-
-
 def _solve_share(J: SectorJacobian, share, cfg: ShiftInvertConfig, dense_lu: bool,
                  head=None) -> list:
     """The partial reports of share's source groups (c, members), in order:
@@ -542,7 +537,7 @@ def _solve_share(J: SectorJacobian, share, cfg: ShiftInvertConfig, dense_lu: boo
                     (block, spent), head = head, None
                     t0 -= spent
                 else:
-                    block = _build(J, m, cfg)
+                    block = Block(reduced_block(J, m), cfg.scale)
                 report.pairs.extend(_solve_block(block, cfg, report, m, dense_lu))
                 source = block
             except ValueError as exc:
@@ -601,7 +596,7 @@ def _solve_groups(J: SectorJacobian, groups, cfg: ShiftInvertConfig):
     if groups:
         t0 = time.perf_counter()
         try:
-            block = _build(J, groups[0][1][0], cfg)
+            block = Block(reduced_block(J, groups[0][1][0]), cfg.scale)
             dense_lu = _factor_first(block, cfg)
             head = (block, time.perf_counter() - t0)
         except ValueError:

@@ -6,8 +6,8 @@ rotated per-sector variables), the sector count M and the per-sector layout,
 whose rotating pairs turn by 2 pi/M from sector to sector.  The full
 operator A is similar to a block circulant B via the block-diagonal
 rotation stack.  B has three nonzero block offsets, so harmonic m sees the
-N x N block d_self + rho_m d_next + conj(rho_m) d_prev (:func:`reduced_arrays`;
-:func:`reduced_block` as a scipy matrix), the spectrum splits into M per-harmonic
+N x N block d_self + rho_m d_next + conj(rho_m) d_prev (:func:`reduced_block`,
+canonical arrays built by numpy alone), the spectrum splits into M per-harmonic
 problems, and eigenvectors lift back to the full annulus segment by segment,
 segment s scaled by rho_m^s, where rho_m = exp(2 pi i m/M) (:func:`root_of_unity`).
 With 1 x 1 blocks the same rule gives a scalar circulant's spectrum.
@@ -200,19 +200,15 @@ def _sum_of_terms(terms, shape) -> CsrArrays:
     return a
 
 
-def reduced_arrays(J: SectorJacobian, m: int) -> CsrArrays:
+def reduced_block(J: SectorJacobian, m: int) -> CsrArrays:
     """Per-harmonic N x N reduction d_self + rho_m d_next + conj(rho_m) d_prev,
-    as canonical arrays.  The offsets 0, 1 and M-1 collide below three
-    sectors, but the neighbor blocks are then empty (enforced by
-    SectorJacobian) and add nothing."""
+    as canonical arrays; csr_from_arrays makes its scipy matrix, sharing its
+    memory.  The offsets 0, 1 and M-1 collide below three sectors, but the
+    neighbor blocks are then empty (enforced by SectorJacobian) and add
+    nothing."""
     check_harmonic(m, J.M)
     return _sum_of_terms([(rows, b.indices, b.data * unity_power(m, k, J.M))
                           for k, b, rows in zip((0, 1, J.M - 1), J.blocks, J.rows)], (J.N, J.N))
-
-
-def reduced_block(J: SectorJacobian, m: int) -> sp.csr_matrix:
-    """The scipy matrix of :func:`reduced_arrays`, sharing its memory."""
-    return csr_from_arrays(reduced_arrays(J, m))
 
 
 def circulant_eigenvalues(first_row) -> np.ndarray:

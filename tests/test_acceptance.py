@@ -36,7 +36,7 @@ from sectoreig.sector import (
     reduced_block,
     without_rotation,
 )
-from sectoreig.sparsecore import canonical_csr, spmv
+from sectoreig.sparsecore import canonical_csr, csr_from_arrays, spmv
 
 
 def report_criterion(number: int, ok: bool, detail: str) -> None:
@@ -46,7 +46,7 @@ def report_criterion(number: int, ok: bool, detail: str) -> None:
 
 def union_of_reduced(J: SectorJacobian) -> np.ndarray:
     return np.concatenate(
-        [np.linalg.eigvals(reduced_block(J, m).toarray()) for m in range(J.M)]
+        [np.linalg.eigvals(csr_from_arrays(reduced_block(J, m)).toarray()) for m in range(J.M)]
     )
 
 
@@ -97,7 +97,7 @@ def rotating_vector_instances():
         J = make_rotating_vector_model(M, n, coupling)
         A = materialize_full(J)
         dense_vals, _ = dense_eigs(A)
-        harmonic_eigs = [np.linalg.eig(reduced_block(J, m).toarray())
+        harmonic_eigs = [np.linalg.eig(csr_from_arrays(reduced_block(J, m)).toarray())
                          for m in range(M)]
         out.append({"J": J, "A": A, "dense": dense_vals,
                     "harmonic_eigs": harmonic_eigs})
@@ -118,7 +118,7 @@ def ring22():
         J, cfg=ShiftInvertConfig(shifts=shifts, eigs_per_shift=30, tol=1e-9))
     reduced = solve_annulus_spectrum(
         J, cfg=ShiftInvertConfig(shifts=shifts, eigs_per_shift=2, tol=1e-9))
-    harmonic_vals = [np.linalg.eigvals(reduced_block(J, m).toarray())
+    harmonic_vals = [np.linalg.eigvals(csr_from_arrays(reduced_block(J, m)).toarray())
                      for m in range(M)]
     return {"J": J, "dense": dense_vals, "shifts": shifts, "full": full,
             "reduced": reduced, "harmonic_vals": harmonic_vals,
@@ -265,7 +265,7 @@ def test_criterion_7_conjugate_pairing(random_sector_instances,
     spectra_sets = []
     for J, real in random_sector_instances:
         if real:
-            spectra_sets.append([np.linalg.eigvals(reduced_block(J, m).toarray())
+            spectra_sets.append([np.linalg.eigvals(csr_from_arrays(reduced_block(J, m)).toarray())
                                  for m in range(J.M)])
     for inst in rotating_vector_instances:
         spectra_sets.append([w for w, _ in inst["harmonic_eigs"]])

@@ -90,20 +90,20 @@ class TestReducedBlock:
         rng = np.random.default_rng(8)
         J = random_jacobian(rng, 4, 3)
         expected = sum(csr_from_arrays(b).toarray() for b in J.blocks)
-        assert np.max(np.abs(reduced_block(J, 0).toarray() - expected)) <= 1e-14
+        assert np.max(np.abs(csr_from_arrays(reduced_block(J, 0)).toarray() - expected)) <= 1e-14
 
     def test_single_block_operator(self):
         rng = np.random.default_rng(9)
         b0 = csr_from_arrays(random_jacobian(rng, 3, 3).blocks[0])
         J = scalar_jacobian(5, b0, empty_csr(3), empty_csr(3))
         for m in range(5):
-            assert np.array_equal(reduced_block(J, m).toarray(), b0.toarray())
+            assert np.array_equal(csr_from_arrays(reduced_block(J, m)).toarray(), b0.toarray())
 
     def test_spectrum_completeness_vs_dense(self):
         rng = np.random.default_rng(10)
         J = random_jacobian(rng, 4, 3)
         union = np.concatenate(
-            [np.linalg.eigvals(reduced_block(J, m).toarray()) for m in range(4)]
+            [np.linalg.eigvals(csr_from_arrays(reduced_block(J, m)).toarray()) for m in range(4)]
         )
         dense_vals = np.linalg.eigvals(materialize(J).toarray())
         radius = np.max(np.abs(dense_vals))
@@ -113,8 +113,8 @@ class TestReducedBlock:
         rng = np.random.default_rng(12)
         J = random_jacobian(rng, 6, 4, real=True)
         for m in range(1, 6):
-            a = reduced_block(J, m)
-            b = reduced_block(J, 6 - m)
+            a = csr_from_arrays(reduced_block(J, m))
+            b = csr_from_arrays(reduced_block(J, 6 - m))
             assert np.array_equal(b.toarray(), a.toarray().conjugate())
 
     def test_cancellation_empties_pattern(self):
@@ -138,7 +138,7 @@ class TestLift:
         J = random_jacobian(rng, 4, 2)
         B = materialize(J)
         for m in range(4):
-            w, V = np.linalg.eig(reduced_block(J, m).toarray())
+            w, V = np.linalg.eig(csr_from_arrays(reduced_block(J, m)).toarray())
             for i in range(len(w)):
                 lifted = lift_block_eigenvector(V[:, i], m, 4)
                 res = np.linalg.norm(B @ lifted - w[i] * lifted) / np.linalg.norm(lifted)

@@ -13,7 +13,7 @@ from scipy.sparse.linalg import ArpackError
 import sectoreig.cli as cli
 import sectoreig.eig as eig_module
 import sectoreig.sector as sector_module
-from sectoreig.cli import CSV_HEADER, main, parse_shift
+from sectoreig.cli import CSV_HEADER, main, parse_harmonics, parse_shift
 from sectoreig.eig import ShiftInvertConfig, dense_eigs, greedy_match
 from sectoreig.models import ring_first_row
 from sectoreig.sector import circulant_eigenvalues
@@ -107,6 +107,18 @@ class TestGen:
         assert main(["gen", model, *args, "--out", str(out)]) == 0
         assert dir_fingerprint(out) == dir_fingerprint(DATA / "models" / model)
 
+    @pytest.mark.parametrize("model, other", [
+        ("ring", ["--coupling", "9"]), ("rotvec", ["--density", "0.5"]),
+        ("random", ["--peclet", "1"]),
+    ])
+    def test_other_models_options_refused(self, tmp_path, capsys, model, other):
+        out = tmp_path / model
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", model, "--sectors", "6", "--points", "5", *other, "--out", str(out)])
+        assert exc.value.code == 2
+        assert other[0] in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_params_nonzero_exit(self, tmp_path):
         rc = main(["gen", "ring", "--sectors", "2", "--points", "2",
                    "--out", str(tmp_path / "bad")])
@@ -192,12 +204,13 @@ class TestEig:
         exact = circulant_eigenvalues(ring_first_row(22, 40, 1.0))
         _, rows = read_csv(golden)
         assert len(rows) == 44
-        full = {c: dense_eigs(sector_module.reduced_block(J, c))[0] for c in range(12)}
+        full = {c: dense_eigs(csr_from_arrays(sector_module.reduced_block(J, c)))[0]
+                for c in range(12)}
         for r in rows:
             m = int(r["harmonic"])
             lam = complex(float(r["lambda_re"]), float(r["lambda_im"]))
             assert lam in set(full[m] if m <= 11 else full[22 - m].conj())
-            norm1 = abs(sector_module.reduced_block(J, m)).sum(axis=0).max()
+            norm1 = abs(csr_from_arrays(sector_module.reduced_block(J, m))).sum(axis=0).max()
             assert np.abs(exact[m::22] - lam).min() <= 1e-14 * norm1
         lines = Path(str(out) + ".summary.txt").read_text().splitlines()
         routes = {m: "dense" if m <= 11 else f"conj({22 - m})" for m in range(22)}
@@ -221,7 +234,8 @@ class TestEig:
         assert J.layout.rotating_pairs
         _, rows = read_csv(golden)
         assert {int(r["harmonic"]) for r in rows} == set(range(8))
-        full = {c: dense_eigs(sector_module.reduced_block(J, c))[0] for c in range(5)}
+        full = {c: dense_eigs(csr_from_arrays(sector_module.reduced_block(J, c)))[0]
+                for c in range(5)}
         for r in rows:
             m = int(r["harmonic"])
             lam = complex(float(r["lambda_re"]), float(r["lambda_im"]))
@@ -378,6 +392,20 @@ class TestEig:
         _, rows = read_csv(out)
         shifts = {complex(float(r["shift_re"]), float(r["shift_im"])) for r in rows}
         assert shifts == {-1 - 1j, -0.5 + 2j, 3j}
+
+    def test_parse_harmonics(self):
+        assert parse_harmonics(" ALL ") is None
+        assert parse_harmonics("3, 1,3") == [3, 1, 3]
+
+    @pytest.mark.parametrize("harmonics", ["1,x", "1,,2", ""])
+    def test_malformed_harmonics_name_the_option(self, tmp_path, capsys, harmonics):
+        model = tmp_path / "ring"
+        assert main(["gen", "ring", "--sectors", "4", "--points", "3",
+                     "--out", str(model)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["eig", str(model), "--harmonics", harmonics, "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "argument --harmonics" in capsys.readouterr().err
 
     def test_harmonics_refused_with_method_1(self, tmp_path, capsys):
         model = tmp_path / "ring"

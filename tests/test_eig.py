@@ -40,7 +40,6 @@ from sectoreig.sector import (
     lift_to_annulus,
     load_sector_jacobian,
     materialize_full,
-    reduced_arrays,
     reduced_block,
     save_sector_jacobian,
 )
@@ -148,7 +147,7 @@ class TestDenseRoute:
         cfg = ShiftInvertConfig()
         chosen = 0
         for m in range(8):
-            w = np.linalg.eigvals(reduced_block(J, m).toarray())
+            w = np.linalg.eigvals(csr_from_arrays(reduced_block(J, m)).toarray())
             chosen += len({i for s in cfg.shifts
                            for i in np.argsort(np.abs(w - s), kind="stable")[:2]})
         calls = {"eigvals": 0, "solve": 0, "lu": 0}
@@ -189,7 +188,7 @@ class TestDenseRoute:
         cfg = ShiftInvertConfig()
         chosen = 0
         for m in range(7):
-            w = np.linalg.eigvals(reduced_block(J, min(m, 7 - m)).toarray())
+            w = np.linalg.eigvals(csr_from_arrays(reduced_block(J, min(m, 7 - m))).toarray())
             w = w if m <= 3 else w.conj()
             chosen += len({i for s in cfg.shifts
                            for i in np.argsort(np.abs(w - s), kind="stable")[:2]})
@@ -199,9 +198,8 @@ class TestDenseRoute:
                 raise AssertionError(f"{name} called on the dense route")
             return call
 
-        for module, name in ((eig_module, "reduced_block"), (eig_module, "canonical_csr"),
-                             (sector_module, "canonical_csr"), (sparsecore, "canonical_csr"),
-                             (eig_module, "SparseLU")):
+        for module, name in ((eig_module, "canonical_csr"), (sector_module, "canonical_csr"),
+                             (sparsecore, "canonical_csr"), (eig_module, "SparseLU")):
             monkeypatch.setattr(module, name, refuse(name))
         calls = {"eigvals": 0, "solve": 0, "spmv": 0}
 
@@ -402,7 +400,7 @@ class TestInverseIterationVectors:
         assert report.warnings == [] and report.pairs
         assert all(r == "dense" or r.startswith("conj(") for r in report.routes.values())
         for p in report.pairs:
-            B = reduced_block(J, p.harmonic)
+            B = csr_from_arrays(reduced_block(J, p.harmonic))
             norm1 = abs(B).sum(axis=0).max()
             residual = np.linalg.norm(B @ p.vector - p.value * p.vector)
             assert residual / (norm1 + abs(p.value)) <= 1e-12
@@ -412,6 +410,30 @@ class TestInverseIterationVectors:
         assert eig_module._start_vector(37) is v
         assert not v.flags.writeable
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-15
+
+
+class TestOneBuilder:
+    """On either route, each source block is built by one reduced_block call
+    and reaches Block canonical, with no second canonical_csr pass."""
+
+    @pytest.mark.parametrize("J, built", [
+        (make_rotating_vector_model(8, 50, 0.3), [0, 1, 2, 3, 4]),  # dense; 5-7 mirrored
+        (make_random_sector_jacobian(4, 160, 0.03, 1), [0, 1, 2, 3]),  # Arnoldi, dense LU
+        (make_ring_advection_diffusion(6, 10, 1.0), [0, 1, 2, 3, 4, 5]),  # Arnoldi, n = 10
+    ], ids=["rotvec-8x50", "random-4x160", "ring-6x10"])
+    def test_each_block_built_once(self, monkeypatch, J, built):
+        calls = []
+
+        def refuse(A):
+            raise AssertionError("a reduced block was canonicalized again")
+
+        monkeypatch.setattr(eig_module, "reduced_block",
+                            lambda J, m: calls.append(m) or reduced_block(J, m))
+        monkeypatch.setattr(eig_module, "canonical_csr", refuse)
+        with one_cpu():
+            report = solve_annulus_spectrum(J)
+        assert sorted(calls) == built  # once each
+        assert report.pairs and report.warnings == []
 
 
 class TestConjugateMirror:
@@ -430,7 +452,7 @@ class TestConjugateMirror:
         assert mirrored and report.warnings == []
         for m in mirrored:
             assert report.routes[m] == f"conj({J.M - m})"
-            B = reduced_block(J, m)
+            B = csr_from_arrays(reduced_block(J, m))
             norm1 = abs(B).sum(axis=0).max()
             w = np.linalg.eigvals(B.toarray())
             pairs = [p for p in report.pairs if p.harmonic == m]
@@ -441,7 +463,7 @@ class TestConjugateMirror:
             assert greedy_match(got, want).max() <= 1e-12 * norm1
             # the values are the source's, conjugated bit for bit; the
             # vectors are solved on B_m itself
-            source = np.linalg.eigvals(reduced_block(J, J.M - m).toarray()).conj()
+            source = np.linalg.eigvals(csr_from_arrays(reduced_block(J, J.M - m)).toarray()).conj()
             for p in pairs:
                 assert p.value in set(source)
                 direct = np.linalg.norm(B @ p.vector - p.value * p.vector)
@@ -471,11 +493,11 @@ class TestConjugateMirror:
             (p.value, p.residual, p.shift) for p in direct]
 
     def test_lone_mirror_harmonic_builds_only_its_own_block(self, monkeypatch):
-        # n = 60: dense-route blocks are assembled by reduced_arrays
+        # n = 60: on the dense route too, each block is built by reduced_block
         J = make_rotating_vector_model(8, 30, 0.3)
         built = []
-        monkeypatch.setattr(eig_module, "reduced_arrays",
-                            lambda J, m: built.append(m) or reduced_arrays(J, m))
+        monkeypatch.setattr(eig_module, "reduced_block",
+                            lambda J, m: built.append(m) or reduced_block(J, m))
         report = solve_annulus_spectrum(J, harmonics=[5])
         assert built == [5]
         assert report.routes == {5: "dense"} and report.pairs
@@ -499,7 +521,7 @@ class TestConjugateMirror:
     def test_mirrored_pairs_verified_on_their_own_block(self, monkeypatch):
         J = make_rotating_vector_model(7, 30, 0.3)
         cfg = ShiftInvertConfig()
-        w = np.linalg.eigvals(reduced_block(J, 2).toarray())
+        w = np.linalg.eigvals(csr_from_arrays(reduced_block(J, 2)).toarray())
         chosen = {m: len({i for s in cfg.shifts
                           for i in np.argsort(np.abs(v - s), kind="stable")[:2]})
                   for m, v in ((2, w), (5, w.conj()))}
@@ -514,7 +536,7 @@ class TestConjugateMirror:
         assert report.raw_count == 12
         assert len(applied) == chosen[2] + chosen[5]
         for m, group in ((2, applied[:chosen[2]]), (5, applied[chosen[2]:])):
-            B = reduced_block(J, m).toarray()
+            B = csr_from_arrays(reduced_block(J, m)).toarray()
             assert all(np.array_equal(A, B) for A in group)
 
     def test_complex_blocks_take_no_mirror(self, tmp_path):
@@ -531,7 +553,7 @@ class TestConjugateMirror:
         assert report.routes == {m: "dense" for m in range(6)}
         assert report.warnings == []
         for m in range(6):
-            B = reduced_block(J, m)
+            B = csr_from_arrays(reduced_block(J, m))
             w = np.linalg.eigvals(B.toarray())
             want = np.unique(np.concatenate(
                 [w[np.argsort(np.abs(w - s), kind="stable")[:2]] for s in cfg.shifts]))
@@ -584,7 +606,7 @@ class TestMinimumDegreeOrder:
         norm_a = abs(A).sum(axis=0).max()
         assert report.pairs
         for p in report.pairs:
-            B = reduced_block(J, p.harmonic)
+            B = csr_from_arrays(reduced_block(J, p.harmonic))
             residual = np.linalg.norm(B @ p.vector - p.value * p.vector)
             assert abs(residual - p.residual) <= 1e-12 * abs(B).sum(axis=0).max()
             x = lift_to_annulus(p.vector, p.harmonic, J)
@@ -600,7 +622,7 @@ class TestMinimumDegreeOrder:
         assert set(report.routes.values()) == {"arnoldi"} and report.dense_lu is False
         assert report.peak_storage > 0
         for m, nnz in report.storage.items():
-            B = reduced_block(J, m)
+            B = csr_from_arrays(reduced_block(J, m))
             for sigma in cfg.shifts:
                 lu = splu((B - sigma * eye).tocsc(), permc_spec="COLAMD")
                 assert nnz < lu.L.nnz + lu.U.nnz
@@ -656,7 +678,7 @@ class TestDenseFactorDecision:
         assert len(report.pairs) == 8
         cfg = ShiftInvertConfig()
         for p in report.pairs:
-            B = reduced_block(J, p.harmonic)
+            B = csr_from_arrays(reduced_block(J, p.harmonic))
             norm1 = abs(B).sum(axis=0).max()
             direct = np.linalg.norm(B @ p.vector - p.value * p.vector)
             assert direct / (norm1 + abs(p.value)) <= cfg.tol
@@ -887,7 +909,7 @@ class TestRealArithmetic:
 
     @pytest.mark.parametrize("B", [
         # symmetric: every eigenvalue real, so numpy's dgeev returns float64
-        reduced_block(make_ring_advection_diffusion(6, 30, 0.0), 0).toarray(),
+        csr_from_arrays(reduced_block(make_ring_advection_diffusion(6, 30, 0.0), 0)).toarray(),
         np.diag(np.arange(1.0, 31.0)) + np.diag(np.ones(29), 1) + np.diag(np.ones(29), -1),
     ], ids=["ring-peclet-0-harmonic-0", "symmetric-tridiagonal"])
     def test_all_real_eigenvalues_come_back_complex(self, B, monkeypatch):
@@ -910,7 +932,7 @@ class TestRealArithmetic:
     ], ids=["rotvec-0", "rotvec-half", "ring-half", "random-half"])
     def test_real_block_gives_exact_conjugate_pairs(self, J, m, monkeypatch):
         dtypes = self.lapack_inputs(monkeypatch)
-        B = reduced_block(J, m).toarray()
+        B = csr_from_arrays(reduced_block(J, m)).toarray()
         block = Block(B)
         block.decompose()
         w = block.values * block.unit
@@ -937,7 +959,7 @@ class TestRealArithmetic:
         J = make_rotating_vector_model(8, 50, 0.3)
         report = solve_annulus_spectrum(J)
         for m in range(J.M):
-            B = reduced_block(J, min(m, J.M - m)).toarray()
+            B = csr_from_arrays(reduced_block(J, min(m, J.M - m))).toarray()
             if m in (0, 4):
                 assert report.routes[m] == "dense" and not B.imag.any()
                 w = np.linalg.eigvals(B.real)

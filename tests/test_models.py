@@ -26,7 +26,7 @@ from sectoreig.sparsecore import csr_from_arrays
 
 def reduced_union(J):
     return np.concatenate(
-        [np.linalg.eigvals(reduced_block(J, m).toarray()) for m in range(J.M)]
+        [np.linalg.eigvals(csr_from_arrays(reduced_block(J, m)).toarray()) for m in range(J.M)]
     )
 
 
@@ -64,7 +64,7 @@ class TestRingModel:
         exact = circulant_eigenvalues(ring_first_row(M, n, 1.0))
         tol = 1e-9 * np.max(np.abs(exact))
         for m in range(M):
-            vals = np.linalg.eigvals(reduced_block(J, m).toarray())
+            vals = np.linalg.eigvals(csr_from_arrays(reduced_block(J, m)).toarray())
             assert greedy_match(vals, exact[m::M]).max() <= tol
 
     def test_pure_advection_central_is_skew(self):

@@ -24,7 +24,6 @@ from sectoreig.sector import (
     materialize,
     materialize_full,
     nodal_diameter,
-    reduced_arrays,
     reduced_block,
     rotation_matrix,
     save_sector_jacobian,
@@ -213,7 +212,7 @@ class TestLiftToAnnulus:
         J = make_rotating_vector_model(6, 2, 0.3)
         A = materialize_full(J)
         for m in range(6):
-            w, V = np.linalg.eig(reduced_block(J, m).toarray())
+            w, V = np.linalg.eig(csr_from_arrays(reduced_block(J, m)).toarray())
             for i in range(len(w)):
                 lifted = lift_to_annulus(V[:, i], m, J)
                 res = np.linalg.norm(A @ lifted - w[i] * lifted)
@@ -222,8 +221,8 @@ class TestLiftToAnnulus:
     def test_conjugate_nodal_diameter_pairing(self):
         J = make_rotating_vector_model(7, 2, 0.4)
         for m in range(1, 7):
-            vals_m = np.linalg.eigvals(reduced_block(J, m).toarray())
-            vals_conj = np.linalg.eigvals(reduced_block(J, 7 - m).toarray())
+            vals_m = np.linalg.eigvals(csr_from_arrays(reduced_block(J, m)).toarray())
+            vals_conj = np.linalg.eigvals(csr_from_arrays(reduced_block(J, 7 - m)).toarray())
             assert greedy_match(vals_m.conjugate(), vals_conj).max() <= 1e-9
 
 
@@ -273,7 +272,7 @@ def same_bits(a, b):
 
 class TestDenseBlock:
     """The dense route's array, which Block.decompose forms from
-    reduced_arrays(J, m), is reduced_block(J, m) / unit, bit for bit."""
+    reduced_block(J, m), is that block's scipy matrix / unit, bit for bit."""
 
     @pytest.mark.parametrize("M", [1, 2, 3, 7])
     @pytest.mark.parametrize("model", ["ring", "rotvec", "random"])
@@ -281,14 +280,14 @@ class TestDenseBlock:
         J = model_at(model, M)
         dense = []
         for m in range(M):
-            arrays = reduced_arrays(J, m)
+            arrays = reduced_block(J, m)
             given = arrays.data.copy()
             block = Block(arrays)
             block.decompose()
             assert same_bits(arrays.data, given)  # scaled by a copy
             a = block.dense
             assert a.dtype == np.complex128
-            assert same_bits(a, reduced_block(J, m).toarray() / block.unit)
+            assert same_bits(a, csr_from_arrays(reduced_block(J, m)).toarray() / block.unit)
             dense.append(a)
         if J.is_real:
             for m in range(M):
@@ -301,7 +300,7 @@ class TestDenseBlock:
             assert np.array_equal(rows, csr_from_arrays(b).tocoo().row)
         kept = [rows.copy() for rows in J.rows]
         for m in range(J.M):
-            reduced_arrays(J, m)
+            reduced_block(J, m)
         assert all(same_bits(a, b) for a, b in zip(J.rows, kept))
 
     def test_cancelled_sums_are_zero(self):
@@ -314,13 +313,12 @@ class TestDenseBlock:
             J = SectorJacobian(canonical_csr(d_self), canonical_csr(d_next),
                                canonical_csr(eye), 4, DofLayout(3, 1))
             # the diagonal cancels too: no entry is stored
-            assert reduced_arrays(J, 2).nnz == reduced_block(J, 2).nnz == 0
+            assert reduced_block(J, 2).nnz == 0
 
     def test_harmonic_out_of_range(self):
         J = model_at("ring", 3)
-        for build in (reduced_arrays, reduced_block):
-            with pytest.raises(ValueError):
-                build(J, 3)
+        with pytest.raises(ValueError):
+            reduced_block(J, 3)
 
 
 class TestNodalDiameter:
