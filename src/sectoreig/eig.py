@@ -20,9 +20,10 @@ block and makes the call's first factorization, which decides the dense LU
 once for every worker; the factor is kept for that block's first solve.
 It runs one worker per CPU the process may run on, when their estimated
 work pays for the forks (FORK_WORK) and the process runs one thread; each
-worker is confined to its own CPU for the call.  Workers forked for the
-call send their partial reports back through a pipe, merged in the order
-one worker gives, so the output does not depend on the count.
+worker is confined to its own CPU for the call.  Each forked worker sends
+its partial reports through a pipe, or nothing, and the calling process
+solves any share that comes back empty, with one warning; reports merge
+in the order one worker gives, so the output does not depend on the count.
 
 On real sector blocks, harmonic M - m takes conj(B_m) and the conjugates
 of harmonic m's dense eigenvalues.  Blocks on the Arnoldi route solve
@@ -590,8 +591,11 @@ def _solve_groups(J: SectorJacobian, groups, cfg: ShiftInvertConfig):
     is left to its group, and the call factors by SuperLU.  Worker w solves
     groups w, w + workers, ..., worker 0 in this process (all of them with
     one worker), the others in children forked here, which send their
-    reports through a pipe.  An exception in a child is raised here; no
-    child outlives the call, and this process gets its CPU mask back."""
+    pickled reports through a pipe, or nothing.  After its own share, this
+    process solves any share that comes back empty or truncated, a refused
+    fork's too: raising its error, or with one warning naming its
+    harmonics.  No child outlives the call, and this process gets its CPU
+    mask back."""
     head, dense_lu = None, False
     if groups:
         t0 = time.perf_counter()
@@ -612,35 +616,30 @@ def _solve_groups(J: SectorJacobian, groups, cfg: ShiftInvertConfig):
             fds.append(read_fd)
             try:
                 pid = os.fork()
-                if pid == 0:  # the child: send (True, reports) or (False, exception)
-                    status = 1
+                if pid == 0:  # the child: send its reports, or nothing
                     try:
-                        try:
-                            _pin({cpu})
-                            result = (True, _solve_share(J, share, cfg, dense_lu))
-                        except BaseException as exc:
-                            result = (False, exc)
-                        payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+                        _pin({cpu})
                         with open(write_fd, "wb") as fh:
-                            fh.write(payload)
-                        status = 0
+                            pickle.dump(_solve_share(J, share, cfg, dense_lu), fh,
+                                        pickle.HIGHEST_PROTOCOL)
                     finally:
-                        os._exit(status)
+                        os._exit(0)
                 pids.append(pid)
+            except OSError:  # a refused fork, whose pipe comes back empty
+                pass
             finally:
                 os.close(write_fd)
         if mask:
             _pin({cpus[0]})
         done = [_solve_share(J, shares[0], cfg, dense_lu, head)]
-        for pid, fd in zip(pids, fds):
-            with open(fd, "rb", closefd=False) as fh:
-                try:
-                    ok, result = pickle.load(fh)
-                except EOFError:
-                    raise RuntimeError(f"worker process {pid} ended without a result") from None
-            if not ok:
-                raise result
-            done.append(result)
+        for fd, share in zip(fds, shares[1:]):
+            try:
+                with open(fd, "rb", closefd=False) as fh:
+                    done.append(pickle.load(fh))
+            except (EOFError, pickle.UnpicklingError):
+                done.append(_solve_share(J, share, cfg, dense_lu))
+                done[-1][0].warnings.insert(0, f"harmonics {[m for _, ms in share for m in ms]}: "
+                                               "no result from a forked worker, solved here")
     finally:
         if mask:
             _pin(mask)

@@ -464,6 +464,18 @@ class TestEig:
         rc = main(["eig", str(tmp_path / "nope"), "--out", str(tmp_path / "x.csv")])
         assert rc != 0
 
+    def test_out_directory_exits_2_and_leaves_no_temp_file(self, tmp_path, capsys):
+        model = tmp_path / "ring"
+        assert main(["gen", "ring", "--sectors", "4", "--points", "3",
+                     "--out", str(model)]) == 0
+        out = tmp_path / "out"
+        out.mkdir()
+        capsys.readouterr()
+        assert main(["eig", str(model), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "ring"]
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("option", [["--shifts", "nan+0i"], ["--shifts", "1i", "nan-2i"],
                                         ["--shifts", "inf+0i"], ["--shifts", "0+infi"],
                                         ["--shifts=-inf-1i"],

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import math
 import os
+import signal
 import warnings
 
 import numpy as np
@@ -1013,6 +1014,21 @@ def assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
+FALLBACK = "no result from a forked worker, solved here"
+
+
+def assert_solved_here(report, one):
+    """report is one, the one-process report of rotvec 8 x 50, plus one
+    warning naming the harmonics of each forked worker's share."""
+    workers, groups = min(CPUS, 5), [[0], [1, 7], [2, 6], [3, 5], [4]]
+    expected = [f"harmonics {sum(groups[w::workers], [])}: {FALLBACK}" for w in range(1, workers)]
+    assert sorted(w for w in report.warnings if FALLBACK in w) == sorted(expected)
+    assert [w for w in report.warnings if FALLBACK not in w] == one.warnings
+    assert list(report.routes.items()) == list(one.routes.items())
+    assert [(p.harmonic, p.value, p.residual) for p in report.pairs] == [
+        (p.harmonic, p.value, p.residual) for p in one.pairs]
+
+
 @pytest.mark.skipif(CPUS < 2, reason="harmonics are solved in forked workers only "
                                      "when this process may run on 2 or more CPUs")
 class TestForkedHarmonics:
@@ -1100,6 +1116,9 @@ class TestForkedHarmonics:
     @pytest.mark.parametrize("where, error", [
         (None, None), ("child", RuntimeError), ("parent", KeyboardInterrupt)])
     def test_each_worker_runs_on_its_own_cpu(self, tmp_path, monkeypatch, forks, where, error):
+        J = make_rotating_vector_model(8, 50, 0.3)
+        with one_cpu():
+            one = solve_annulus_spectrum(J)
         log = tmp_path / "cpus.txt"
         mask, parent, real = os.sched_getaffinity(0), os.getpid(), eig_module._solve_share
 
@@ -1111,17 +1130,26 @@ class TestForkedHarmonics:
             return real(*args)
 
         monkeypatch.setattr(eig_module, "_solve_share", solve_share)
-        with pytest.raises(error, match="group failed") if error else contextlib.nullcontext():
-            solve_annulus_spectrum(make_rotating_vector_model(8, 50, 0.3))
+        with pytest.raises(error, match="group failed") if where == "parent" else (
+                contextlib.nullcontext()):
+            report = solve_annulus_spectrum(J)
         assert os.sched_getaffinity(0) == mask
         assert_no_child()
+        workers = min(CPUS, 5)  # 5 source groups
         lines = [line.split() for line in log.read_text().splitlines()]
-        if where != "parent":  # which may kill its child before the child writes
-            assert len(lines) == min(CPUS, 5)  # 5 source groups
-        assert all(len(cpus) == 1 for _, *cpus in lines)
-        assert len({pid for pid, *_ in lines}) == len({cpu for _, cpu in lines}) == len(lines)
+        if where == "child":  # each child's share is solved once more here
+            assert_solved_here(report, one)
+            assert len(lines) == 2 * workers - 1
+        elif where is None:  # a failing parent may kill its child before the child writes
+            assert len(lines) == workers
+        first = {}
+        for pid, *cpus in lines:
+            first.setdefault(pid, cpus)
+        # one CPU per worker, which this process keeps for its re-solves
+        assert all(cpus == first[pid] and len(cpus) == 1 for pid, *cpus in lines)
+        assert len({cpu for cpu, in first.values()}) == len(first)
         assert {int(cpu) for _, cpu in lines} <= mask
-        assert len(forks) == min(CPUS, 5) - 1
+        assert len(forks) == workers - 1
 
     def test_pinning_is_best_effort(self, monkeypatch, forks):
         J = make_rotating_vector_model(8, 50, 0.3)
@@ -1147,6 +1175,9 @@ class TestForkedHarmonics:
         ("parent", KeyboardInterrupt)])
     def test_no_worker_outlives_the_call(self, monkeypatch, forks, where, error):
         assert_no_child()
+        J = make_rotating_vector_model(8, 50, 0.3)
+        with one_cpu():
+            one = solve_annulus_spectrum(J)
         parent, real = os.getpid(), eig_module._solve_share
 
         def solve_share(*args):
@@ -1155,11 +1186,85 @@ class TestForkedHarmonics:
             return real(*args)
 
         monkeypatch.setattr(eig_module, "_solve_share", solve_share)
-        J = make_rotating_vector_model(8, 50, 0.3)
-        with pytest.raises(error, match="group failed") if error else contextlib.nullcontext():
-            solve_annulus_spectrum(J)
+        with pytest.raises(error, match="group failed") if where == "parent" else (
+                contextlib.nullcontext()):
+            report = solve_annulus_spectrum(J)
+        if where == "child":
+            assert_solved_here(report, one)
         assert len(forks) >= 1
         assert_no_child()
+
+    def test_refused_fork_is_solved_here(self, monkeypatch):
+        J = make_rotating_vector_model(8, 50, 0.3)
+        with one_cpu():
+            one = solve_annulus_spectrum(J)
+        mask, fds, refused = os.sched_getaffinity(0), os.listdir("/proc/self/fd"), []
+
+        def refuse():
+            refused.append(os.getpid())
+            raise OSError(errno.EAGAIN, "fork refused")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        assert_solved_here(solve_annulus_spectrum(J), one)
+        assert len(refused) == min(CPUS, 5) - 1
+        assert os.sched_getaffinity(0) == mask
+        assert os.listdir("/proc/self/fd") == fds  # every pipe closed
+        assert_no_child()
+
+    def test_killed_worker_is_solved_here(self, monkeypatch, forks):
+        J = make_rotating_vector_model(8, 50, 0.3)
+        with one_cpu():
+            one = solve_annulus_spectrum(J)
+        mask, parent, real = os.sched_getaffinity(0), os.getpid(), eig_module._solve_share
+
+        def solve_share(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args)
+
+        monkeypatch.setattr(eig_module, "_solve_share", solve_share)
+        assert_solved_here(solve_annulus_spectrum(J), one)
+        assert len(forks) >= 1
+        assert os.sched_getaffinity(0) == mask
+        assert_no_child()
+
+    @pytest.mark.parametrize("error", [
+        # cannot be pickled, so the worker could not send it
+        RuntimeError("harmonic 1 bug", lambda: None),
+        ZeroDivisionError("harmonic 1 bug")], ids=["unpicklable", "picklable"])
+    def test_error_of_a_harmonic_is_raised_with_its_own_message(self, monkeypatch, forks, error):
+        # harmonic 1 is in the share of the first forked worker
+        mask, real = os.sched_getaffinity(0), eig_module.reduced_block
+
+        def reduced_block(J, m):
+            if m == 1:
+                raise error
+            return real(J, m)
+
+        monkeypatch.setattr(eig_module, "reduced_block", reduced_block)
+        with pytest.raises(type(error), match="harmonic 1 bug"):
+            solve_annulus_spectrum(make_rotating_vector_model(8, 50, 0.3))
+        assert len(forks) >= 1
+        assert os.sched_getaffinity(0) == mask
+        assert_no_child()
+
+    def test_failed_harmonic_in_a_worker_stays_a_warning(self, monkeypatch, forks):
+        J, real = make_rotating_vector_model(8, 50, 0.3), eig_module.reduced_block
+
+        def reduced_block(J, m):
+            if m == 1:
+                raise ValueError("bad block")
+            return real(J, m)
+
+        monkeypatch.setattr(eig_module, "reduced_block", reduced_block)
+        with one_cpu():
+            one = solve_annulus_spectrum(J)
+        every = solve_annulus_spectrum(J)
+        assert len(forks) >= 1
+        assert "harmonic 1 failed: bad block" in one.warnings
+        assert every.warnings == one.warnings
+        assert [(p.harmonic, p.value, p.residual) for p in every.pairs] == [
+            (p.harmonic, p.value, p.residual) for p in one.pairs]
 
 
 class TestAnnulusSolvers:
@@ -1264,13 +1369,28 @@ class TestConfigValidation:
             ShiftInvertConfig(tol=0.0)
         with pytest.raises(ValueError):
             ShiftInvertConfig(scale=-1.0)
+        with pytest.raises(ValueError, match="eigs_per_shift must be >= 1"):
+            ShiftInvertConfig(eigs_per_shift=0)
         for bad in (dict(tol=np.nan), dict(tol=np.inf), dict(scale=np.nan),
                     dict(scale=np.inf), dict(shifts=(1j, complex(np.nan, 0.0))),
                     dict(shifts=(complex(0.0, np.inf),))):
             with pytest.raises(ValueError, match="finite"):
                 ShiftInvertConfig(**bad)
 
+    def test_matrix_inputs_refused(self):
+        with pytest.raises(ValueError, match=r"must be square, got \(2, 3\)"):
+            Block(canonical_csr(np.ones((2, 3))))
+        with pytest.raises(ValueError, match="leaves the normal range"):
+            Block(canonical_csr(np.eye(3)), 1e-320)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            shift_invert_eigs(canonical_csr(np.eye(3)), 1j, 0, ShiftInvertConfig())
+        for shape in ((2, 3), (3,)):
+            with pytest.raises(ValueError, match=r"must be square, got \(" + str(shape[0])):
+                dense_eigs(np.ones(shape))
+
 
 def test_greedy_match_validates_sizes():
     with pytest.raises(ValueError):
         greedy_match(np.array([1.0]), np.array([1.0, 2.0]))
+    empty = greedy_match([], [])
+    assert empty.shape == (0,) and empty.dtype == np.float64

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import sectoreig.models as models_module
 from sectoreig.eig import greedy_match
 from sectoreig.models import (
     make_random_sector_jacobian,
@@ -86,6 +87,10 @@ class TestRingModel:
             make_ring_advection_diffusion(4, 0, 0.0)
         with pytest.raises(ValueError):
             make_ring_advection_diffusion(4, 1, -1.0)
+        with pytest.raises(ValueError, match="diffusion must be >= 0, got -1.0"):
+            make_ring_advection_diffusion(4, 1, 0.0, diffusion=-1.0)
+        with pytest.raises(ValueError, match="unknown advection scheme 'spectral'"):
+            make_ring_advection_diffusion(4, 1, 0.0, scheme="spectral")
 
 
 class TestRotatingVectorModel:
@@ -96,6 +101,12 @@ class TestRotatingVectorModel:
         local = np.linalg.eigvals(np.array([[-2.0, -1.0], [1.0, -2.0]]))
         expected = np.tile(local, 15)
         assert greedy_match(vals, expected).max() <= 1e-12
+
+    def test_invalid_sizes(self):
+        with pytest.raises(ValueError, match="needs M >= 3, got 2"):
+            make_rotating_vector_model(2, 1, 0.3)
+        with pytest.raises(ValueError, match="points per sector must be >= 1, got 0"):
+            make_rotating_vector_model(4, 0, 0.3)
 
     def test_reduced_union_matches_dense(self):
         J = make_rotating_vector_model(6, 2, 0.3)
@@ -141,11 +152,21 @@ class TestRandomModel:
             radius = np.max(np.abs(dense))
             assert greedy_match(reduced_union(J), dense).max() <= 1e-8 * radius
 
-    def test_degenerate_sector_counts(self):
+    def test_degenerate_sector_counts(self, monkeypatch):
         J1 = make_random_sector_jacobian(1, 4, 0.5, seed=0)
         assert J1.blocks[1].nnz == 0 and J1.blocks[2].nnz == 0
         with pytest.raises(ValueError):
             make_random_sector_jacobian(3, 4, 0.0, seed=0)
+
+        def refuse(*args):
+            raise AssertionError("blocks were drawn for a refused size")
+
+        # refused before any block is drawn, not only by SectorJacobian
+        monkeypatch.setattr(models_module, "SectorJacobian", refuse)
+        with pytest.raises(ValueError, match="sector count must be >= 1, got 0"):
+            make_random_sector_jacobian(0, 4, 0.5, seed=0)
+        with pytest.raises(ValueError, match="block dimension must be >= 1, got 0"):
+            make_random_sector_jacobian(3, 0, 0.5, seed=0)
 
 
 @pytest.mark.parametrize("maker", [

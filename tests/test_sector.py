@@ -138,6 +138,8 @@ class TestSectorJacobian:
         _, d_next, d_prev = (csr_from_arrays(b).toarray() for b in stripped.blocks)
         assert np.max(np.abs(d_next - c_next.toarray())) <= 1e-14
         assert np.max(np.abs(d_prev - c_prev.toarray())) <= 1e-14
+        # nothing left to strip
+        assert without_rotation(stripped) is stripped
 
 
 class TestMaterializeFull:
@@ -207,6 +209,8 @@ class TestLiftToAnnulus:
             assert lifted.shape == (J.M * J.N, 3)
             for i in range(3):
                 assert np.array_equal(lifted[:, i], lift_to_annulus(V[:, i], m, J))
+        with pytest.raises(ValueError, match=f"vector length {J.N + 1} != block dimension {J.N}"):
+            lift_to_annulus(np.ones(J.N + 1), 1, J)
 
     def test_lifted_vectors_are_full_eigenvectors(self):
         J = make_rotating_vector_model(6, 2, 0.3)
@@ -352,6 +356,10 @@ class TestDiskFormat:
         text = (tmp_path / "model" / "layout.txt").read_text()
         assert "M = 6" in text
         assert "rotating_pairs = 0:1" in text
+        # comment lines and blank lines are skipped on load
+        (tmp_path / "model" / "layout.txt").write_text("# M = 4\n\n" + text.replace("\n", "\n\n"))
+        K = load_sector_jacobian(tmp_path / "model")
+        assert K.M == 6 and K.layout == J.layout
 
     @pytest.mark.parametrize("text, chunk", [("0:1,2", "2"), ("0;1", "0;1"), ("a:b", "a:b"),
                                              ("0:1:2", "0:1:2")])

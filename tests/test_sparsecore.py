@@ -156,6 +156,9 @@ class TestDenseLU:
         lu = SparseLU(canonical_csr(np.eye(3)), dense=True)
         with pytest.raises(DimensionMismatchError):
             lu.solve(np.ones(4))
+        for dense in (False, True):
+            with pytest.raises(DimensionMismatchError, match=r"must be square, got \(2, 3\)"):
+                SparseLU(canonical_csr(np.ones((2, 3))), dense=dense)
 
     def test_solve_through_many_row_swaps(self):
         # a tiny diagonal under a large shuffled entry in each row: getrf's
