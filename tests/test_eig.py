@@ -1137,18 +1137,22 @@ class TestForkedHarmonics:
         assert_no_child()
         workers = min(CPUS, 5)  # 5 source groups
         lines = [line.split() for line in log.read_text().splitlines()]
+        assert all(len(cpus) == 1 for _, *cpus in lines)
+        assert {int(cpu) for _, cpu in lines} <= mask
         if where == "child":  # each child's share is solved once more here
             assert_solved_here(report, one)
             assert len(lines) == 2 * workers - 1
-        elif where is None:  # a failing parent may kill its child before the child writes
+            first = {}
+            for pid, *cpus in lines:
+                first.setdefault(pid, cpus)
+            # one CPU per worker, which this process keeps for its re-solves
+            assert all(cpus == first[pid] for pid, *cpus in lines)
+            assert len({cpu for cpu, in first.values()}) == len(first) == workers
+        else:  # each line from its own process, on its own CPU
+            assert len({pid for pid, *_ in lines}) == len({cpu for _, cpu in lines}) == len(lines)
+        if where is None:  # not for a failing parent, which may kill a child before it writes
             assert len(lines) == workers
-        first = {}
-        for pid, *cpus in lines:
-            first.setdefault(pid, cpus)
-        # one CPU per worker, which this process keeps for its re-solves
-        assert all(cpus == first[pid] and len(cpus) == 1 for pid, *cpus in lines)
-        assert len({cpu for cpu, in first.values()}) == len(first)
-        assert {int(cpu) for _, cpu in lines} <= mask
+            assert not any(FALLBACK in w for w in report.warnings)
         assert len(forks) == workers - 1
 
     def test_pinning_is_best_effort(self, monkeypatch, forks):
