@@ -4,20 +4,21 @@ The workhorse is shift-invert Arnoldi: factor (A - sigma I), iterate on its
 inverse so eigenvalues near sigma become dominant, then map Ritz values
 back via lambda = sigma + 1/mu.  The inner iteration is ARPACK through
 scipy, stopped at the accuracy the acceptance test needs rather than at
-machine precision.  The first factorization of a solve call is SuperLU;
-when its factor fills DENSE_LU_MIN_FILL of n**2 or more, every later one
-in the call is dense LAPACK LU (SparseLU(..., dense=True)).
+machine precision.  A block's first factorization is SuperLU and sets
+its LU kind: when the factor fills DENSE_LU_MIN_FILL of n**2 or more,
+every later one is dense LAPACK LU (SparseLU(..., dense=True)).
 
 Each block is built once and stored once, at unit norm (Block), and its
 route is chosen once from its dimension n: a block with n in
 DENSE_ROUTE_DIMS takes the dense route, where Block.decompose forms its
-array; others go to Arnoldi, and end dense when it spends its budget.  The
-dense route computes all eigenvalues once and answers the remaining shifts
-in one pass, one inverse-iteration solve per distinct chosen eigenvalue.
+array; others go to Arnoldi, and end dense when it spends its budget.
+Every shift, on either route, is answered by shift_invert_eigs.  A dense
+block's eigenvalues are computed once, and each distinct eigenvalue any
+shift picks gets one inverse-iteration solve and one residual check.
 One driver shares the harmonics out among workers, on either route; with
 one worker it is the serial solve.  Before any fork it builds the first
-block and makes the call's first factorization, which decides the dense LU
-once for every worker; the factor is kept for that block's first solve.
+block and factors it at the first shift, kept for that block's first
+solve; every block the driver builds takes that factor's LU kind.
 It runs one worker per CPU the process may run on, when their estimated
 work pays for the forks (FORK_WORK) and the process runs one thread; each
 worker is confined to its own CPU for the call.  Each forked worker sends
@@ -140,6 +141,8 @@ class ShiftInvertConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "shifts", tuple(complex(s) for s in self.shifts))
+        if not self.shifts:
+            raise ValueError("shifts must not be empty")
         if self.eigs_per_shift < 1:
             raise ValueError("eigs_per_shift must be >= 1")
         for name in ("tol", "scale"):
@@ -182,8 +185,8 @@ class SpectrumReport:
     storage: dict = field(default_factory=dict)
     # per block: "arnoldi", "dense", or "conj(c)" when mirrored from harmonic c
     routes: dict = field(default_factory=dict)
-    # whether Arnoldi factors by dense LU, decided once per call from its
-    # first factorization (_factor_first)
+    # whether Arnoldi factors by dense LU: the LU kind of the call's first
+    # block, which the driver hands to every block it builds
     dense_lu: bool = False
     warnings: list = field(default_factory=list)
     perturbed_shifts: list = field(default_factory=list)
@@ -224,7 +227,9 @@ class Block:
     leave the block.  Scaling by a power of four leaves LAPACK's results the
     same up to that power, bit for bit (by an odd power of two it does
     not).  Once decomposed, the block also holds the dense matrix and all
-    its eigenvalues.  A block factored ahead of its solve (_factor_first)
+    its eigenvalues, and in checked each (lam, v, residual) it has solved
+    and checked, by the index of lam.  dense_lu, its LU kind, is None until
+    its first factorization (_factor).  A block factored ahead of its solve
     holds that factor, as (sigma, lu, shift used), until Arnoldi takes it.
     """
 
@@ -245,7 +250,8 @@ class Block:
         self.unit, factor = math.ldexp(1.0, 2 * j), math.ldexp(1.0 / ms, -es - 2 * j)
         self.norm1 = norm * factor
         self.matrix = csr_from_arrays(CsrArrays(A.indptr, A.indices, A.data * factor, A.shape))
-        self.dense = self.values = self.factored = None
+        self.dense = self.values = self.factored = self.dense_lu = None
+        self.checked = {}
 
     def decompose(self) -> None:
         """Store the dense matrix and all its eigenvalues, once."""
@@ -263,21 +269,26 @@ class _BudgetSpent(Exception):
     """Arnoldi asked for more operator applications than its budget."""
 
 
-def _factor(block: Block, sigma: complex, dense_lu: bool):
-    """(lu, s): the LU of B - s I at s = sigma / unit, by SuperLU or, when
-    dense_lu, by dense LAPACK LU.  An exactly singular B - s I is factored
-    once more with s moved by 1e-8 (1 + |s|)."""
-    eye = sp.identity(block.n, dtype=np.complex128, format="csr")
+def _factor(block: Block, sigma: complex):
+    """(lu, s): the LU of B - s I at s = sigma / unit.  The block's first
+    factorization is SuperLU and sets block.dense_lu: whether the factor
+    fills DENSE_LU_MIN_FILL of n**2 or more, with n <= DENSE_EIG_BUDGET;
+    when it is set, later ones are dense LAPACK LU.  An exactly singular
+    B - s I is factored once more with s moved by 1e-8 (1 + |s|)."""
+    n, dense = block.n, bool(block.dense_lu)
+    eye = sp.identity(n, dtype=np.complex128, format="csr")
     s = _times(sigma, 1.0 / block.unit)
     try:
-        return SparseLU(block.matrix - s * eye, dense=dense_lu), s
+        lu = SparseLU(block.matrix - s * eye, dense=dense)
     except SingularMatrixError:
         s += 1e-8 * (1.0 + abs(s))
-        return SparseLU(block.matrix - s * eye, dense=dense_lu), s
+        lu = SparseLU(block.matrix - s * eye, dense=dense)
+    if block.dense_lu is None:
+        block.dense_lu = n <= DENSE_EIG_BUDGET and lu.factor_nnz >= DENSE_LU_MIN_FILL * n ** 2
+    return lu, s
 
 
-def _arnoldi(block: Block, sigma: complex, k: int, tol: float, info: SolveInfo,
-             dense_lu: bool):
+def _arnoldi(block: Block, sigma: complex, k: int, tol: float, info: SolveInfo):
     """Shift-invert Arnoldi candidates [(lambda, v)] near sigma.
 
     ARPACK stops at tol / 100 rather than at machine precision.  At ARPACK
@@ -298,7 +309,7 @@ def _arnoldi(block: Block, sigma: complex, k: int, tol: float, info: SolveInfo,
     if block.factored is not None and block.factored[0] == sigma:
         (_, lu, sigma_used), block.factored = block.factored, None
     else:
-        lu, sigma_used = _factor(block, sigma, dense_lu)
+        lu, sigma_used = _factor(block, sigma)
     if sigma_used != _times(sigma, 1.0 / block.unit):
         info.perturbed_shift = _times(sigma_used, block.unit)
     info.factor_nnz = lu.factor_nnz
@@ -369,31 +380,30 @@ def _accepted(block: Block, checked, sigma: complex, harmonic, cfg: ShiftInvertC
     return pairs
 
 
-def _dense_pairs(block: Block, shifts, k: int, cfg: ShiftInvertConfig, harmonic,
+def _dense_pairs(block: Block, sigma: complex, k: int, cfg: ShiftInvertConfig, harmonic,
                  info: SolveInfo) -> list:
-    """Accepted pairs of a decomposed block for each shift in turn, in one
-    pass: the k eigenvalues nearest each shift are picked together (stable
-    order), and each distinct one gets one solve and one residual check."""
+    """Accepted pairs of a decomposed block near sigma: the k eigenvalues
+    nearest it (stable order), each solved and checked once per block."""
     w = block.values
-    orders = np.argsort(np.abs(w - np.array(shifts)[:, None] / block.unit), axis=1, kind="stable")
-    orders = orders[:, :k].tolist()
-    checked = {j: _verify(block, w[j], _inverse_iteration(block, w[j]))
-               for j in dict.fromkeys(sum(orders, []))}
-    return [p for sigma, order in zip(shifts, orders)
-            for p in _accepted(block, [checked[j] for j in order], sigma, harmonic, cfg, info)]
+    order = np.argsort(np.abs(w - sigma / block.unit), kind="stable")[:k].tolist()
+    for j in order:
+        if j not in block.checked:
+            block.checked[j] = _verify(block, w[j], _inverse_iteration(block, w[j]))
+    return _accepted(block, [block.checked[j] for j in order], sigma, harmonic, cfg, info)
 
 
 def shift_invert_eigs(A, sigma: complex, k: int, cfg: ShiftInvertConfig,
-                      harmonic: int | None = None, dense_lu: bool = False):
+                      harmonic: int | None = None):
     """Up to k eigenpairs of A nearest sigma, ordered by |lambda - sigma|.
 
     A is a sparse matrix, solved as A / cfg.scale at shift sigma in those
     units, or a :class:`Block`, which holds its own scale; one Block passed
-    for every shift lets one dense eigenvalue computation answer them all.
-    The dense route is taken when the eigenvalues are already known, the
-    block is zero, k > n - 2 (too small for ARPACK) or Arnoldi spends its
-    budget.  On the Arnoldi route B - sigma I is factored by SuperLU, or by
-    dense LAPACK LU when dense_lu, unless the block holds its factor.
+    for every shift lets one dense eigenvalue computation answer them all,
+    with one solve and one check per distinct chosen eigenvalue.  The dense
+    route is taken when the eigenvalues are already known, the block is
+    zero, k > n - 2 (too small for ARPACK) or Arnoldi spends its budget.
+    On the Arnoldi route B - sigma I is factored by the block's LU kind
+    (_factor), unless the block holds its factor.
 
     Returns (pairs, info).  A singular (B - sigma I) is retried once with
     sigma moved by 1e-8 (1 + |sigma| / unit) unit, flagged in info;
@@ -410,9 +420,9 @@ def shift_invert_eigs(A, sigma: complex, k: int, cfg: ShiftInvertConfig,
     if block.values is None and (k > block.n - 2 or not block.norm1):
         block.decompose()
     if block.values is None:
-        candidates = _arnoldi(block, sigma, k, cfg.tol, info, dense_lu)
+        candidates = _arnoldi(block, sigma, k, cfg.tol, info)
     if block.values is not None:
-        return _dense_pairs(block, [sigma], k, cfg, harmonic, info), info
+        return _dense_pairs(block, sigma, k, cfg, harmonic, info), info
     checked = [_verify(block, lam, v) for lam, v in candidates]
     return _accepted(block, checked, sigma, harmonic, cfg, info), info
 
@@ -461,52 +471,24 @@ def deduplicate_pairs(pairs, unit: float = 1.0):
     return kept
 
 
-def _factor_first(block: Block, cfg: ShiftInvertConfig) -> bool:
-    """Factor block, a call's first, by SuperLU at the first shift, ahead of
-    its solve there, and return the call's dense-LU decision: whether the
-    factor fills DENSE_LU_MIN_FILL of n**2 or more, with n <= DENSE_EIG_BUDGET.
-    False, with no factor, for a block solved without one: on the dense
-    route, or a zero block or one too small for ARPACK (shift_invert_eigs)."""
-    n, sigma = block.n, cfg.shifts[0]
-    if n in DENSE_ROUTE_DIMS or cfg.eigs_per_shift > n - 2 or not block.norm1:
-        return False
-    lu, s = _factor(block, sigma, dense_lu=False)
-    block.factored = (sigma, lu, s)
-    return n <= DENSE_EIG_BUDGET and lu.factor_nnz >= DENSE_LU_MIN_FILL * n ** 2
-
-
-def _solve_block(block: Block, cfg: ShiftInvertConfig, report: SpectrumReport,
-                 key, dense_lu: bool) -> list:
-    """Solve one block at every configured shift, fold the bookkeeping into
-    report (keyed by harmonic, or "full"), and return its deduplicated pairs.
-
-    The eigenvalues of a block with n in DENSE_ROUTE_DIMS (the dense route)
-    are computed up front.  Shifts run shift_invert_eigs, which factors by
-    dense LU when dense_lu, until the eigenvalues are known; the remaining
-    shifts are answered in one pass.
-    """
+def _solve_block(block: Block, cfg: ShiftInvertConfig, report: SpectrumReport, key) -> list:
+    """Solve one block at every configured shift by shift_invert_eigs, fold
+    the bookkeeping into report (keyed by harmonic, or "full"), and return
+    its deduplicated pairs.  The eigenvalues of a block with n in
+    DENSE_ROUTE_DIMS (the dense route) are computed up front."""
     harmonic = None if key == "full" else key
     prefix = "" if harmonic is None else f"harmonic {harmonic}: "
-    k = cfg.eigs_per_shift
     if block.n in DENSE_ROUTE_DIMS:
         block.decompose()
     collected = []
     storage = 0
-    for i, sigma in enumerate(cfg.shifts):
-        one_pass = block.values is not None
-        if one_pass:
-            info = SolveInfo()
-            pairs = _dense_pairs(block, cfg.shifts[i:], k, cfg, harmonic, info)
-        else:
-            pairs, info = shift_invert_eigs(block, sigma, k, cfg, harmonic=harmonic,
-                                            dense_lu=dense_lu)
+    for sigma in cfg.shifts:
+        pairs, info = shift_invert_eigs(block, sigma, cfg.eigs_per_shift, cfg, harmonic=harmonic)
         collected.extend(pairs)
         storage = max(storage, info.factor_nnz)
         report.warnings.extend(prefix + w for w in info.warnings)
         if info.perturbed_shift is not None:
             report.perturbed_shifts.append((key, sigma, info.perturbed_shift))
-        if one_pass:
-            break
     dense = block.values is not None
     report.storage[key] = max(storage, block.n ** 2 if dense else 0)
     # a mirrored block's route, conj(c), is already set by its caller
@@ -515,12 +497,12 @@ def _solve_block(block: Block, cfg: ShiftInvertConfig, report: SpectrumReport,
     return deduplicate_pairs(collected, unit=DEDUP_FLOOR * block.norm1 * block.unit)
 
 
-def _solve_share(J: SectorJacobian, share, cfg: ShiftInvertConfig, dense_lu: bool,
+def _solve_share(J: SectorJacobian, share, cfg: ShiftInvertConfig, lu_kind: bool,
                  head=None) -> list:
     """The partial reports of share's source groups (c, members), in order:
-    harmonic c, then the members mirrored from it.  Arnoldi factors by dense
-    LU when dense_lu.  head, when given, is (block, seconds spent on it) for
-    the share's first harmonic, built before the share started."""
+    harmonic c, then the members mirrored from it.  Each block built here
+    takes lu_kind as its LU kind.  head, when given, is (block, seconds spent
+    on it) for the share's first harmonic, built before the share started."""
     parts = []
     for c, members in share:
         report = SpectrumReport(pairs=[], M=J.M, N=J.N)
@@ -531,15 +513,16 @@ def _solve_share(J: SectorJacobian, share, cfg: ShiftInvertConfig, dense_lu: boo
                 if source is not None and source.values is not None:
                     # B_m = conj(B_c) entry for entry, and so are its eigenvalues
                     block = copy.copy(source)
-                    block.matrix, block.dense, block.values = (
-                        source.matrix.conj(), source.dense.conj(), source.values.conj())
+                    block.matrix, block.dense, block.values, block.checked = (
+                        source.matrix.conj(), source.dense.conj(), source.values.conj(), {})
                     report.routes[m] = f"conj({c})"
                 elif head is not None:
                     (block, spent), head = head, None
                     t0 -= spent
                 else:
                     block = Block(reduced_block(J, m), cfg.scale)
-                report.pairs.extend(_solve_block(block, cfg, report, m, dense_lu))
+                    block.dense_lu = lu_kind
+                report.pairs.extend(_solve_block(block, cfg, report, m))
                 source = block
             except ValueError as exc:
                 report.warnings.append(f"harmonic {m} failed: {exc}")
@@ -584,11 +567,13 @@ def _pin(cpus) -> None:
 
 
 def _solve_groups(J: SectorJacobian, groups, cfg: ShiftInvertConfig):
-    """(dense_lu, the partial reports of groups, in order) from _worker_count
-    processes, each confined to its own CPU for the call.  Before any fork
-    this process builds the first group's first block and makes the call's
-    dense-LU decision from it (_factor_first); a block that fails to build
-    is left to its group, and the call factors by SuperLU.  Worker w solves
+    """(the LU kind, the partial reports of groups, in order) from
+    _worker_count processes, each confined to its own CPU for the call.
+    Before any fork this process builds the first group's first block and,
+    unless the block is solved densely from the start, factors it at the
+    first shift, kept for its solve there; that factor's LU kind is handed
+    to every other block.  A block that fails to build is left to its
+    group, and the call factors by SuperLU.  Worker w solves
     groups w, w + workers, ..., worker 0 in this process (all of them with
     one worker), the others in children forked here, which send their
     pickled reports through a pipe, or nothing.  After its own share, this
@@ -596,13 +581,15 @@ def _solve_groups(J: SectorJacobian, groups, cfg: ShiftInvertConfig):
     fork's too: raising its error, or with one warning naming its
     harmonics.  No child outlives the call, and this process gets its CPU
     mask back."""
-    head, dense_lu = None, False
+    head, lu_kind = None, False
     if groups:
         t0 = time.perf_counter()
         try:
             block = Block(reduced_block(J, groups[0][1][0]), cfg.scale)
-            dense_lu = _factor_first(block, cfg)
-            head = (block, time.perf_counter() - t0)
+            n, sigma = block.n, cfg.shifts[0]
+            if n not in DENSE_ROUTE_DIMS and cfg.eigs_per_shift <= n - 2 and block.norm1:
+                block.factored = (sigma, *_factor(block, sigma))
+            head, lu_kind = (block, time.perf_counter() - t0), bool(block.dense_lu)
         except ValueError:
             pass
     workers = _worker_count(J, len(groups))
@@ -620,7 +607,7 @@ def _solve_groups(J: SectorJacobian, groups, cfg: ShiftInvertConfig):
                     try:
                         _pin({cpu})
                         with open(write_fd, "wb") as fh:
-                            pickle.dump(_solve_share(J, share, cfg, dense_lu), fh,
+                            pickle.dump(_solve_share(J, share, cfg, lu_kind), fh,
                                         pickle.HIGHEST_PROTOCOL)
                     finally:
                         os._exit(0)
@@ -631,13 +618,13 @@ def _solve_groups(J: SectorJacobian, groups, cfg: ShiftInvertConfig):
                 os.close(write_fd)
         if mask:
             _pin({cpus[0]})
-        done = [_solve_share(J, shares[0], cfg, dense_lu, head)]
+        done = [_solve_share(J, shares[0], cfg, lu_kind, head)]
         for fd, share in zip(fds, shares[1:]):
             try:
                 with open(fd, "rb", closefd=False) as fh:
                     done.append(pickle.load(fh))
             except (EOFError, pickle.UnpicklingError):
-                done.append(_solve_share(J, share, cfg, dense_lu))
+                done.append(_solve_share(J, share, cfg, lu_kind))
                 done[-1][0].warnings.insert(0, f"harmonics {[m for _, ms in share for m in ms]}: "
                                                "no result from a forked worker, solved here")
     finally:
@@ -648,7 +635,7 @@ def _solve_groups(J: SectorJacobian, groups, cfg: ShiftInvertConfig):
         for pid in pids:  # not yet reaped, so the pid is still this child's
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return dense_lu, [done[i % workers][i // workers] for i in range(len(groups))]
+    return lu_kind, [done[i % workers][i // workers] for i in range(len(groups))]
 
 
 def solve_annulus_spectrum(J: SectorJacobian, harmonics=None,
@@ -695,8 +682,8 @@ def solve_full_annulus(J: SectorJacobian, cfg: ShiftInvertConfig | None = None) 
     report = SpectrumReport(pairs=[], M=J.M, N=J.N)
     t0 = time.perf_counter()
     block = Block(A, cfg.scale)
-    report.dense_lu = _factor_first(block, cfg)
-    report.pairs = _solve_block(block, cfg, report, "full", report.dense_lu)
+    report.pairs = _solve_block(block, cfg, report, "full")
+    report.dense_lu = bool(block.dense_lu)
     report.wall_times["full"] = time.perf_counter() - t0
     return report
 
@@ -713,8 +700,6 @@ def greedy_match(a, b):
     if a.shape != b.shape:
         raise ValueError(f"multisets differ in size: {a.shape} vs {b.shape}")
     n = len(a)
-    if n == 0:
-        return np.zeros(0)
     dist = np.abs(a[:, None] - b[None, :])
     order = np.argsort(dist, axis=None, kind="stable")
     used_a = np.zeros(n, dtype=bool)

@@ -342,9 +342,6 @@ def load_sector_jacobian(in_dir) -> SectorJacobian:
     entries = {}
     with open(layout_path, encoding="ascii") as fh:
         for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
             key, _, value = line.partition("=")
             entries[key.strip()] = value.strip()
     missing = [key for key in LAYOUT_KEYS if key not in entries]

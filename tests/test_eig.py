@@ -5,6 +5,8 @@ import hashlib
 import math
 import os
 import signal
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -223,17 +225,54 @@ class TestDenseRoute:
         assert calls == {"eigvals": 4, "solve": chosen, "spmv": chosen}
         assert chosen < report.raw_count
 
-    def test_loaded_model_on_dense_route_builds_no_scipy_block(self, tmp_path, monkeypatch):
+    def test_loaded_model_on_dense_route_canonicalises_each_source_once(self, tmp_path,
+                                                                         monkeypatch):
         save_sector_jacobian(make_rotating_vector_model(7, 30, 0.3), tmp_path / "model")
         J = load_sector_jacobian(tmp_path / "model")
+        building, calls = [None], []
+        real_canonical = sparsecore.canonical_arrays
 
-        def refuse(a):
-            raise AssertionError("a scipy block was built on the dense route")
+        def reducing(J, m):
+            building[0] = m
+            try:
+                return reduced_block(J, m)
+            finally:
+                building[0] = None
 
-        monkeypatch.setattr(sector_module, "csr_from_arrays", refuse)
-        report = solve_annulus_spectrum(J, cfg=ShiftInvertConfig())
+        def canonicalising(*args):
+            calls.append(building[0])
+            return real_canonical(*args)
+
+        monkeypatch.setattr(eig_module, "reduced_block", reducing)
+        for module in (sector_module, sparsecore):
+            monkeypatch.setattr(module, "canonical_arrays", canonicalising)
+        with one_cpu():
+            report = solve_annulus_spectrum(J, cfg=ShiftInvertConfig())
         assert set(report.routes.values()) == {"dense", "conj(3)", "conj(2)", "conj(1)"}
         assert report.warnings == [] and report.raw_count == 7 * 3 * 2
+        # harmonics 0-3 are made canonical once each, inside reduced_block,
+        # and Block does not repeat it; the mirrored 4-6 are never built
+        assert calls == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("J, k, picked", [
+        # n = 160: Arnoldi spends its budget at the first shift
+        (make_rotating_vector_model(4, 80, 0.3), 2, 3),
+        # n = 6 and k > n - 2: decomposed at the first shift
+        (make_random_sector_jacobian(4, 6, 0.5, 0), 5, 5),
+    ], ids=["rotvec-4x80", "random-4x6-k5"])
+    def test_block_turned_dense_solves_each_pick_once(self, monkeypatch, J, k, picked):
+        cfg = ShiftInvertConfig(eigs_per_shift=k)
+        block = Block(reduced_block(J, 1), cfg.scale)
+        block.decompose()
+        chosen = {j for s in cfg.shifts
+                  for j in np.argsort(np.abs(block.values - s / block.unit), kind="stable")[:k]}
+        solves = []
+        real_solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(1) or real_solve(a, b))
+        report = solve_annulus_spectrum(J, harmonics=[1], cfg=cfg)
+        assert report.routes == {1: "dense"} and report.warnings == []
+        # one solve per distinct eigenvalue any shift picks, however many do
+        assert len(solves) == len(chosen) == picked < report.raw_count
 
     def test_converging_block_above_dense_route_never_decomposes(self, monkeypatch):
         calls = []
@@ -484,11 +523,11 @@ class TestConjugateMirror:
         # these blocks fill to 0.61, so harmonic 1's first factor made the
         # rest of the call's factors dense
         assert report.dense_lu is True
-        direct = []
-        for sigma in cfg.shifts:
-            direct.extend(shift_invert_eigs(reduced_block(J, 3), sigma, 2, cfg, harmonic=3,
-                                            dense_lu=True)[0])
-        direct = deduplicate_pairs(direct)
+        # one block whose LU kind is dense, solved at each shift
+        block = Block(reduced_block(J, 3), cfg.scale)
+        block.dense_lu = True
+        direct = deduplicate_pairs([p for sigma in cfg.shifts
+                                    for p in shift_invert_eigs(block, sigma, 2, cfg, harmonic=3)[0]])
         got = [p for p in report.pairs if p.harmonic == 3]
         assert [(p.value, p.residual, p.shift) for p in got] == [
             (p.value, p.residual, p.shift) for p in direct]
@@ -1029,6 +1068,34 @@ def assert_solved_here(report, one):
         (p.harmonic, p.value, p.residual) for p in one.pairs]
 
 
+@pytest.mark.parametrize("guard", ["no fork", "second thread", "unreadable task list"])
+def test_worker_count_guards(guard):
+    # each guard keeps _worker_count at one process; lifted, it counts CPUs
+    J = make_rotating_vector_model(8, 50, 0.3)
+    with contextlib.ExitStack() as stack:
+        mp = stack.enter_context(pytest.MonkeyPatch.context())
+        if guard == "no fork":
+            mp.delattr(os, "fork")
+        elif guard == "second thread":
+            event = threading.Event()
+            thread = threading.Thread(target=event.wait)
+            thread.start()
+            stack.callback(thread.join)
+            stack.callback(event.set)
+        else:
+            def unreadable(path):
+                raise OSError(errno.EACCES, "refused", path)
+            mp.setattr(os, "listdir", unreadable)
+        assert eig_module._worker_count(J, 5) == 1
+    if CPUS < 2:
+        pytest.skip("a count above 1 needs 2 or more CPUs")
+    # a joined thread may stay listed in /proc/self/task for a moment
+    deadline = time.monotonic() + 5
+    while len(os.listdir("/proc/self/task")) > 1 and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert eig_module._worker_count(J, 5) == min(CPUS, 5)
+
+
 @pytest.mark.skipif(CPUS < 2, reason="harmonics are solved in forked workers only "
                                      "when this process may run on 2 or more CPUs")
 class TestForkedHarmonics:
@@ -1375,6 +1442,8 @@ class TestConfigValidation:
             ShiftInvertConfig(scale=-1.0)
         with pytest.raises(ValueError, match="eigs_per_shift must be >= 1"):
             ShiftInvertConfig(eigs_per_shift=0)
+        with pytest.raises(ValueError, match="shifts must not be empty"):
+            ShiftInvertConfig(shifts=())
         for bad in (dict(tol=np.nan), dict(tol=np.inf), dict(scale=np.nan),
                     dict(scale=np.inf), dict(shifts=(1j, complex(np.nan, 0.0))),
                     dict(shifts=(complex(0.0, np.inf),))):
