@@ -120,11 +120,12 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _csv_line(harmonic, nd, lam, residual, shift) -> str:
-    h = "" if harmonic is None else str(harmonic)
-    d = "" if nd is None else str(nd)
-    return (f"{h},{d},{_fmt(lam.real)},{_fmt(lam.imag)},{_fmt(residual)},"
-            f"{_fmt(shift.real)},{_fmt(shift.imag)}")
+def _csv_line(p, M: int) -> str:
+    h = d = ""
+    if p.harmonic is not None:
+        h, d = str(p.harmonic), str(nodal_diameter(p.harmonic, M))
+    return (f"{h},{d},{_fmt(p.value.real)},{_fmt(p.value.imag)},{_fmt(p.residual)},"
+            f"{_fmt(p.shift.real)},{_fmt(p.shift.imag)}")
 
 
 def cmd_eig(args) -> int:
@@ -141,12 +142,8 @@ def cmd_eig(args) -> int:
         report = solve_full_annulus(J, cfg=cfg)
     elapsed = time.perf_counter() - t0
 
-    rows = []
-    for p in report.pairs:
-        nd = None if p.harmonic is None else nodal_diameter(p.harmonic, J.M)
-        rows.append((p.harmonic, nd, p.value, p.residual, p.shift))
-    rows.sort(key=lambda r: (-1 if r[0] is None else r[0], r[2].imag, r[2].real))
-    csv = "\n".join([CSV_HEADER] + [_csv_line(*r) for r in rows]) + "\n"
+    # the report's pairs are already in the CSV's order
+    csv = "\n".join([CSV_HEADER] + [_csv_line(p, J.M) for p in report.pairs]) + "\n"
     _atomic_write(args.out, csv)
 
     summary = [
@@ -172,7 +169,7 @@ def cmd_eig(args) -> int:
         summary.append(f"warning: {warning}")
     _atomic_write(args.out + ".summary.txt", "\n".join(summary) + "\n")
 
-    print(f"wrote {len(rows)} eigenvalues to {args.out}"
+    print(f"wrote {len(report.pairs)} eigenvalues to {args.out}"
           + (f" ({len(report.warnings)} warnings)" if report.warnings else ""))
     return 0
 

@@ -6,7 +6,8 @@ back via lambda = sigma + 1/mu.  The inner iteration is ARPACK through
 scipy, stopped at the accuracy the acceptance test needs rather than at
 machine precision.  A block's first factorization is SuperLU and sets
 its LU kind: when the factor fills DENSE_LU_MIN_FILL of n**2 or more,
-every later one is dense LAPACK LU (SparseLU(..., dense=True)).
+every later one is dense LAPACK LU (SparseLU(..., dense=True)), which a
+report shows as storage n**2 on the arnoldi route.
 
 Each block is built once and stored once, at unit norm (Block), and its
 route is chosen once from its dimension n: a block with n in
@@ -26,18 +27,19 @@ its partial reports through a pipe, or nothing, and the calling process
 solves any share that comes back empty, with one warning; reports merge
 in the order one worker gives, so the output does not depend on the count.
 
-On real sector blocks, harmonic M - m takes conj(B_m) and the conjugates
-of harmonic m's dense eigenvalues.  Blocks on the Arnoldi route solve
-their own matrix, since the LU of B_m - conj(sigma) I would only replace
-that of B_{M-m} - sigma I one for one.  Pairs from every route are
-re-verified by a direct sparse residual on their own block and accepted
-on their normwise backward error, so nothing is trusted from the inner
-iteration or the mirror alone.
+On real sector blocks, harmonic M - m takes harmonic m's solved dense
+block and conjugates it in place: conj(B_m) and the conjugates of its
+eigenvalues.  Blocks on the Arnoldi route solve their own matrix, since
+the LU of B_m - conj(sigma) I would only replace that of B_{M-m} - sigma I
+one for one.  Pairs from every route are re-verified by a direct sparse
+residual on their own block and accepted on their normwise backward
+error, so nothing is trusted from the inner iteration or the mirror
+alone.  Each block's pairs are deduplicated and leave in the CSV's order
+(deduplicate_pairs), which the annulus driver keeps.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 import os
@@ -168,26 +170,24 @@ class SolveInfo:
     """Bookkeeping from a single shift-invert solve."""
 
     factor_nnz: int = 0
-    matvecs: int = 0
     perturbed_shift: complex | None = None
     warnings: list = field(default_factory=list)
 
 
 @dataclass
 class SpectrumReport:
-    """Aggregated eigenpairs over harmonics and shifts plus run metadata."""
+    """Aggregated eigenpairs over harmonics and shifts plus run metadata;
+    pairs come in the CSV's order (deduplicate_pairs)."""
 
     pairs: list
     M: int
     N: int
     wall_times: dict = field(default_factory=dict)
-    # per block: LU factor nonzeros, or n**2 once it is decomposed densely
+    # per block: its largest LU factor's nonzeros, n**2 for a dense LU (the
+    # only place its LU kind shows), or n**2 once it is decomposed densely
     storage: dict = field(default_factory=dict)
     # per block: "arnoldi", "dense", or "conj(c)" when mirrored from harmonic c
     routes: dict = field(default_factory=dict)
-    # whether Arnoldi factors by dense LU: the LU kind of the call's first
-    # block, which the driver hands to every block it builds
-    dense_lu: bool = False
     warnings: list = field(default_factory=list)
     perturbed_shifts: list = field(default_factory=list)
     raw_count: int = 0
@@ -313,12 +313,13 @@ def _arnoldi(block: Block, sigma: complex, k: int, tol: float, info: SolveInfo):
     if sigma_used != _times(sigma, 1.0 / block.unit):
         info.perturbed_shift = _times(sigma_used, block.unit)
     info.factor_nnz = lu.factor_nnz
-    budget = n + 1 if n <= DENSE_EIG_BUDGET else math.inf
+    budget = n + 1 if n <= DENSE_EIG_BUDGET else math.inf  # inverse applications left
 
     def apply_inverse(x):
-        if info.matvecs >= budget:
+        nonlocal budget
+        if not budget:
             raise _BudgetSpent
-        info.matvecs += 1
+        budget -= 1
         return lu.solve(x)
 
     op = LinearOperator((n, n), matvec=apply_inverse, dtype=np.complex128)
@@ -455,19 +456,16 @@ def deduplicate_pairs(pairs, unit: float = 1.0):
     """Merge duplicates (same harmonic, eigenvalues within DEDUP_BASE_TOL *
     max(unit, |lambda|) of each other), keeping the smaller residual.  unit,
     in the units of the eigenvalues, is the magnitude below which closeness
-    is absolute.  Idempotent: a second pass changes nothing."""
+    is absolute.  The kept pairs come in the CSV's order: by harmonic (None
+    first), then lambda.imag, then lambda.real.  Idempotent: a second pass
+    changes nothing."""
     kept: list = []
     ordered = sorted(pairs, key=lambda p: (p.residual, p.value.real, p.value.imag))
     for cand in ordered:
         if not any(prev.harmonic == cand.harmonic and abs(prev.value - cand.value)
                    <= DEDUP_BASE_TOL * max(unit, abs(prev.value)) for prev in kept):
             kept.append(cand)
-    kept.sort(key=lambda p: (
-        -1 if p.harmonic is None else p.harmonic,
-        abs(p.value - p.shift),
-        p.value.imag,
-        p.value.real,
-    ))
+    kept.sort(key=lambda p: (-1 if p.harmonic is None else p.harmonic, p.value.imag, p.value.real))
     return kept
 
 
@@ -501,8 +499,10 @@ def _solve_share(J: SectorJacobian, share, cfg: ShiftInvertConfig, lu_kind: bool
                  head=None) -> list:
     """The partial reports of share's source groups (c, members), in order:
     harmonic c, then the members mirrored from it.  Each block built here
-    takes lu_kind as its LU kind.  head, when given, is (block, seconds spent
-    on it) for the share's first harmonic, built before the share started."""
+    takes lu_kind as its LU kind; a mirrored member conjugates its solved
+    source block in place and starts it with no checked vectors.  head, when
+    given, is (block, seconds spent on it) for the share's first harmonic,
+    built before the share started."""
     parts = []
     for c, members in share:
         report = SpectrumReport(pairs=[], M=J.M, N=J.N)
@@ -512,9 +512,10 @@ def _solve_share(J: SectorJacobian, share, cfg: ShiftInvertConfig, lu_kind: bool
             try:
                 if source is not None and source.values is not None:
                     # B_m = conj(B_c) entry for entry, and so are its eigenvalues
-                    block = copy.copy(source)
-                    block.matrix, block.dense, block.values, block.checked = (
-                        source.matrix.conj(), source.dense.conj(), source.values.conj(), {})
+                    block = source
+                    for part in (block.matrix.data, block.dense, block.values):
+                        np.conjugate(part, out=part)
+                    block.checked = {}
                     report.routes[m] = f"conj({c})"
                 elif head is not None:
                     (block, spent), head = head, None
@@ -567,20 +568,19 @@ def _pin(cpus) -> None:
 
 
 def _solve_groups(J: SectorJacobian, groups, cfg: ShiftInvertConfig):
-    """(the LU kind, the partial reports of groups, in order) from
-    _worker_count processes, each confined to its own CPU for the call.
-    Before any fork this process builds the first group's first block and,
-    unless the block is solved densely from the start, factors it at the
-    first shift, kept for its solve there; that factor's LU kind is handed
-    to every other block.  A block that fails to build is left to its
-    group, and the call factors by SuperLU.  Worker w solves
-    groups w, w + workers, ..., worker 0 in this process (all of them with
-    one worker), the others in children forked here, which send their
-    pickled reports through a pipe, or nothing.  After its own share, this
-    process solves any share that comes back empty or truncated, a refused
-    fork's too: raising its error, or with one warning naming its
-    harmonics.  No child outlives the call, and this process gets its CPU
-    mask back."""
+    """The partial reports of groups, in order, from _worker_count
+    processes, each confined to its own CPU for the call.  Before any fork
+    this process builds the first group's first block and, unless the block
+    is solved densely from the start, factors it at the first shift, kept
+    for its solve there; that factor's LU kind is handed to every other
+    block.  A block that fails to build is left to its group, and the call
+    factors by SuperLU.  Worker w solves groups w, w + workers, ..., worker
+    0 in this process (all of them with one worker), the others in children
+    forked here, which send their pickled reports through a pipe, or
+    nothing.  After its own share, this process solves any share that comes
+    back empty or truncated, a refused fork's too: raising its error, or
+    with one warning naming its harmonics.  No child outlives the call, and
+    this process gets its CPU mask back."""
     head, lu_kind = None, False
     if groups:
         t0 = time.perf_counter()
@@ -635,7 +635,7 @@ def _solve_groups(J: SectorJacobian, groups, cfg: ShiftInvertConfig):
         for pid in pids:  # not yet reaped, so the pid is still this child's
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return lu_kind, [done[i % workers][i // workers] for i in range(len(groups))]
+    return [done[i % workers][i // workers] for i in range(len(groups))]
 
 
 def solve_annulus_spectrum(J: SectorJacobian, harmonics=None,
@@ -653,7 +653,8 @@ def solve_annulus_spectrum(J: SectorJacobian, harmonics=None,
     the report does not depend on their count.
     A harmonic outside [0, M) raises ValueError before any solve; failures
     in one harmonic are recorded as warnings without aborting the others.
-    Pairs come out in ascending harmonic order.
+    Pairs come out in the CSV's order: by harmonic, and within one in
+    deduplicate_pairs's order.
     """
     cfg = cfg or ShiftInvertConfig()
     harmonics = sorted(set(range(J.M) if harmonics is None else harmonics))
@@ -664,8 +665,7 @@ def solve_annulus_spectrum(J: SectorJacobian, harmonics=None,
     by_source: dict = {}
     for m in harmonics:
         by_source.setdefault(min(m, J.M - m) if mirror else m, []).append(m)
-    report.dense_lu, parts = _solve_groups(J, list(by_source.items()), cfg)
-    for part in parts:
+    for part in _solve_groups(J, list(by_source.items()), cfg):
         _merge(report, part)
     report.pairs.sort(key=lambda p: p.harmonic)
     return report
@@ -683,7 +683,6 @@ def solve_full_annulus(J: SectorJacobian, cfg: ShiftInvertConfig | None = None) 
     t0 = time.perf_counter()
     block = Block(A, cfg.scale)
     report.pairs = _solve_block(block, cfg, report, "full")
-    report.dense_lu = bool(block.dense_lu)
     report.wall_times["full"] = time.perf_counter() - t0
     return report
 

@@ -117,6 +117,26 @@ class TestShiftInvert:
         dists = [abs(p.value - 3.4) for p in pairs]
         assert dists == sorted(dists)
 
+    @pytest.mark.parametrize("route", ["arnoldi", "dense"])
+    def test_ordered_by_distance_then_real_then_imag(self, route):
+        if route == "arnoldi":
+            # n = 150 > DENSE_ROUTE_MAX_DIM; ARPACK returns these six out of order
+            rng = np.random.default_rng(0)
+            A = sp.diags(rng.uniform(-5, 5, 150) + 1j * rng.uniform(-5, 5, 150), format="csr")
+            sigma, k = 1j, 6
+        else:
+            # eigenvalues j +- 0.5i: each conjugate pair lies exactly as far
+            # from the real shift, and LAPACK returns its upper half first
+            A = sp.block_diag([[[j, 0.5], [-0.5, j]] for j in range(1, 21)], format="csr")
+            sigma, k = 3.2, 4
+        block = Block(A)
+        if route == "dense":
+            block.decompose()
+        pairs, _ = shift_invert_eigs(block, sigma, k, ShiftInvertConfig())
+        assert (block.values is None) == (route == "arnoldi")
+        keys = [(abs(p.value - sigma), p.value.real, p.value.imag) for p in pairs]
+        assert len(keys) == k and keys == sorted(keys)
+
     def test_tiny_matrix_dense_fallback(self):
         A = canonical_csr(np.diag([1.0, 5.0]))
         pairs, _ = shift_invert_eigs(A, 0.9, 2, ShiftInvertConfig())
@@ -137,9 +157,10 @@ class TestDenseRoute:
         w = np.linalg.eigvals(block.matrix.toarray())
         cfg = ShiftInvertConfig()
         for i, sigma in enumerate(cfg.shifts):
-            pairs, info = shift_invert_eigs(block, sigma, 2, cfg, harmonic=1)
+            (pairs, info), _, solves = counted(
+                lambda: shift_invert_eigs(block, sigma, 2, cfg, harmonic=1))
             # the first shift spends the n + 1 budget; the rest use no LU
-            assert info.matvecs == (block.n + 1 if i == 0 else 0)
+            assert solves == (block.n + 1 if i == 0 else 0)
             assert (info.factor_nnz > 0) == (i == 0)
             want = w[np.argsort(np.abs(w - sigma), kind="stable")[:2]]
             got = np.array([p.value for p in pairs])
@@ -322,6 +343,7 @@ class TestDenseRoute:
         report = solve_full_annulus(J, cfg=ShiftInvertConfig(shifts=(1j,)))
         assert report.routes == {"full": "dense"}
         assert report.storage == {"full": 40 ** 2}
+        assert list(report.wall_times) == ["full"] and report.wall_times["full"] > 0
         A = materialize_full(J)
         dense_vals, _ = dense_eigs(A)
         nearest = dense_vals[np.argsort(np.abs(dense_vals - 1j), kind="stable")[:2]]
@@ -521,8 +543,8 @@ class TestConjugateMirror:
         assert built == [1, 3]
         assert report.routes == {1: "arnoldi", 3: "arnoldi"}
         # these blocks fill to 0.61, so harmonic 1's first factor made the
-        # rest of the call's factors dense
-        assert report.dense_lu is True
+        # rest of the call's factors dense: n**2 stored for each block
+        assert report.storage == {1: J.N ** 2, 3: J.N ** 2}
         # one block whose LU kind is dense, solved at each shift
         block = Block(reduced_block(J, 3), cfg.scale)
         block.dense_lu = True
@@ -626,13 +648,15 @@ class TestMinimumDegreeOrder:
         # One CPU keeps every factorization in this process, where it is recorded.
         with one_cpu():
             report = solve_annulus_spectrum(make_ring_advection_diffusion(4, 200, 1.0))
-            assert report.pairs and report.warnings == [] and report.dense_lu is False
+            assert report.pairs and report.warnings == []
+            assert report.peak_storage < eig_module.DENSE_LU_MIN_FILL * 200 ** 2
             specs = [spec for spec, _, _ in splu_calls]
             assert len(specs) == 12 and set(specs) == {"MMD_AT_PLUS_A"}
             # random blocks fill to 0.56: only the first, deciding factorization is SuperLU
             splu_calls.clear()
             report = solve_annulus_spectrum(make_random_sector_jacobian(4, 200, 0.02, 0))
-            assert report.pairs and report.warnings == [] and report.dense_lu is True
+            assert report.pairs and report.warnings == []
+            assert report.storage == {m: 200 ** 2 for m in range(4)}
             assert [spec for spec, _, _ in splu_calls] == ["MMD_AT_PLUS_A"]
             splu_calls.clear()
             solve_full_annulus(make_ring_advection_diffusion(4, 40, 1.0),
@@ -659,8 +683,8 @@ class TestMinimumDegreeOrder:
         cfg = ShiftInvertConfig()
         report = solve_annulus_spectrum(J, cfg=cfg)
         eye = sp.identity(J.N, dtype=np.complex128, format="csc")
-        assert set(report.routes.values()) == {"arnoldi"} and report.dense_lu is False
-        assert report.peak_storage > 0
+        assert set(report.routes.values()) == {"arnoldi"}
+        assert 0 < report.peak_storage < eig_module.DENSE_LU_MIN_FILL * J.N ** 2
         for m, nnz in report.storage.items():
             B = csr_from_arrays(reduced_block(J, m))
             for sigma in cfg.shifts:
@@ -669,7 +693,8 @@ class TestMinimumDegreeOrder:
         # blocks that fill to 0.56: the one SuperLU factor, which decides the rest
         splu_calls.clear()
         report = solve_annulus_spectrum(make_random_sector_jacobian(4, 200, 0.02, 0), cfg=cfg)
-        assert set(report.routes.values()) == {"arnoldi"} and report.dense_lu is True
+        assert set(report.routes.values()) == {"arnoldi"}
+        assert report.storage == {m: 200 ** 2 for m in range(4)}
         [(_, A, lu)] = splu_calls
         colamd = splu(A, permc_spec="COLAMD")
         assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
@@ -713,7 +738,7 @@ class TestDenseFactorDecision:
         J, runs = random_fill
         report, kinds, _ = runs[False]
         assert kinds == [False] + [True] * 11
-        assert report.dense_lu is True and report.warnings == []
+        assert report.warnings == []
         assert report.storage == {m: J.N ** 2 for m in range(J.M)}
         assert len(report.pairs) == 8
         cfg = ShiftInvertConfig()
@@ -727,14 +752,14 @@ class TestDenseFactorDecision:
         J = make_ring_advection_diffusion(22, 800, 1.0)
         with one_cpu():
             report, kinds, _ = counted(lambda: solve_annulus_spectrum(J, harmonics=[1, 2]))
-        assert kinds == [False] * 6 and report.dense_lu is False
+        assert kinds == [False] * 6
         assert report.pairs and report.warnings == []
 
     def test_blocks_above_the_dense_budget_stay_on_superlu(self, monkeypatch):
         monkeypatch.setattr(eig_module, "DENSE_EIG_BUDGET", 199)
         J = make_random_sector_jacobian(4, 200, 0.02, 0)
         report, kinds, _ = counted(lambda: solve_annulus_spectrum(J, harmonics=[1]))
-        assert kinds == [False] * 3 and report.dense_lu is False
+        assert kinds == [False] * 3
 
     def test_singular_dense_shift_is_perturbed_and_recorded(self):
         # column 7 of B - 3 I is zero, so the dense factor at shift 3 is
@@ -749,7 +774,7 @@ class TestDenseFactorDecision:
         J = SectorJacobian(d_self, zero, zero, 1, DofLayout(n, 1))
         cfg = ShiftInvertConfig(shifts=(1j, 3.0))
         report, kinds, _ = counted(lambda: solve_annulus_spectrum(J, cfg=cfg))
-        assert kinds == [False, True, True] and report.dense_lu is True
+        assert kinds == [False, True, True]
         [(key, sigma, used)] = report.perturbed_shifts
         # moved by 1e-8 (1 + |sigma| / unit) unit, relative to the block's scale
         unit = Block(d_self).unit
@@ -774,7 +799,7 @@ class TestArpackTolerance:
         J = make_ring_advection_diffusion(512, 10, 1.0)
         for zero in (False, True):
             report, kinds, solves = counted(lambda: solve_full_annulus(J), zero)
-            assert kinds == [False] * 3 and solves == 63 and report.dense_lu is False
+            assert kinds == [False] * 3 and solves == 63
 
 
 class TestScaleInvariantAcceptance:
@@ -900,8 +925,9 @@ class TestDenseEigs:
         assert np.allclose(w, 1.0)
 
     def test_rotation_generator(self):
-        w, _ = dense_eigs(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-        assert greedy_match(w, np.array([1j, -1j])).max() <= 1e-14
+        for A in (np.array([[0.0, 1.0], [-1.0, 0.0]]), [[0.0, 1.0], [-1.0, 0.0]]):
+            w, _ = dense_eigs(A)
+            assert greedy_match(w, np.array([1j, -1j])).max() <= 1e-14
 
     def test_trace_identity(self):
         rng = np.random.default_rng(34)
@@ -1169,7 +1195,7 @@ class TestForkedHarmonics:
 
         monkeypatch.setattr(eig_module, "SparseLU", logging_lu)
         report = solve_annulus_spectrum(make_random_sector_jacobian(4, 800, 0.005, 0))
-        assert report.dense_lu is True and len(report.pairs) == 8
+        assert len(report.pairs) == 8 and report.storage == {m: 800 ** 2 for m in range(4)}
         workers = min(CPUS, 3)  # 3 source groups: 0, 1 with 3, and 2
         assert set(report.routes.values()) == {"arnoldi"} and len(forks) == workers - 1
         lines = [line.split() for line in log.read_text().splitlines()]
@@ -1424,6 +1450,33 @@ class TestAnnulusSolvers:
         assert set(report.wall_times) == {0, 1, 2, 3}
         assert report.peak_storage > 0
 
+    def test_head_wall_time_includes_its_prefork_factor(self, monkeypatch):
+        # the first factorization is the head's (harmonic 0), made before any fork
+        real_factor, slowed = eig_module._factor, []
+
+        def slow_first_factor(block, sigma):
+            if not slowed:
+                slowed.append(block.n)
+                time.sleep(0.05)
+            return real_factor(block, sigma)
+
+        monkeypatch.setattr(eig_module, "_factor", slow_first_factor)
+        with one_cpu():
+            report = solve_annulus_spectrum(make_ring_advection_diffusion(6, 10, 1.0))
+        assert slowed == [10] and report.routes[0] == "arnoldi"
+        assert report.wall_times[0] >= 0.05
+
+    @pytest.mark.parametrize("J, solve", [
+        (make_rotating_vector_model(8, 50, 0.3), solve_annulus_spectrum),  # dense, mirrored
+        (make_random_sector_jacobian(4, 160, 0.03, 1), solve_annulus_spectrum),  # Arnoldi
+        (make_rotating_vector_model(8, 50, 0.3), solve_full_annulus),
+    ], ids=["rotvec-8x50", "random-4x160", "rotvec-8x50-full"])
+    def test_pairs_come_in_csv_order(self, J, solve):
+        pairs = solve(J).pairs
+        keys = [(-1 if p.harmonic is None else p.harmonic, p.value.imag, p.value.real)
+                for p in pairs]
+        assert len(pairs) >= 6 and keys == sorted(keys)
+
     @pytest.mark.parametrize("harmonics, bad", [([6], 6), ([7, 1], 7), ([2, -1], -1)])
     def test_harmonic_out_of_range_raises_before_any_solve(self, monkeypatch, harmonics, bad):
         def refuse(*args):
@@ -1450,6 +1503,12 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="finite"):
                 ShiftInvertConfig(**bad)
 
+    def test_shifts_become_a_tuple_of_complex(self):
+        cfg = ShiftInvertConfig(shifts=[1, 2j])
+        assert type(cfg.shifts) is tuple and cfg.shifts == (1 + 0j, 2j)
+        assert [type(s) for s in cfg.shifts] == [complex, complex]
+        assert hash(cfg) == hash(ShiftInvertConfig(shifts=(1 + 0j, 2j)))
+
     def test_matrix_inputs_refused(self):
         with pytest.raises(ValueError, match=r"must be square, got \(2, 3\)"):
             Block(canonical_csr(np.ones((2, 3))))
@@ -1467,3 +1526,8 @@ def test_greedy_match_validates_sizes():
         greedy_match(np.array([1.0]), np.array([1.0, 2.0]))
     empty = greedy_match([], [])
     assert empty.shape == (0,) and empty.dtype == np.float64
+
+
+def test_greedy_match_pairs_each_value_once():
+    # each value pairs once: a's two zeros cannot both take b's one zero
+    assert greedy_match([0.0, 0.0], [0.0, 1.0]).tolist() == [0.0, 1.0]
