@@ -243,8 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma list of harmonic indices, or 'all' (method 2)")
     eig.add_argument("--shifts", type=parse_shift, nargs="+",
                      default=[1j, 2j, 3j], metavar="A+Bi")
-    # a value such as -1-1i or -.5+2i is a shift, not an option
-    eig._negative_number_matcher = re.compile(r"^-\.?\d")
+    # a value such as -1-1i, -.5+2i or -i is a shift, not an option
+    eig._negative_number_matcher = re.compile(r"^-(\.?\d|i$)")
     eig.add_argument("--k", type=int, default=2, help="eigenvalues per shift")
     eig.add_argument("--scale", type=float, default=1.0)
     eig.add_argument("--out", required=True)

@@ -4,10 +4,11 @@ The workhorse is shift-invert Arnoldi: factor (A - sigma I), iterate on its
 inverse so eigenvalues near sigma become dominant, then map Ritz values
 back via lambda = sigma + 1/mu.  The inner iteration is ARPACK through
 scipy, stopped at the accuracy the acceptance test needs rather than at
-machine precision.  A block's first factorization is SuperLU and sets
-its LU kind: when the factor fills DENSE_LU_MIN_FILL of n**2 or more,
-every later one is dense LAPACK LU (SparseLU(..., dense=True)), which a
-report shows as storage n**2 on the arnoldi route.
+machine precision.  A block's LU kind is decided once, from its pattern
+(_fills_densely): when a SuperLU factor of that pattern fills
+DENSE_LU_MIN_FILL of n**2 or more, every factorization is dense LAPACK LU
+(SparseLU(..., dense=True)), which a report shows as storage n**2 on the
+arnoldi route.
 
 Each block is built once and stored once, at unit norm (Block), and its
 route is chosen once from its dimension n: a block with n in
@@ -17,15 +18,16 @@ Every shift, on either route, is answered by shift_invert_eigs.  A dense
 block's eigenvalues are computed once, and each distinct eigenvalue any
 shift picks gets one inverse-iteration solve and one residual check.
 One driver shares the harmonics out among workers, on either route; with
-one worker it is the serial solve.  Before any fork it builds the first
-block and factors it at the first shift, kept for that block's first
-solve; every block the driver builds takes that factor's LU kind.
-It runs one worker per CPU the process may run on, when their estimated
-work pays for the forks (FORK_WORK) and the process runs one thread; each
-worker is confined to its own CPU for the call.  Each forked worker sends
-its partial reports through a pipe, or nothing, and the calling process
-solves any share that comes back empty, with one warning; reports merge
-in the order one worker gives, so the output does not depend on the count.
+one worker it is the serial solve.  Every harmonic block has the pattern
+of the sector's three blocks, so the annulus driver decides the LU kind
+of them all once, from that pattern, and hands it to every block.  It
+runs one worker per CPU the process may run on, when their estimated
+work pays for the forks (FORK_WORK) and the process runs one thread;
+each worker is confined to its own CPU for the call.  Each forked worker
+sends its partial reports through a pipe, or nothing, and the calling
+process solves any share that comes back empty, with one warning;
+reports merge in the order one worker gives, so the output does not
+depend on the count.
 
 On real sector blocks, harmonic M - m takes harmonic m's solved dense
 block and conjugates it in place: conj(B_m) and the conjugates of its
@@ -52,6 +54,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigs
 
+from . import sparsecore
 from .sector import SectorJacobian, check_harmonic, materialize_full, reduced_block
 from .sparsecore import (
     BudgetExceededError,
@@ -80,17 +83,17 @@ DENSE_EIG_BUDGET = 4_000
 # the whole block: perfbench's tracer test counts one LU factorization per
 # (harmonic, shift) on such a block.
 DENSE_ROUTE_MAX_DIM = 100
-# Once the first SuperLU factorization of a solve call fills at least this
-# fraction of n**2, and n <= DENSE_EIG_BUDGET, every later factorization in
-# the call is dense LAPACK LU: all blocks of a call share the pattern of
-# d_self + d_next + d_prev, so they fill alike.  Measured on random blocks
-# (2 cores, BLAS at 1 thread, medians of 15) as one factorization plus 41
-# trsv solves, random-fill's count per shift: the two cost the same at fill
-# 0.26-0.31 for n = 800 (60-65 ms), 0.17-0.18 for n = 400 (15 ms) and below
-# 0.12 for n = 200; at fill 0.13, n = 800, SuperLU took 45 ms against
-# 70 ms, at random-fill's 0.50 it took 163 ms against 73 ms.  The constant
-# follows n = 800, the size of random-fill.  Ring and rotvec blocks fill to
-# under 0.01.
+# When a SuperLU factor of a block's pattern fills at least this fraction
+# of n**2, and n <= DENSE_EIG_BUDGET, every factorization of the block is
+# dense LAPACK LU: all blocks of a call share the pattern of d_self +
+# d_next + d_prev, so one decision serves them all.  Measured on random
+# blocks (2 cores, BLAS at 1 thread, medians of 15) as one factorization
+# plus 41 trsv solves, random-fill's count per shift: the two cost the
+# same at fill 0.26-0.31 for n = 800 (60-65 ms), 0.17-0.18 for n = 400
+# (15 ms) and below 0.12 for n = 200; at fill 0.13, n = 800, SuperLU took
+# 45 ms against 70 ms, at random-fill's 0.50 it took 163 ms against 73 ms.
+# The constant follows n = 800, the size of random-fill.  Ring and rotvec
+# blocks fill to under 0.01.
 DENSE_LU_MIN_FILL = 0.25
 
 # Estimated work, sum n**3 over a call's source blocks, that pays for one
@@ -229,8 +232,8 @@ class Block:
     not).  Once decomposed, the block also holds the dense matrix and all
     its eigenvalues, and in checked each (lam, v, residual) it has solved
     and checked, by the index of lam.  dense_lu, its LU kind, is None until
-    its first factorization (_factor).  A block factored ahead of its solve
-    holds that factor, as (sigma, lu, shift used), until Arnoldi takes it.
+    its caller sets it or its first factorization takes its pattern's
+    (_factor).
     """
 
     def __init__(self, A, scale: float = 1.0):
@@ -250,7 +253,7 @@ class Block:
         self.unit, factor = math.ldexp(1.0, 2 * j), math.ldexp(1.0 / ms, -es - 2 * j)
         self.norm1 = norm * factor
         self.matrix = csr_from_arrays(CsrArrays(A.indptr, A.indices, A.data * factor, A.shape))
-        self.dense = self.values = self.factored = self.dense_lu = None
+        self.dense = self.values = self.dense_lu = None
         self.checked = {}
 
     def decompose(self) -> None:
@@ -269,22 +272,36 @@ class _BudgetSpent(Exception):
     """Arnoldi asked for more operator applications than its budget."""
 
 
+def _fills_densely(*patterns) -> bool:
+    """The LU kind of matrices with the union of the patterns (n x n CSR
+    arrays or matrices) and a full diagonal: whether n <= DENSE_EIG_BUDGET
+    and a real matrix with that pattern, factored by SuperLU in SparseLU's
+    order, fills DENSE_LU_MIN_FILL of n**2 or more.  Its diagonal dominates
+    every column, so SuperLU pivots on it and the fill is the pattern's."""
+    n = patterns[0].shape[0]
+    if n > DENSE_EIG_BUDGET:
+        return False
+    probe = sp.identity(n, format="csr") * (4.0 * n)
+    for p in patterns:
+        probe += sp.csr_matrix((np.ones(p.nnz), p.indices, p.indptr), shape=(n, n))
+    lu = sparsecore.splu(probe.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    return lu.L.nnz + lu.U.nnz >= DENSE_LU_MIN_FILL * n ** 2
+
+
 def _factor(block: Block, sigma: complex):
-    """(lu, s): the LU of B - s I at s = sigma / unit.  The block's first
-    factorization is SuperLU and sets block.dense_lu: whether the factor
-    fills DENSE_LU_MIN_FILL of n**2 or more, with n <= DENSE_EIG_BUDGET;
-    when it is set, later ones are dense LAPACK LU.  An exactly singular
-    B - s I is factored once more with s moved by 1e-8 (1 + |s|)."""
-    n, dense = block.n, bool(block.dense_lu)
-    eye = sp.identity(n, dtype=np.complex128, format="csr")
+    """(lu, s): the LU of B - s I at s = sigma / unit, dense LAPACK LU when
+    block.dense_lu is set, else SuperLU; a block with no LU kind yet takes
+    its own pattern's (_fills_densely).  An exactly singular B - s I is
+    factored once more with s moved by 1e-8 (1 + |s|)."""
+    if block.dense_lu is None:
+        block.dense_lu = _fills_densely(block.matrix)
+    eye = sp.identity(block.n, dtype=np.complex128, format="csr")
     s = _times(sigma, 1.0 / block.unit)
     try:
-        lu = SparseLU(block.matrix - s * eye, dense=dense)
+        lu = SparseLU(block.matrix - s * eye, dense=block.dense_lu)
     except SingularMatrixError:
         s += 1e-8 * (1.0 + abs(s))
-        lu = SparseLU(block.matrix - s * eye, dense=dense)
-    if block.dense_lu is None:
-        block.dense_lu = n <= DENSE_EIG_BUDGET and lu.factor_nnz >= DENSE_LU_MIN_FILL * n ** 2
+        lu = SparseLU(block.matrix - s * eye, dense=block.dense_lu)
     return lu, s
 
 
@@ -302,14 +319,10 @@ def _arnoldi(block: Block, sigma: complex, k: int, tol: float, info: SolveInfo):
     the block's eigenvalues are computed densely and no candidates are
     returned.  Any other ARPACK error is recorded in info.warnings and
     returns no candidates.  sigma is given in the block's input units, the
-    candidates come in those of its stored matrix.  A factor the block holds
-    for sigma is taken from it and used.
+    candidates come in those of its stored matrix.
     """
     n = block.n
-    if block.factored is not None and block.factored[0] == sigma:
-        (_, lu, sigma_used), block.factored = block.factored, None
-    else:
-        lu, sigma_used = _factor(block, sigma)
+    lu, sigma_used = _factor(block, sigma)
     if sigma_used != _times(sigma, 1.0 / block.unit):
         info.perturbed_shift = _times(sigma_used, block.unit)
     info.factor_nnz = lu.factor_nnz
@@ -404,7 +417,7 @@ def shift_invert_eigs(A, sigma: complex, k: int, cfg: ShiftInvertConfig,
     route is taken when the eigenvalues are already known, the block is
     zero, k > n - 2 (too small for ARPACK) or Arnoldi spends its budget.
     On the Arnoldi route B - sigma I is factored by the block's LU kind
-    (_factor), unless the block holds its factor.
+    (_factor).
 
     Returns (pairs, info).  A singular (B - sigma I) is retried once with
     sigma moved by 1e-8 (1 + |sigma| / unit) unit, flagged in info;
@@ -495,14 +508,12 @@ def _solve_block(block: Block, cfg: ShiftInvertConfig, report: SpectrumReport, k
     return deduplicate_pairs(collected, unit=DEDUP_FLOOR * block.norm1 * block.unit)
 
 
-def _solve_share(J: SectorJacobian, share, cfg: ShiftInvertConfig, lu_kind: bool,
-                 head=None) -> list:
+def _solve_share(J: SectorJacobian, share, cfg: ShiftInvertConfig, lu_kind: bool) -> list:
     """The partial reports of share's source groups (c, members), in order:
     harmonic c, then the members mirrored from it.  Each block built here
-    takes lu_kind as its LU kind; a mirrored member conjugates its solved
-    source block in place and starts it with no checked vectors.  head, when
-    given, is (block, seconds spent on it) for the share's first harmonic,
-    built before the share started."""
+    takes lu_kind, the LU kind of the sector's pattern, as its own; a
+    mirrored member conjugates its solved source block in place and starts
+    it with no checked vectors."""
     parts = []
     for c, members in share:
         report = SpectrumReport(pairs=[], M=J.M, N=J.N)
@@ -517,9 +528,6 @@ def _solve_share(J: SectorJacobian, share, cfg: ShiftInvertConfig, lu_kind: bool
                         np.conjugate(part, out=part)
                     block.checked = {}
                     report.routes[m] = f"conj({c})"
-                elif head is not None:
-                    (block, spent), head = head, None
-                    t0 -= spent
                 else:
                     block = Block(reduced_block(J, m), cfg.scale)
                     block.dense_lu = lu_kind
@@ -567,31 +575,16 @@ def _pin(cpus) -> None:
         pass
 
 
-def _solve_groups(J: SectorJacobian, groups, cfg: ShiftInvertConfig):
+def _solve_groups(J: SectorJacobian, groups, cfg: ShiftInvertConfig, lu_kind: bool):
     """The partial reports of groups, in order, from _worker_count
-    processes, each confined to its own CPU for the call.  Before any fork
-    this process builds the first group's first block and, unless the block
-    is solved densely from the start, factors it at the first shift, kept
-    for its solve there; that factor's LU kind is handed to every other
-    block.  A block that fails to build is left to its group, and the call
-    factors by SuperLU.  Worker w solves groups w, w + workers, ..., worker
-    0 in this process (all of them with one worker), the others in children
-    forked here, which send their pickled reports through a pipe, or
-    nothing.  After its own share, this process solves any share that comes
-    back empty or truncated, a refused fork's too: raising its error, or
-    with one warning naming its harmonics.  No child outlives the call, and
-    this process gets its CPU mask back."""
-    head, lu_kind = None, False
-    if groups:
-        t0 = time.perf_counter()
-        try:
-            block = Block(reduced_block(J, groups[0][1][0]), cfg.scale)
-            n, sigma = block.n, cfg.shifts[0]
-            if n not in DENSE_ROUTE_DIMS and cfg.eigs_per_shift <= n - 2 and block.norm1:
-                block.factored = (sigma, *_factor(block, sigma))
-            head, lu_kind = (block, time.perf_counter() - t0), bool(block.dense_lu)
-        except ValueError:
-            pass
+    processes, each confined to its own CPU for the call; every block takes
+    lu_kind as its LU kind.  Worker w solves groups w, w + workers, ...,
+    worker 0 in this process (all of them with one worker), the others in
+    children forked here, which send their pickled reports through a pipe,
+    or nothing.  After its own share, this process solves any share that
+    comes back empty or truncated, a refused fork's too: raising its error,
+    or with one warning naming its harmonics.  No child outlives the call,
+    and this process gets its CPU mask back."""
     workers = _worker_count(J, len(groups))
     shares = [groups[w::workers] for w in range(workers)]
     mask = os.sched_getaffinity(0) if workers > 1 else set()
@@ -618,7 +611,7 @@ def _solve_groups(J: SectorJacobian, groups, cfg: ShiftInvertConfig):
                 os.close(write_fd)
         if mask:
             _pin({cpus[0]})
-        done = [_solve_share(J, shares[0], cfg, lu_kind, head)]
+        done = [_solve_share(J, shares[0], cfg, lu_kind)]
         for fd, share in zip(fds, shares[1:]):
             try:
                 with open(fd, "rb", closefd=False) as fh:
@@ -650,7 +643,9 @@ def solve_annulus_spectrum(J: SectorJacobian, harmonics=None,
     eigenvalues are their conjugates (route "conj(c)"); its vectors are
     solved on B_{M-c}.  The groups are shared out among workers
     (_solve_groups), whose partial reports are merged in group order, so
-    the report does not depend on their count.
+    the report does not depend on their count.  Every block has the pattern
+    of the sector's three blocks, so when the blocks take the Arnoldi route
+    that pattern decides the LU kind of them all, once (_fills_densely).
     A harmonic outside [0, M) raises ValueError before any solve; failures
     in one harmonic are recorded as warnings without aborting the others.
     Pairs come out in the CSV's order: by harmonic, and within one in
@@ -665,7 +660,9 @@ def solve_annulus_spectrum(J: SectorJacobian, harmonics=None,
     by_source: dict = {}
     for m in harmonics:
         by_source.setdefault(min(m, J.M - m) if mirror else m, []).append(m)
-    for part in _solve_groups(J, list(by_source.items()), cfg):
+    arnoldi = J.N not in DENSE_ROUTE_DIMS and cfg.eigs_per_shift <= J.N - 2
+    lu_kind = arnoldi and _fills_densely(*J.blocks)
+    for part in _solve_groups(J, list(by_source.items()), cfg, lu_kind):
         _merge(report, part)
     report.pairs.sort(key=lambda p: p.harmonic)
     return report

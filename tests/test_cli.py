@@ -67,7 +67,19 @@ class TestParseShift:
             parse_shift("nope")
 
 
+def test_version(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "0.1.0\n"
+
+
 class TestGen:
+    def test_prints_what_it_wrote(self, tmp_path, capsys):
+        out = tmp_path / "rv"
+        assert main(["gen", "rotvec", "--sectors", "6", "--points", "4", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote rotvec model (M=6, N=8) to {out}\n"
+
     def test_ring_directory_structure(self, tmp_path):
         out = tmp_path / "ring"
         rc = main(["gen", "ring", "--sectors", "22", "--points", "8",
@@ -145,6 +157,19 @@ class TestEig:
         summary = (str(out) + ".summary.txt")
         text = Path(summary).read_text()
         assert "eigenvalues_before_dedup = 132" in text
+
+    @pytest.mark.parametrize("options, keys", [
+        (["--harmonics", "3,1"], ["1", "3"]),
+        ([], sorted(map(str, range(22)))),
+        (["--method", "1"], ["full"])])
+    def test_summary_wall_time_per_solved_block(self, ring_dir, tmp_path, options, keys):
+        out = tmp_path / "spectrum.csv"
+        assert main(["eig", str(ring_dir), *options, "--out", str(out)]) == 0
+        lines = Path(str(out) + ".summary.txt").read_text().splitlines()
+        times = [re.fullmatch(r"wall_time\[(\w+)\] = (\d+\.\d{4})", line)
+                 for line in lines if line.startswith("wall_time[")]
+        assert [t[1] for t in times] == keys
+        assert all(float(t[2]) >= 0 for t in times)
 
     def test_method1_has_empty_harmonic_column(self, ring_dir, tmp_path):
         out = tmp_path / "full.csv"
@@ -387,11 +412,12 @@ class TestEig:
         model = tmp_path / "rv"
         assert main(["gen", "rotvec", "--sectors", "6", "--points", "4", "--out", str(model)]) == 0
         out = tmp_path / "x.csv"
-        assert main(["eig", str(model), "--shifts", "-1-1i", "-0.5+2i", "0+3i", "--k", "1",
-                     "--out", str(out)]) == 0
-        _, rows = read_csv(out)
-        shifts = {complex(float(r["shift_re"]), float(r["shift_im"])) for r in rows}
-        assert shifts == {-1 - 1j, -0.5 + 2j, 3j}
+        for given, want in ([["-1-1i", "-0.5+2i", "0+3i"], {-1 - 1j, -0.5 + 2j, 3j}],
+                            [["-i", "2i"], {-1j, 2j}]):
+            assert main(["eig", str(model), "--shifts", *given, "--k", "1",
+                         "--out", str(out)]) == 0
+            _, rows = read_csv(out)
+            assert {complex(float(r["shift_re"]), float(r["shift_im"])) for r in rows} == want
 
     def test_parse_harmonics(self):
         assert parse_harmonics(" ALL ") is None
@@ -566,6 +592,29 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "tol must be finite and positive" in captured.err
         assert "PASS" not in captured.out and "FAIL" not in captured.out
+
+    def test_lift_residual_is_relative_to_the_lifted_vector(self, tmp_path, capsys,
+                                                            monkeypatch):
+        out = tmp_path / "rv"
+        assert main(["gen", "rotvec", "--sectors", "6", "--points", "4", "--out", str(out)]) == 0
+        J = sector_module.load_sector_jacobian(out)
+        A = sector_module.materialize_full(J).toarray()
+        relative = 0.0
+        for m in range(J.M):
+            w, V = np.linalg.eig(csr_from_arrays(sector_module.reduced_block(J, m)).toarray())
+            lifted = sector_module.lift_to_annulus(V, m, J)  # columns of norm sqrt(6)
+            res = np.linalg.norm(A @ lifted - lifted * w, axis=0) / np.linalg.norm(lifted, axis=0)
+            relative = max(relative, res.max())
+        printed = []
+        lift = cli.lift_to_annulus
+        for scale in (1.0, 2.0 ** 20):  # exact, so the relative residual keeps its bits
+            monkeypatch.setattr(cli, "lift_to_annulus", lambda v, m, J: scale * lift(v, m, J))
+            capsys.readouterr()
+            assert main(["verify", str(out)]) == 0
+            printed.append(re.search(r"max lift residual: +(\S+)", capsys.readouterr().out)[1])
+        assert printed[0] == printed[1]
+        # rounding differs between the two products, but by far less than sqrt(6)
+        assert 1 / 1.5 < float(printed[0]) / relative < 1.5
 
     def test_wrong_lift_fails(self, tmp_path, capsys, monkeypatch):
         # eigenvalues lifted at the next harmonic still match the dense

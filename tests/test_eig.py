@@ -644,24 +644,26 @@ class TestMinimumDegreeOrder:
 
     def test_every_factorization_uses_minimum_degree(self, splu_calls):
         # n = 200 is above DENSE_ROUTE_MAX_DIM, so every block is factored;
-        # ring blocks fill little, so all 4 x 3 factorizations are SuperLU.
+        # ring blocks fill little, so after the probe of the sector's pattern
+        # all 4 x 3 factorizations are SuperLU.
         # One CPU keeps every factorization in this process, where it is recorded.
         with one_cpu():
             report = solve_annulus_spectrum(make_ring_advection_diffusion(4, 200, 1.0))
             assert report.pairs and report.warnings == []
             assert report.peak_storage < eig_module.DENSE_LU_MIN_FILL * 200 ** 2
             specs = [spec for spec, _, _ in splu_calls]
-            assert len(specs) == 12 and set(specs) == {"MMD_AT_PLUS_A"}
-            # random blocks fill to 0.56: only the first, deciding factorization is SuperLU
+            assert len(specs) == 1 + 12 and set(specs) == {"MMD_AT_PLUS_A"}
+            # random blocks fill to 0.56: only the probe is SuperLU, every factorization dense
             splu_calls.clear()
             report = solve_annulus_spectrum(make_random_sector_jacobian(4, 200, 0.02, 0))
             assert report.pairs and report.warnings == []
             assert report.storage == {m: 200 ** 2 for m in range(4)}
             assert [spec for spec, _, _ in splu_calls] == ["MMD_AT_PLUS_A"]
+            # the whole annulus: its own probe, then one SuperLU factorization
             splu_calls.clear()
             solve_full_annulus(make_ring_advection_diffusion(4, 40, 1.0),
                                cfg=ShiftInvertConfig(shifts=(1j,)))
-            assert [spec for spec, _, _ in splu_calls] == ["MMD_AT_PLUS_A"]
+            assert [spec for spec, _, _ in splu_calls] == ["MMD_AT_PLUS_A"] * 2
 
     def test_pairs_are_eigenpairs_of_the_block_and_lift(self):
         J = make_random_sector_jacobian(4, 60, 0.08, 3)
@@ -690,7 +692,7 @@ class TestMinimumDegreeOrder:
             for sigma in cfg.shifts:
                 lu = splu((B - sigma * eye).tocsc(), permc_spec="COLAMD")
                 assert nnz < lu.L.nnz + lu.U.nnz
-        # blocks that fill to 0.56: the one SuperLU factor, which decides the rest
+        # blocks that fill to 0.56: the one SuperLU factor is the pattern's probe
         splu_calls.clear()
         report = solve_annulus_spectrum(make_random_sector_jacobian(4, 200, 0.02, 0), cfg=cfg)
         assert set(report.routes.values()) == {"arnoldi"}
@@ -730,14 +732,20 @@ def random_fill():
         return J, {zero: counted(lambda: solve_annulus_spectrum(J), zero) for zero in (False, True)}
 
 
-class TestDenseFactorDecision:
-    """A call whose first SuperLU factor fills DENSE_LU_MIN_FILL of n**2 or
-    more factors every later shifted block by dense LAPACK LU."""
+def probes(splu_calls) -> list:
+    """The dimensions of the pattern probes among splu_calls: the real
+    matrices, where every factorization of a block is complex."""
+    return [A.shape[0] for _, A, _ in splu_calls if not np.iscomplexobj(A.data)]
 
-    def test_random_fill_factors_densely_after_the_first(self, random_fill):
+
+class TestDenseFactorDecision:
+    """A call whose sector pattern fills DENSE_LU_MIN_FILL of n**2 or more
+    under SuperLU factors every shifted block by dense LAPACK LU."""
+
+    def test_random_fill_factors_densely(self, random_fill):
         J, runs = random_fill
         report, kinds, _ = runs[False]
-        assert kinds == [False] + [True] * 11
+        assert kinds == [True] * 12
         assert report.warnings == []
         assert report.storage == {m: J.N ** 2 for m in range(J.M)}
         assert len(report.pairs) == 8
@@ -762,9 +770,9 @@ class TestDenseFactorDecision:
         assert kinds == [False] * 3
 
     def test_singular_dense_shift_is_perturbed_and_recorded(self):
-        # column 7 of B - 3 I is zero, so the dense factor at shift 3 is
-        # exactly singular; the first shift's SuperLU factor fills past the
-        # threshold, so the second is dense
+        # the block's pattern fills past the threshold, so both factors are
+        # dense; column 7 of B - 3 I is zero, so the one at shift 3 is
+        # exactly singular
         n = 120
         rng = np.random.default_rng(7)
         d_self = np.where(rng.random((n, n)) < 0.3, rng.uniform(-1, 1, (n, n)), 0.0)
@@ -774,12 +782,47 @@ class TestDenseFactorDecision:
         J = SectorJacobian(d_self, zero, zero, 1, DofLayout(n, 1))
         cfg = ShiftInvertConfig(shifts=(1j, 3.0))
         report, kinds, _ = counted(lambda: solve_annulus_spectrum(J, cfg=cfg))
-        assert kinds == [False, True, True]
+        assert kinds == [True, True, True]
         [(key, sigma, used)] = report.perturbed_shifts
         # moved by 1e-8 (1 + |sigma| / unit) unit, relative to the block's scale
         unit = Block(d_self).unit
         assert (key, sigma) == (0, 3.0) and used == (3.0 / unit + 1e-8 * (1 + 3.0 / unit)) * unit
         assert min(abs(p.value - 3.0) for p in report.pairs) <= 1e-10
+
+    def test_one_pattern_probe_per_call(self, splu_calls, monkeypatch):
+        # one CPU keeps every factorization in this process, where it is recorded
+        with one_cpu():
+            for _ in range(2):  # one per annulus call, made before any block
+                report = solve_annulus_spectrum(make_random_sector_jacobian(4, 200, 0.005, 0))
+                assert probes(splu_calls) == [200] and len(splu_calls) == 1 + 12
+                # its fill is each block's SuperLU fill: the kind it decides is theirs
+                [(_, _, lu)] = splu_calls[:1]
+                assert report.storage == {m: lu.L.nnz + lu.U.nnz for m in range(4)}
+                splu_calls.clear()
+            # blocks on the dense route are never factored, so nothing is probed
+            for J in (make_ring_advection_diffusion(128, 50, 1.0),
+                      make_rotating_vector_model(8, 50, 0.3)):
+                assert set(solve_annulus_spectrum(J).routes.values()) <= {
+                    "dense", *(f"conj({c})" for c in range(J.M))}
+                assert splu_calls == []
+            for _ in range(2):  # one per whole-annulus call, n = 640
+                report = solve_full_annulus(make_random_sector_jacobian(4, 160, 0.03, 1))
+                assert probes(splu_calls) == [640] and report.storage == {"full": 640 ** 2}
+                splu_calls.clear()
+            # a block that holds its kind is not probed again
+            block = Block(reduced_block(make_random_sector_jacobian(4, 200, 0.02, 0), 1))
+            for sigma in (1j, 2j, 3j):
+                shift_invert_eigs(block, sigma, 2, ShiftInvertConfig())
+            assert probes(splu_calls) == [200] and block.dense_lu
+            splu_calls.clear()
+            # above the dense budget the kind is SuperLU, with no probe
+            monkeypatch.setattr(eig_module, "DENSE_EIG_BUDGET", 199)
+            report = solve_annulus_spectrum(make_random_sector_jacobian(4, 200, 0.02, 0))
+            assert probes(splu_calls) == [] and len(splu_calls) == 12
+            assert report.peak_storage < 200 ** 2
+            splu_calls.clear()
+            shift_invert_eigs(csr_from_arrays(block.matrix), 1j, 2, ShiftInvertConfig())
+            assert probes(splu_calls) == [] and len(splu_calls) == 1
 
 
 class TestArpackTolerance:
@@ -1131,7 +1174,7 @@ class TestForkedHarmonics:
     @pytest.mark.parametrize("gen", [
         ["rotvec", "--sectors", "8", "--points", "50", "--coupling", "0.3"],
         ["ring", "--sectors", "128", "--points", "50", "--peclet", "1"],
-        # the Arnoldi route, with dense LU after the first factorization
+        # the Arnoldi route, every factorization dense LU
         ["random", "--sectors", "4", "--points", "160", "--density", "0.03", "--seed", "1"]])
     def test_output_bytes_do_not_depend_on_cpu_count(self, tmp_path, gen, forks):
         model = tmp_path / "model"
@@ -1199,11 +1242,10 @@ class TestForkedHarmonics:
         workers = min(CPUS, 3)  # 3 source groups: 0, 1 with 3, and 2
         assert set(report.routes.values()) == {"arnoldi"} and len(forks) == workers - 1
         lines = [line.split() for line in log.read_text().splitlines()]
-        # 4 harmonics x 3 shifts, each factored by one process: the first by
-        # SuperLU here, before the fork, which decides that the rest are dense
+        # 4 harmonics x 3 shifts, each factored by one process, all of them
+        # densely: the kind the sector's pattern gave before the fork
         assert len(lines) == len({digest for _, _, digest in lines}) == 12
-        assert lines[0][:2] == [str(os.getpid()), "0"]
-        assert sorted(dense for _, dense, _ in lines) == ["0"] + ["1"] * 11
+        assert [dense for _, dense, _ in lines] == ["1"] * 12
         assert len({pid for pid, _, _ in lines}) == workers
 
     @pytest.mark.parametrize("where, error", [
@@ -1450,8 +1492,8 @@ class TestAnnulusSolvers:
         assert set(report.wall_times) == {0, 1, 2, 3}
         assert report.peak_storage > 0
 
-    def test_head_wall_time_includes_its_prefork_factor(self, monkeypatch):
-        # the first factorization is the head's (harmonic 0), made before any fork
+    def test_wall_time_includes_the_first_factorization(self, monkeypatch):
+        # one CPU: the first factorization is harmonic 0's, at the first shift
         real_factor, slowed = eig_module._factor, []
 
         def slow_first_factor(block, sigma):
