@@ -10,13 +10,14 @@ DENSE_LU_MIN_FILL of n**2 or more, every factorization is dense LAPACK LU
 (SparseLU(..., dense=True)), which a report shows as storage n**2 on the
 arnoldi route.
 
-Each block is built once and stored once, at unit norm (Block), and its
-route is chosen once from its dimension n: a block with n in
-DENSE_ROUTE_DIMS takes the dense route, where Block.decompose forms its
-array; others go to Arnoldi, and end dense when it spends its budget.
-Every shift, on either route, is answered by shift_invert_eigs.  A dense
-block's eigenvalues are computed once, and each distinct eigenvalue any
-shift picks gets one inverse-iteration solve and one residual check.
+Each block is built once and stored once, at unit norm (Block).  Every
+shift, on either route, is answered by shift_invert_eigs, the one place a
+block's route is chosen, by one rule (_dense_route): a zero block, or one
+with MIN_SUBSPACE_DIM < n <= DENSE_ROUTE_MAX_DIM or asked for k > n - 2
+eigenvalues, takes the dense route; others go to Arnoldi, and end dense
+when it spends its budget.  A dense block keeps only its eigenvalues,
+computed once, and each distinct eigenvalue any shift picks gets one
+inverse-iteration solve and one residual check.
 One driver shares the harmonics out among workers, on either route; with
 one worker it is the serial solve.  Every harmonic block has the pattern
 of the sector's three blocks, so the annulus driver decides the LU kind
@@ -30,10 +31,10 @@ reports merge in the order one worker gives, so the output does not
 depend on the count.
 
 On real sector blocks, harmonic M - m takes harmonic m's solved dense
-block and conjugates it in place: conj(B_m) and the conjugates of its
-eigenvalues.  Blocks on the Arnoldi route solve their own matrix, since
-the LU of B_m - conj(sigma) I would only replace that of B_{M-m} - sigma I
-one for one.  Pairs from every route are re-verified by a direct sparse
+block and conjugates it in place: the entries of B_m and its eigenvalues.
+Blocks on the Arnoldi route solve their own matrix, since the LU of
+B_m - conj(sigma) I would only replace that of B_{M-m} - sigma I one for
+one.  Pairs from every route are re-verified by a direct sparse
 residual on their own block and accepted on their normwise backward
 error, so nothing is trusted from the inner iteration or the mirror
 alone.  Each block's pairs are deduplicated and leave in the CSV's order
@@ -109,8 +110,6 @@ FORK_WORK = 600_000
 
 # Arnoldi subspace dimension is max(MIN_SUBSPACE_DIM, 2k + 1), capped at n.
 MIN_SUBSPACE_DIM = 20
-# Dimensions of the blocks that take the dense route.
-DENSE_ROUTE_DIMS = range(MIN_SUBSPACE_DIM + 1, DENSE_ROUTE_MAX_DIM + 1)
 # ARPACK restart cap; on blocks within DENSE_EIG_BUDGET the budget of n + 1
 # inverse applications normally ends Arnoldi first.
 MAX_RESTARTS = 300
@@ -229,11 +228,11 @@ class Block:
     values, residuals and shifts are multiplied back by unit where they
     leave the block.  Scaling by a power of four leaves LAPACK's results the
     same up to that power, bit for bit (by an odd power of two it does
-    not).  Once decomposed, the block also holds the dense matrix and all
-    its eigenvalues, and in checked each (lam, v, residual) it has solved
-    and checked, by the index of lam.  dense_lu, its LU kind, is None until
-    its caller sets it or its first factorization takes its pattern's
-    (_factor).
+    not).  matrix is the one copy of the block kept: once decomposed, the
+    block also holds all its eigenvalues in values, and in checked each
+    (lam, v, residual) it has solved and checked, by the index of lam.
+    dense_lu, its LU kind, is None until its caller sets it or its first
+    factorization takes its pattern's (_factor).
     """
 
     def __init__(self, A, scale: float = 1.0):
@@ -253,19 +252,25 @@ class Block:
         self.unit, factor = math.ldexp(1.0, 2 * j), math.ldexp(1.0 / ms, -es - 2 * j)
         self.norm1 = norm * factor
         self.matrix = csr_from_arrays(CsrArrays(A.indptr, A.indices, A.data * factor, A.shape))
-        self.dense = self.values = self.dense_lu = None
+        self.values = self.dense_lu = None
         self.checked = {}
 
     def decompose(self) -> None:
-        """Store the dense matrix and all its eigenvalues, once."""
+        """Store all the matrix's eigenvalues, once."""
         if self.values is None:
-            self.dense = self.matrix.toarray()
-            self.values = dense_eigs(self.dense, vectors=False)
+            self.values = dense_eigs(self.matrix.toarray(), vectors=False)
 
 
 def _times(z, f: float) -> complex:
     """z * f, part by part: exact for a power of two f, signed zeros kept."""
     return complex(z.real * f, z.imag * f)
+
+
+def _dense_route(n: int, k: int) -> bool:
+    """Whether a block of dimension n asked for k eigenvalues per shift
+    takes the dense route: MIN_SUBSPACE_DIM < n <= DENSE_ROUTE_MAX_DIM, or
+    k > n - 2, too many for ARPACK."""
+    return MIN_SUBSPACE_DIM < n <= DENSE_ROUTE_MAX_DIM or k > n - 2
 
 
 class _BudgetSpent(Exception):
@@ -356,11 +361,12 @@ def _arnoldi(block: Block, sigma: complex, k: int, tol: float, info: SolveInfo):
 
 
 def _inverse_iteration(block: Block, lam: complex) -> np.ndarray:
-    """Eigenvector of the eigenvalue lam of the dense block by one step of
-    inverse iteration: the solution of (B - lam I) x = v0.  An exactly
-    singular B - lam I is retried once with lam moved by eps 2**e, 2**e
-    within a factor 2 of ||B||_1."""
-    shifted = block.dense.copy()
+    """Eigenvector of the eigenvalue lam of the decomposed block by one step
+    of inverse iteration: the solution of (B - lam I) x = v0, with B - lam I
+    formed densely from the stored matrix.  An exactly singular B - lam I
+    is retried once with lam moved by eps 2**e, 2**e within a factor 2 of
+    ||B||_1."""
+    shifted = block.matrix.toarray()
     diagonal = shifted.reshape(-1)[::block.n + 1]
     diagonal -= lam
     try:
@@ -394,18 +400,6 @@ def _accepted(block: Block, checked, sigma: complex, harmonic, cfg: ShiftInvertC
     return pairs
 
 
-def _dense_pairs(block: Block, sigma: complex, k: int, cfg: ShiftInvertConfig, harmonic,
-                 info: SolveInfo) -> list:
-    """Accepted pairs of a decomposed block near sigma: the k eigenvalues
-    nearest it (stable order), each solved and checked once per block."""
-    w = block.values
-    order = np.argsort(np.abs(w - sigma / block.unit), kind="stable")[:k].tolist()
-    for j in order:
-        if j not in block.checked:
-            block.checked[j] = _verify(block, w[j], _inverse_iteration(block, w[j]))
-    return _accepted(block, [block.checked[j] for j in order], sigma, harmonic, cfg, info)
-
-
 def shift_invert_eigs(A, sigma: complex, k: int, cfg: ShiftInvertConfig,
                       harmonic: int | None = None):
     """Up to k eigenpairs of A nearest sigma, ordered by |lambda - sigma|.
@@ -413,11 +407,12 @@ def shift_invert_eigs(A, sigma: complex, k: int, cfg: ShiftInvertConfig,
     A is a sparse matrix, solved as A / cfg.scale at shift sigma in those
     units, or a :class:`Block`, which holds its own scale; one Block passed
     for every shift lets one dense eigenvalue computation answer them all,
-    with one solve and one check per distinct chosen eigenvalue.  The dense
-    route is taken when the eigenvalues are already known, the block is
-    zero, k > n - 2 (too small for ARPACK) or Arnoldi spends its budget.
-    On the Arnoldi route B - sigma I is factored by the block's LU kind
-    (_factor).
+    with one solve and one check per distinct chosen eigenvalue.  This is
+    the one place a block's route is chosen: the dense route is taken when
+    the eigenvalues are already known, the block is zero, _dense_route(n,
+    k) holds, or Arnoldi spends its budget.  On the Arnoldi route
+    B - sigma I is factored by the block's LU kind (_factor).  Both routes
+    end in the same acceptance test (_accepted).
 
     Returns (pairs, info).  A singular (B - sigma I) is retried once with
     sigma moved by 1e-8 (1 + |sigma| / unit) unit, flagged in info;
@@ -431,13 +426,17 @@ def shift_invert_eigs(A, sigma: complex, k: int, cfg: ShiftInvertConfig,
     sigma = complex(sigma)
     info = SolveInfo()
 
-    if block.values is None and (k > block.n - 2 or not block.norm1):
+    if block.values is None and (_dense_route(block.n, k) or not block.norm1):
         block.decompose()
     if block.values is None:
-        candidates = _arnoldi(block, sigma, k, cfg.tol, info)
-    if block.values is not None:
-        return _dense_pairs(block, sigma, k, cfg, harmonic, info), info
-    checked = [_verify(block, lam, v) for lam, v in candidates]
+        checked = [_verify(block, lam, v) for lam, v in _arnoldi(block, sigma, k, cfg.tol, info)]
+    if block.values is not None:  # the k eigenvalues nearest sigma, each solved once
+        w = block.values
+        order = np.argsort(np.abs(w - sigma / block.unit), kind="stable")[:k].tolist()
+        for j in order:
+            if j not in block.checked:
+                block.checked[j] = _verify(block, w[j], _inverse_iteration(block, w[j]))
+        checked = [block.checked[j] for j in order]
     return _accepted(block, checked, sigma, harmonic, cfg, info), info
 
 
@@ -483,14 +482,11 @@ def deduplicate_pairs(pairs, unit: float = 1.0):
 
 
 def _solve_block(block: Block, cfg: ShiftInvertConfig, report: SpectrumReport, key) -> list:
-    """Solve one block at every configured shift by shift_invert_eigs, fold
-    the bookkeeping into report (keyed by harmonic, or "full"), and return
-    its deduplicated pairs.  The eigenvalues of a block with n in
-    DENSE_ROUTE_DIMS (the dense route) are computed up front."""
+    """Solve one block at every configured shift by shift_invert_eigs,
+    which picks its route, fold the bookkeeping into report (keyed by
+    harmonic, or "full"), and return its deduplicated pairs."""
     harmonic = None if key == "full" else key
     prefix = "" if harmonic is None else f"harmonic {harmonic}: "
-    if block.n in DENSE_ROUTE_DIMS:
-        block.decompose()
     collected = []
     storage = 0
     for sigma in cfg.shifts:
@@ -524,7 +520,7 @@ def _solve_share(J: SectorJacobian, share, cfg: ShiftInvertConfig, lu_kind: bool
                 if source is not None and source.values is not None:
                     # B_m = conj(B_c) entry for entry, and so are its eigenvalues
                     block = source
-                    for part in (block.matrix.data, block.dense, block.values):
+                    for part in (block.matrix.data, block.values):
                         np.conjugate(part, out=part)
                     block.checked = {}
                     report.routes[m] = f"conj({c})"
@@ -660,8 +656,7 @@ def solve_annulus_spectrum(J: SectorJacobian, harmonics=None,
     by_source: dict = {}
     for m in harmonics:
         by_source.setdefault(min(m, J.M - m) if mirror else m, []).append(m)
-    arnoldi = J.N not in DENSE_ROUTE_DIMS and cfg.eigs_per_shift <= J.N - 2
-    lu_kind = arnoldi and _fills_densely(*J.blocks)
+    lu_kind = not _dense_route(J.N, cfg.eigs_per_shift) and _fills_densely(*J.blocks)
     for part in _solve_groups(J, list(by_source.items()), cfg, lu_kind):
         _merge(report, part)
     report.pairs.sort(key=lambda p: p.harmonic)

@@ -616,6 +616,17 @@ class TestVerify:
         # rounding differs between the two products, but by far less than sqrt(6)
         assert 1 / 1.5 < float(printed[0]) / relative < 1.5
 
+    def test_prints_the_largest_column_sum(self, tmp_path, capsys):
+        out = tmp_path / "rv"
+        assert main(["gen", "rotvec", "--sectors", "6", "--points", "4", "--out", str(out)]) == 0
+        A = abs(sector_module.materialize_full(sector_module.load_sector_jacobian(out)))
+        # ||A||_1 is the largest column sum; the largest row sum differs here
+        assert f"{A.sum(axis=0).max():.3e}" == "3.486e+00"
+        assert f"{A.sum(axis=1).max():.3e}" == "3.454e+00"
+        capsys.readouterr()
+        assert main(["verify", str(out)]) == 0
+        assert "(||A||_1 = 3.486e+00)\n" in capsys.readouterr().out
+
     def test_wrong_lift_fails(self, tmp_path, capsys, monkeypatch):
         # eigenvalues lifted at the next harmonic still match the dense
         # spectrum; only the lift residual sees that the vectors are wrong

@@ -152,7 +152,8 @@ class TestShiftInvert:
 
 class TestDenseRoute:
     def test_every_shift_answered_by_dense_nearest(self):
-        J = make_rotating_vector_model(8, 50, 0.3)
+        # n = 120 > DENSE_ROUTE_MAX_DIM: the clustered block starts on Arnoldi
+        J = make_rotating_vector_model(8, 60, 0.3)
         block = Block(reduced_block(J, 1))
         w = np.linalg.eigvals(block.matrix.toarray())
         cfg = ShiftInvertConfig()
@@ -165,6 +166,20 @@ class TestDenseRoute:
             want = w[np.argsort(np.abs(w - sigma), kind="stable")[:2]]
             got = np.array([p.value for p in pairs])
             assert greedy_match(got, want).max() <= 1e-12 * block.norm1
+
+    @pytest.mark.parametrize("n, route", [
+        (eig_module.MIN_SUBSPACE_DIM, "arnoldi"), (eig_module.MIN_SUBSPACE_DIM + 1, "dense"),
+        (eig_module.DENSE_ROUTE_MAX_DIM, "dense"),
+    ])
+    def test_undecomposed_block_takes_its_route_at_the_first_shift(self, n, route):
+        rng = np.random.default_rng(n)
+        block = Block(random_shifted_sparse(rng, n))
+        (pairs, info), kinds, solves = counted(
+            lambda: shift_invert_eigs(block, 1j, 2, ShiftInvertConfig()))
+        assert len(pairs) == 2 and info.warnings == []
+        # the dense route factors nothing; n = MIN_SUBSPACE_DIM stays on Arnoldi
+        assert (block.values is not None) == (route == "dense")
+        assert (kinds == []) == (solves == 0) == (info.factor_nnz == 0) == (route == "dense")
 
     def test_one_decomposition_and_one_lu_per_harmonic(self, monkeypatch):
         J = make_rotating_vector_model(8, 50, 0.3)
@@ -898,6 +913,15 @@ class TestScaleFree:
                                     make_random_sector_jacobian(4, 800, 0.005, 0), 2),
     }
 
+    def test_times_is_exact_and_keeps_signed_zeros(self):
+        # complex * float, before Python 3.14, multiplies by f + 0i and loses the -0.0
+        for z, f, want in ((complex(2.0, -0.0), 4.0, (8.0, -0.0)),
+                           (complex(-0.0, 3.0), 0.25, (-0.0, 0.75))):
+            got = eig_module._times(z, f)
+            assert (got.real, got.imag) == want
+            assert [math.copysign(1.0, x) for x in (got.real, got.imag)] == \
+                [math.copysign(1.0, x) for x in want]
+
     @staticmethod
     def solve(name, scale):
         solve, J, _ = TestScaleFree.CASES[name]
@@ -1096,6 +1120,26 @@ class TestDeduplication:
         a = self._pair(1.0, harmonic=0)
         b = self._pair(1.0, harmonic=1)
         assert len(deduplicate_pairs([a, b])) == 2
+
+    def test_residual_tie_broken_by_value_not_input_order(self):
+        a, b = self._pair(1.0), self._pair(1.0 + 1e-9)
+        for given in ([a, b], [b, a]):
+            kept = deduplicate_pairs(given)
+            assert len(kept) == 1 and kept[0] is a
+
+    def test_floor_keeps_close_eigenvalues_near_zero_apart(self):
+        # two eigenvalues 1e-8 apart near 1e-3, on blocks of ||B||_1 = 1:
+        # closeness below 1e-3 is measured against DEDUP_FLOOR ||B||_1, not
+        # ||B||_1, so they stay two pairs in every harmonic
+        d = np.linspace(-1.0, -0.1, 30)
+        d[0], d[1] = 1e-3, 1e-3 + 1e-8
+        zero = sp.csr_matrix((30, 30))
+        J = SectorJacobian(canonical_csr(sp.diags(d)), zero, zero, 3, DofLayout(30, 1))
+        report = solve_annulus_spectrum(J, cfg=ShiftInvertConfig(shifts=(0j,)))
+        assert report.warnings == [] and report.dedup_removed == 0
+        for m in range(3):
+            near = sorted(p.value.real for p in report.pairs if p.harmonic == m)
+            assert near == pytest.approx([1e-3, 1e-3 + 1e-8], rel=0, abs=1e-15)
 
     def test_idempotent(self):
         pairs = [self._pair(1.0), self._pair(1.0 + 1e-9), self._pair(2.0)]
@@ -1556,6 +1600,9 @@ class TestConfigValidation:
             Block(canonical_csr(np.ones((2, 3))))
         with pytest.raises(ValueError, match="leaves the normal range"):
             Block(canonical_csr(np.eye(3)), 1e-320)
+        # each entry is finite, their column sum ||A||_1 is not
+        with pytest.raises(ValueError, match="leaves the normal range"):
+            Block(canonical_csr(np.array([[1e308, 0.0], [1e308, 1.0]])))
         with pytest.raises(ValueError, match="k must be >= 1"):
             shift_invert_eigs(canonical_csr(np.eye(3)), 1j, 0, ShiftInvertConfig())
         for shape in ((2, 3), (3,)):

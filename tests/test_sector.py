@@ -275,8 +275,9 @@ def same_bits(a, b):
 
 
 class TestDenseBlock:
-    """The dense route's array, which Block.decompose forms from
-    reduced_block(J, m), is that block's scipy matrix / unit, bit for bit."""
+    """The dense route's array, which Block.decompose and the inverse
+    iteration form from a block's stored matrix, is reduced_block(J, m)'s
+    scipy matrix / unit, bit for bit."""
 
     @pytest.mark.parametrize("M", [1, 2, 3, 7])
     @pytest.mark.parametrize("model", ["ring", "rotvec", "random"])
@@ -289,7 +290,7 @@ class TestDenseBlock:
             block = Block(arrays)
             block.decompose()
             assert same_bits(arrays.data, given)  # scaled by a copy
-            a = block.dense
+            a = block.matrix.toarray()
             assert a.dtype == np.complex128
             assert same_bits(a, csr_from_arrays(reduced_block(J, m)).toarray() / block.unit)
             dense.append(a)
